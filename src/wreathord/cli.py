@@ -90,7 +90,7 @@ def _render_eval(element: WreathElement, level: str, ctx: ev.VerbalContext,
 def run_command(cmd: Command) -> tuple[int, str]:
     """Execute one parsed command; returns (exit status, output text)."""
     opts = cmd.options
-    window = opts.get("window") or 8
+    window = opts.get("window", 8)
     try:
         if cmd.name in ("eval", "mul"):
             ctx = _ctx(opts)
@@ -175,8 +175,8 @@ def run_command(cmd: Command) -> tuple[int, str]:
 
         if cmd.name == "verify":
             suite = cmd.args[0]
-            seed = opts.get("seed") or 0
-            budget = opts.get("budget") or 200
+            seed = opts.get("seed", 0)
+            budget = opts.get("budget", 200)
             if suite == "section2":
                 report = er.verify_section2(seed=seed, budget=budget)
             elif suite == "verbal":

@@ -38,11 +38,11 @@ from .groundwork import (
     RATIONALS,
     Rational,
     UndecidedVerdict,
+    Verdict,
     format_rational,
 )
 from .reporting import FAIL, PASS, Report, UNKNOWN, merge_reports, run_checks
 from .wreath import (
-    _ALPHA_WINDOW_LIMIT,
     Atom,
     BaseFunction,
     FiberSteps,
@@ -50,6 +50,7 @@ from .wreath import (
     WreathElement,
     WreathGroup,
     derived_commutator,
+    net_exponents,
 )
 
 QC = WreathGroup("QwrC", IntCoords("c"), RATIONALS, canonical="steps")
@@ -133,28 +134,23 @@ class AlphaFn(BaseFunction):
     def key(self) -> tuple:
         return ("alpha",)
 
-    def tail_identity(self, group, element, tails, finites) -> str | None:
+    def tail_identity(self, group, element, tails, finites) -> Verdict:
         # Beyond the largest shift every alpha factor is in its tau
         # range, where the pointwise sum is -(sum of n_t/(j-k_t)) from
         # c^0 on.  That rational function of j vanishes for all large j
-        # only when the exponents grouped by shift all vanish, so zero
-        # nets plus a trivial window force triviality everywhere.
-        nets: dict[int, int] = {}
-        for a in tails:
-            nets[a.shift] = nets.get(a.shift, 0) + a.exp
+        # only when the exponents grouped by shift all vanish.  With zero
+        # nets, at a coordinate that is neither a shift nor a finite-atom
+        # coordinate every factor is tau_(j-k) or the identity, all in
+        # the abelian base of Q Wr C, so the value there is the product
+        # of tau_(j-k)^(net at k), the identity: only the shifts and the
+        # finite-atom coordinates can differ.
+        nets = net_exponents(tails)
         if any(nets.values()):
-            return "distinct"
-        coords = [a.shift for a in tails]
+            return Verdict.distinct(None)
+        candidates = set(nets)
         for a in finites:
-            coords.extend(c + a.shift for c in a.fn.finite_coords())
-        lo, hi = min(coords), max(coords)
-        if hi - lo > _ALPHA_WINDOW_LIMIT:
-            return None
-        fiber = group.fiber
-        for j in range(lo, hi + 1):
-            if not fiber.is_identity(group.eval(element, j)):
-                return "distinct"
-        return "equal"
+            candidates.update(c + a.shift for c in a.fn.finite_coords())
+        return group.least_nonidentity(element, candidates)
 
 
 _ALPHA_FN = AlphaFn()

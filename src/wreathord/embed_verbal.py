@@ -44,6 +44,7 @@ from .groundwork import (
     Ordering,
     RATIONALS,
     Rational,
+    Verdict,
     format_rational,
 )
 from .nilpotent import (
@@ -69,6 +70,7 @@ from .wreath import (
     WreathElement,
     WreathGroup,
     derived_commutator,
+    net_exponents,
 )
 from .embed_rationals import GWord
 
@@ -249,20 +251,19 @@ class OmegaFn(BaseFunction):
     def key(self) -> tuple:
         return ("omega", self.ctx.family_key)
 
-    def tail_identity(self, group, element, tails, finites) -> str | None:
+    def tail_identity(self, group, element, tails, finites) -> Verdict:
         # Away from the finitely many collision coordinates (where two
         # distinct shift groups are active at once: k1 + 2^a = k2 + 2^b
         # has at most one solution per shift pair) the value at
         # k + 2^b is d_b raised to the net exponent of shift k, so zero
-        # nets plus trivial collision values force triviality; a
-        # nonzero net is witnessed at the first non-collision power.
+        # nets leave only the collision and finite-atom coordinates to
+        # evaluate; a nonzero net is witnessed at the first
+        # non-collision power.
         fiber = group.fiber
-        nets: dict[int, int] = {}
-        for a in tails:
-            nets[a.shift] = nets.get(a.shift, 0) + a.exp
-        eval_coords: set[int] = set()
+        nets = net_exponents(tails)
+        candidates: set[int] = set()
         for a in finites:
-            eval_coords.update(c + a.shift for c in a.fn.finite_coords())
+            candidates.update(c + a.shift for c in a.fn.finite_coords())
         shifts = sorted(nets)
         for i, k1 in enumerate(shifts):
             for k2 in shifts[i + 1:]:
@@ -271,21 +272,18 @@ class OmegaFn(BaseFunction):
                 m = delta >> v
                 if (m + 1) & m == 0:
                     a_exp = v + (m + 1).bit_length() - 1
-                    eval_coords.add(k1 + (1 << a_exp))
+                    candidates.add(k1 + (1 << a_exp))
         bad = next((k for k, net in nets.items() if net), None)
         if bad is not None:
             net = nets[bad]
             for b in range(512):
                 j = bad + (1 << b)
-                if j in eval_coords:
+                if j in candidates:
                     continue
                 if not fiber.is_identity(fiber.pow(self.ctx.enumerate_D(b), net)):
-                    return "distinct"
+                    return Verdict.distinct(None)
             raise RuntimeError("no nontrivial enumeration element within 512 indices")
-        for j in sorted(eval_coords):
-            if not fiber.is_identity(group.eval(element, j)):
-                return "distinct"
-        return "equal"
+        return group.least_nonidentity(element, candidates)
 
 
 @dataclass(frozen=True)

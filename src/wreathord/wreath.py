@@ -14,11 +14,16 @@ Equality of two elements with equal tops is decided in three tiers:
    (rational step functions over an integer line, ray-step functions
    over a nilpotent coordinate group, or fiber-valued step forms);
 2. an exact tail criterion for products of shifted powers of a single
-   tail atom plus finitely supported atoms (each tail atom kind supplies
-   its own criterion, e.g. partial-fraction uniqueness or power-of-two
-   collision enumeration);
+   tail atom plus finitely supported atoms.  Each tail atom kind names
+   the finitely many candidate coordinates off which a product with
+   zero net exponents is the identity (alpha: partial-fraction
+   uniqueness, evaluated only at the shifts and finite-atom
+   coordinates; omega: the dyadic collision and finite-atom
+   coordinates), and the least non-identity candidate is the least
+   difference.  Nonzero nets are distinct, located by a support scan;
 3. a bounded window scan that returns an honest ``UnknownBeyond`` when
-   neither exact route applies.
+   neither exact route applies.  No product of alpha or omega atoms
+   (with finitely supported atoms) reaches it.
 
 ``Equal`` and ``Distinct`` verdicts are only ever produced by tiers with
 an exact justification; order queries on ``UnknownBeyond`` pairs fail
@@ -41,7 +46,6 @@ from typing import Any, Iterable, Iterator
 from .groundwork import Ordering, Rational, UndecidedVerdict, Verdict, format_rational
 
 _SCAN_LIMIT = 1_000_000
-_ALPHA_WINDOW_LIMIT = 20_000
 
 
 class MixedAtomError(ValueError):
@@ -387,7 +391,13 @@ class BaseFunction:
         raise TypeError(f"{self.name} has no fiber-step form")
 
     def tail_identity(self, group: "WreathGroup", element: "WreathElement",
-                      tails: list, finites: list) -> str | None:
+                      tails: list, finites: list) -> Verdict | None:
+        """Tier-2 verdict on whether ``element`` (a product of this tail
+        atom's shifted powers and finite atoms) is the identity: Equal,
+        Distinct(j) with j the least coordinate where it is not, or
+        Distinct(None) when it is provably not the identity but locating
+        the least coordinate is left to the support scan.  None when the
+        kind has no criterion."""
         return None
 
     def merge_with(self, other: "BaseFunction", e1: int, e2: int) -> "BaseFunction | None":
@@ -761,16 +771,21 @@ class WreathGroup:
         c2 = self.base_canonical(y)
         if c1 is not None and c2 is not None:
             return self._canonical_diff(c1, c2)
+        # d's base is the base of x times the inverse of y's, both shifted
+        # by the inverse of the common top, so d is not the identity at j
+        # exactly where x and y differ at j * top
         d = self.mul(x, self.inv(y))
         dc = self.base_canonical(d)
         if dc is not None:
-            trivial = dc.is_identity_form if isinstance(dc, FiberSteps) else dc.is_zero
-            t = "equal" if trivial else "distinct"
+            j = dc.least_difference(FiberSteps.identity(self.fiber))
+            t = Verdict.equal() if j is None else Verdict.distinct(j)
         else:
             t = self._tail_identity(d)
-        if t == "equal":
-            return Verdict.equal()
-        if t == "distinct":
+        if t is not None:
+            if t.is_equal:
+                return t
+            if t.witness is not None:
+                return Verdict.distinct(self.coords.mul(t.witness, x.top))
             b, _ = self._first_difference(x, y, None)
             if b is None:
                 raise AssertionError("tail criterion found inequality but scan did not")
@@ -783,7 +798,16 @@ class WreathGroup:
             return Verdict.unknown_beyond(bound)
         return Verdict.equal()
 
-    def _tail_identity(self, d: WreathElement) -> str | None:
+    def least_nonidentity(self, x: WreathElement, candidates: Iterable[Any]) -> Verdict:
+        """Equal, or Distinct at the least candidate coordinate where x is
+        not the identity; the caller vouches that x is the identity off
+        the candidates."""
+        for j in sorted(candidates, key=self.coords.sort_key):
+            if not self.fiber.is_identity(self.eval(x, j)):
+                return Verdict.distinct(j)
+        return Verdict.equal()
+
+    def _tail_identity(self, d: WreathElement) -> Verdict | None:
         if self.tail_kind is None:
             return None
         tails: list[Atom] = []
@@ -958,18 +982,26 @@ def tail_symbol(x: WreathElement) -> dict[Any, int]:
     """Exponents of a single-tail-atom product grouped by shift.
 
     Grouped exponents all being zero does NOT by itself certify
-    triviality; the window/collision evaluation of the tail criterion is
-    still mandatory.
+    triviality; the tail criterion still evaluates the product at its
+    candidate coordinates (for alpha the shifts and finite-atom
+    coordinates, for omega the dyadic collision and finite-atom
+    coordinates).
     """
     if not x.atoms:
         return {}
     kinds = {a.fn.tail_kind for a in x.atoms}
     if len(kinds) != 1 or None in kinds:
         raise MixedAtomError("base atoms must all be shifted powers of one tail atom")
-    nets: dict[Any, int] = {}
-    for a in x.atoms:
-        nets[a.shift] = nets.get(a.shift, 0) + a.exp
+    nets = net_exponents(x.atoms)
     return dict(sorted(nets.items(), key=lambda kv: x.group.coords.sort_key(kv[0])))
+
+
+def net_exponents(atoms: Iterable[Atom]) -> dict[Any, int]:
+    """Sum of the exponents of the given atoms at each shift."""
+    nets: dict[Any, int] = {}
+    for a in atoms:
+        nets[a.shift] = nets.get(a.shift, 0) + a.exp
+    return nets
 
 
 def stepfun_canonicalize(x: WreathElement | Iterable[Atom]) -> StepFunction:

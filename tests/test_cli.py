@@ -137,6 +137,12 @@ def test_run_eval_window_lists_support():
     assert "c^0: 1/2" in out
 
 
+def test_eval_window_zero_is_honoured(capsys):
+    assert main(["eval", "alpha", "--window", "0"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("values on [0, 0]:\n  z^0: c^1 * {all: 0}\n")
+
+
 def test_run_mul():
     status, out = run_command(Command("mul", ("tau(2)", "tau(3)"), {"at": "c:0"}))
     assert status == 0
@@ -199,6 +205,11 @@ def test_verify_determinism_and_exit_codes():
     assert doc["summary"]["failed"] == 0
 
 
+def test_verify_budget_zero_is_honoured(capsys):
+    assert main(["verify", "section2", "--budget", "0", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["budget"] == 0
+
+
 def test_exit_status_mapping():
     passing = Report("s", 0, 1, (CheckRecord("a", "pass"),))
     failing = Report("s", 0, 1, (CheckRecord("a", "pass"), CheckRecord("b", "fail")))
@@ -209,16 +220,18 @@ def test_exit_status_mapping():
 
 
 def test_undecided_cmp_reports_bound():
-    # compare two library-level elements whose equality is honestly
-    # undecided, through the same rendering path the CLI uses
+    # a commuting point far beyond the alpha shifts, compared through the
+    # same library call the CLI makes, is an exact Equal, not undecided
     from fractions import Fraction
-    from wreathord.embed_rationals import W, alpha, qc_point, w_point
-    from wreathord.groundwork import UndecidedVerdict
+    from wreathord.embed_rationals import W, alpha, c_elem, qc_point, w_point
+    from wreathord.groundwork import Ordering
     far = w_point(qc_point(Fraction(1, 5)), at=25_001)
     x, y = W.mul(alpha(), far), W.mul(far, alpha())
-    with pytest.raises(UndecidedVerdict) as e:
-        W.compare(x, y)
-    assert e.value.bound >= 25_001
+    assert W.min_difference(x, y).is_equal
+    assert W.compare(x, y) is Ordering.EQUAL
+    noncommuting = w_point(c_elem(), at=25_001)
+    v = W.min_difference(W.mul(alpha(), noncommuting), W.mul(noncommuting, alpha()))
+    assert v.is_distinct and v.witness == 25_001
 
 
 def test_main_entrypoint(capsys):

@@ -2,12 +2,16 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import brute_compare, confirm_verdict
+from helpers import brute_compare, brute_least_difference, confirm_verdict
 
-from wreathord.groundwork import Ordering, UndecidedVerdict
+from wreathord.embed_verbal import get_context
+from wreathord.groundwork import Ordering
 from wreathord.wreath import (
+    Atom,
     MixedAtomError,
+    PointFn,
     StepFunction,
     derived_commutator,
     stepfun_canonicalize,
@@ -219,22 +223,74 @@ def test_first_copy_order_restriction():
 
 
 def test_unknown_beyond_is_honest():
-    # a commuting point far outside the alpha window limit defeats both
-    # exact tiers; the scan must admit it cannot decide
+    # a commuting point far beyond the alpha shifts is decided exactly:
+    # with zero nets the alpha criterion evaluates only the shift and
+    # finite-atom coordinates, however far apart they are
     far = 25_001
     p = w_point(qc_point(Fraction(1, 3)), at=far)
     x = w_mul(alpha(), p)
     y = w_mul(p, alpha())
-    v = W.min_difference(x, y)
-    assert v.is_unknown
-    assert v.bound >= far
-    with pytest.raises(UndecidedVerdict):
-        W.compare(x, y)
+    assert W.min_difference(x, y).is_equal
+    assert W.compare(x, y) is Ordering.EQUAL
     # with a noncommuting far point the same shape is decidably distinct
     q = w_point(c_elem(), at=far)
     x2, y2 = w_mul(alpha(), q), w_mul(q, alpha())
     v2 = W.min_difference(x2, y2)
     assert v2.is_distinct and v2.witness == far
+
+
+@st.composite
+def tail_pairs(draw, group, tail_fn, span, point_values):
+    """Two elements of a tail-criterion level with one top: shifted
+    powers of the tail atom plus point atoms, all at shifts in
+    [-span, span].  Half the time y reuses x's tail atoms in another
+    order, so the tail exponents of x * y^-1 net to zero at every shift."""
+    tail = st.builds(lambda k, e: Atom(tail_fn, k, e),
+                     st.integers(-span, span), st.sampled_from([-2, -1, 1, 2]))
+    point = st.builds(lambda k, v: Atom(PointFn(v, group.fiber, 0), k, 1),
+                      st.integers(-span, span), st.sampled_from(point_values))
+    x_tails = draw(st.lists(tail, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        y_tails = x_tails
+    else:
+        y_tails = draw(st.lists(tail, max_size=4))
+    top = draw(st.integers(-3, 3))
+
+    def element(tails):
+        points = draw(st.lists(point, max_size=3))
+        return group.element(top, draw(st.permutations(tails + points)))
+
+    return element(x_tails), element(y_tails)
+
+
+def assert_least_difference(x, y):
+    # the tiers must find the least difference itself, not just some
+    # coordinate where x and y differ
+    v = x.group.min_difference(x, y)
+    least = brute_least_difference(x, y, window=40)
+    if least is None:
+        assert v.is_equal, v
+    else:
+        assert v.is_distinct and v.witness == least, (v, least)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_alpha_tail_criterion_matches_brute_force(data):
+    points = [c_elem(), c_elem(-1), tau(1), tau(3), qc_point(Fraction(1, 2)),
+              qc_point(Fraction(-2, 3), at=1)]
+    x, y = data.draw(tail_pairs(W, alpha().atoms[0].fn, 12, points))
+    assert_least_difference(x, y)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_omega_tail_criterion_matches_brute_force(data):
+    ctx = get_context("[x1,x2]")
+    points = [ctx.TC.top_element(1), ctx.TC.top_element(-1),
+              ctx.enumerate_D(1), ctx.enumerate_D(2), ctx.enumerate_D(3)]
+    x, y = data.draw(tail_pairs(ctx.DZ, ctx.omega().atoms[0].fn, 8, points))
+    assert_least_difference(x, y)
 
 
 def test_groups_satisfy_the_ordered_group_contract():
