@@ -17,7 +17,7 @@ from .reporting import emit_report, exit_status
 from .wreath import WreathElement
 from . import embed_rationals as er
 from . import embed_verbal as ev
-from .exprs import ExprSyntaxError, build_element, parse_expr
+from .exprs import ExprSyntaxError, build_element, joint_levels, parse_expr
 
 USAGE_ERROR = 2
 UNDECIDED = 3
@@ -95,7 +95,8 @@ def run_command(cmd: Command) -> tuple[int, str]:
         if cmd.name in ("eval", "mul"):
             ctx = _ctx(opts)
             trees = [parse_expr(a) for a in cmd.args]
-            levels_elements = [build_element(t, ctx) for t in trees]
+            levels_elements = [build_element(t, ctx, lv)
+                               for t, lv in zip(trees, joint_levels(trees))]
             level = levels_elements[0][0]
             if any(lv != level for lv, _ in levels_elements):
                 return USAGE_ERROR, "error: expressions live at different levels\n"
@@ -106,7 +107,9 @@ def run_command(cmd: Command) -> tuple[int, str]:
 
         if cmd.name == "cmp":
             ctx = _ctx(opts)
-            (l1, x), (l2, y) = (build_element(parse_expr(a), ctx) for a in cmd.args)
+            trees = [parse_expr(a) for a in cmd.args]
+            (l1, x), (l2, y) = (build_element(t, ctx, lv)
+                                for t, lv in zip(trees, joint_levels(trees)))
             if l1 != l2:
                 return USAGE_ERROR, f"error: cannot compare {l1} with {l2}\n"
             try:

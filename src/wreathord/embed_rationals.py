@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from random import Random
 from typing import Iterable
 
@@ -75,8 +75,12 @@ class TauFn(BaseFunction):
     def support(self):
         return itertools.count(0)
 
-    def step(self) -> StepFunction:
+    @cached_property
+    def _step(self) -> StepFunction:
         return StepFunction.make(Fraction(0), [(0, Fraction(-1, self.n))])
+
+    def step(self) -> StepFunction:
+        return self._step
 
     def key(self) -> tuple:
         return ("tau", self.n)
@@ -106,8 +110,12 @@ class PhiFn(BaseFunction):
     def finite_coords(self) -> tuple:
         return (0,)
 
-    def step(self) -> StepFunction:
+    @cached_property
+    def _step(self) -> StepFunction:
         return StepFunction.make(Fraction(0), [(0, Fraction(1, self.n)), (1, Fraction(0))])
+
+    def step(self) -> StepFunction:
+        return self._step
 
     def key(self) -> tuple:
         return ("phi", self.n)
@@ -361,14 +369,13 @@ def beta_tilde(factors: Iterable[tuple[int, int, int]]) -> StepFunction:
     """Canonical step form of a product of shifted tau powers.
 
     Each factor (k, i, n) is (tau_i^(c^k))^n; the value from c^k on
-    moves by -n/i, by direct evaluation of the tau definition.
+    moves by -n/i, by direct evaluation of the tau definition.  The jumps
+    are summed by one sort-and-accumulate fold (StepFunction.fold).
     """
-    sf = StepFunction.zero()
-    for k, i, n in factors:
-        if i < 1:
-            raise ValueError("tau indices must be >= 1")
-        sf = sf.add(TauFn(i).step().shift(k).scale(n))
-    return sf
+    factors = list(factors)
+    if any(i < 1 for _, i, _ in factors):
+        raise ValueError("tau indices must be >= 1")
+    return StepFunction.fold((TauFn(i).step(), k, n) for k, i, n in factors)
 
 
 # -- randomized element families (shared by the suites) ------------------

@@ -284,6 +284,39 @@ def infer_level(expr: Expr) -> str:
     return "qc"
 
 
+_ALL_LEVELS = ("qc", "w", "qs", "tc", "dz")
+
+
+def _open_levels(expr: Expr) -> tuple[str, ...]:
+    """Every level the expression can be built at: a lone-c expression
+    exists in Q Wr C and T Wr C, a lone-z one in (Q Wr C) Wr Z and D Wr Z,
+    one with no atoms everywhere; any other only at its inferred level."""
+    names: set[str] = set()
+    _atom_names(expr, names)
+    if not names:
+        return _ALL_LEVELS
+    if names == {"c"}:
+        return ("qc", "tc")
+    if names == {"z"}:
+        return ("w", "dz")
+    return (infer_level(expr),)
+
+
+def joint_levels(exprs: list[Expr]) -> list[str]:
+    """Levels for expressions used together (multiplied or compared).
+
+    An expression open to several levels takes the level that every
+    other expression fixes; without a single such level each keeps its
+    own ``infer_level``.
+    """
+    opens = [_open_levels(e) for e in exprs]
+    fixed = {op[0] for op in opens if len(op) == 1}
+    if len(fixed) != 1:
+        return [infer_level(e) for e in exprs]
+    (target,) = fixed
+    return [target if target in op else infer_level(e) for e, op in zip(exprs, opens)]
+
+
 def _group_for(level: str, ctx: "ev.VerbalContext"):
     return {
         "qc": er.QC,
@@ -356,9 +389,11 @@ def _build(expr: Expr, level: str, ctx: "ev.VerbalContext") -> WreathElement:
 
 
 def build_element(expr: Expr, ctx: "ev.VerbalContext | None" = None,
-                  ) -> tuple[str, WreathElement]:
-    """Infer the level, bind atoms, and evaluate the expression tree."""
+                  level: str | None = None) -> tuple[str, WreathElement]:
+    """Infer the level (unless given), bind atoms, and evaluate the
+    expression tree."""
     if ctx is None:
         ctx = ev.get_context(CommutatorWord())
-    level = infer_level(expr)
+    if level is None:
+        level = infer_level(expr)
     return level, _build(expr, level, ctx)

@@ -13,6 +13,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
+from .groundwork import UndecidedVerdict
+
 SCHEMA_VERSION = 1
 
 PASS = "pass"
@@ -74,10 +76,18 @@ def run_checks(
 
     Each check gets its own deterministically seeded generator, so the
     aggregate is identical no matter how the checks would be scheduled.
+    A check that raises becomes a record instead of ending the suite:
+    an undecided verdict is UNKNOWN with ``{"undecided": 1}``, any other
+    exception FAIL with ``{"error": <exception class name>}``.
     """
     records = []
     for name, fn in checks:
-        status, details = fn(check_rng(seed, name), budget)
+        try:
+            status, details = fn(check_rng(seed, name), budget)
+        except UndecidedVerdict:
+            status, details = UNKNOWN, {"undecided": 1}
+        except Exception as e:
+            status, details = FAIL, {"error": type(e).__name__}
         records.append(CheckRecord(name, status, details))
     records.sort(key=lambda r: r.name)
     return Report(suite, seed, budget, tuple(records), dict(params or {}))

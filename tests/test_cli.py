@@ -17,10 +17,12 @@ from wreathord.exprs import (
     ShiftAtom,
     build_element,
     infer_level,
+    joint_levels,
     parse_expr,
     print_expr,
 )
-from wreathord.reporting import CheckRecord, Report, exit_status
+from wreathord.groundwork import UndecidedVerdict
+from wreathord.reporting import PASS, CheckRecord, Report, exit_status, run_checks
 
 
 def test_parse_examples():
@@ -217,6 +219,43 @@ def test_exit_status_mapping():
     assert exit_status(passing) == 0
     assert exit_status(failing) == 1
     assert exit_status(undecided) == 3
+
+
+def test_run_checks_records_exceptions():
+    def undecided(rng, budget):
+        raise UndecidedVerdict(7)
+
+    def broken(rng, budget):
+        raise ZeroDivisionError("boom")
+
+    def fine(rng, budget):
+        return PASS, {"n": budget}
+
+    report = run_checks("s", 0, 3, [("b", broken), ("a", undecided), ("c", fine)])
+    assert [(c.name, c.status, c.details) for c in report.checks] == [
+        ("a", "unknown", {"undecided": 1}),
+        ("b", "fail", {"error": "ZeroDivisionError"}),
+        ("c", "pass", {"n": 3}),
+    ]
+    assert exit_status(report) == 1
+
+
+def test_lone_c_or_z_takes_the_level_of_the_other_expression(capsys):
+    # c exists in Q Wr C and T Wr C, z in (Q Wr C) Wr Z and D Wr Z
+    assert run_command(Command("cmp", ("(* pi(chi(1)) c)", "c"))) == (0, "Greater\n")
+    assert run_command(Command("cmp", ("c", "(* pi(chi(1)) c)"))) == (0, "Less\n")
+    assert run_command(Command("cmp", ("(* omega z)", "z"))) == (0, "Greater\n")
+    status, out = run_command(Command("eval", ("(* omega z)", "(pow z -1)")))
+    assert status == 0 and out.startswith("level: dz\n")
+    assert main(["mul", "(pow c 2)", "pi(psi(1))"]) == 0
+    assert capsys.readouterr().out.startswith("level: tc\n")
+    # the grammar has no atom-free expression, but the API can build one
+    assert joint_levels([Mul(()), parse_expr("omega")]) == ["dz", "dz"]
+    # alone, or beside another open expression, each keeps its own level
+    assert infer_level(parse_expr("c")) == "qc"
+    assert joint_levels([parse_expr("c"), parse_expr("z")]) == ["qc", "w"]
+    assert run_command(Command("cmp", ("c", "z")))[0] == 2
+    assert run_command(Command("cmp", ("c", "(* omega z)")))[0] == 2
 
 
 def test_undecided_cmp_reports_bound():

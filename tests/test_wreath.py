@@ -30,6 +30,7 @@ from wreathord.embed_rationals import (
     W,
     alpha,
     alpha_commutator,
+    beta_tilde,
     c_elem,
     phi,
     phi_element,
@@ -150,6 +151,67 @@ def test_stepfun_canonicalize_random_products():
         assert sf == again
         for j in range(-12, 13):
             assert sf.value(j) == w_eval(el, j)
+
+
+@st.composite
+def qc_products(draw, max_atoms=60):
+    """Atoms of a Q Wr C product: tau(n), phi(n) or a rational point, at
+    shifts in [-20, 20] with exponents in [-3, 3]."""
+    fn = st.one_of(
+        st.integers(1, 6).map(lambda n: tau(n).atoms[0].fn),
+        st.integers(1, 6).map(lambda n: phi(n).atoms[0].fn),
+        st.fractions(min_value=-3, max_value=3, max_denominator=6)
+        .filter(bool).map(lambda q: qc_point(q).atoms[0].fn),
+    )
+    atom = st.builds(Atom, fn, st.integers(-20, 20), st.integers(-3, 3))
+    return draw(st.lists(atom, max_size=max_atoms))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_step_fold_matches_evaluation_and_ignores_order(data):
+    atoms = data.draw(qc_products())
+    el = QC.element(0, atoms)
+    sf = QC.base_canonical(el)
+    coords = {-10**6, 10**6}
+    for b in sf.breaks:
+        coords.update((b - 1, b))
+    for j in coords:
+        assert sf.value(j) == QC.eval(el, j), j
+    # canonical: adjacent values differ, so the form is the function
+    assert all(u != v for u, v in zip((sf.left,) + sf.values, sf.values))
+    shuffled = QC.element(0, data.draw(st.permutations(atoms)))
+    assert QC.base_canonical(shuffled) == sf
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(-20, 20), st.integers(1, 6), st.integers(-3, 3)),
+                max_size=60))
+def test_beta_tilde_is_the_step_fold(factors):
+    atoms = [Atom(tau(i).atoms[0].fn, k, n) for k, i, n in factors]
+    assert beta_tilde(factors) == stepfun_canonicalize(atoms)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_ray_fold_matches_evaluation(data):
+    ctx = get_context(data.draw(st.sampled_from(["[x1,x2]", "x1^2"])))
+    sc, sg = ctx.scoords, ctx.sgroup
+    fn = st.one_of(st.integers(1, 4).map(lambda n: ctx.chi(n).atoms[0].fn),
+                   st.integers(1, 4).map(lambda n: ctx.psi(n).atoms[0].fn))
+    shift = st.builds(
+        lambda i, j, k: sc.mul(sc.witness_power(i),
+                               sc.mul(sg.pow(sg.generator(1), j),
+                                      sg.pow(sg.generator(sg.rank), k))),
+        st.integers(-4, 4), st.integers(-2, 2), st.integers(-2, 2))
+    atoms = data.draw(st.lists(st.builds(Atom, fn, shift, st.integers(-3, 3)),
+                               max_size=12))
+    el = ctx.QS.element(sc.identity(), atoms)
+    rs = ctx.QS.base_canonical(el)
+    for a in atoms:
+        for d in (-1, 0, 1):
+            s = sc.mul(sc.witness_power(d), a.shift)
+            assert rs.value(s, sc) == ctx.QS.eval(el, s)
 
 
 def test_tail_symbol():
