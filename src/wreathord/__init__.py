@@ -71,15 +71,10 @@ from .embed_rationals import (
     verify_section2,
     verify_theorem1,
 )
-# the embed_verbal *operation* stays namespaced (wreathord.embed_verbal.embed_verbal)
-# so the submodule name is not shadowed
 from .embed_verbal import (
     ConstructionViolation,
     VerbalContext,
     get_context,
-    omega,
-    omega_commutator,
-    psi_from_witness,
     verify_theorem2,
 )
 from .reporting import CheckRecord, Report, emit_report, exit_status

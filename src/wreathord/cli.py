@@ -1,7 +1,8 @@
 """wreathord command line: evaluate, multiply, compare, embed, verify.
 
 Exit statuses: 0 all good, 1 a verification check failed, 2 usage or
-parse error, 3 an undecided (UnknownBeyond) verdict was encountered.
+parse error, 3 an undecided (UnknownBeyond) verdict, which no built-in
+level produces.
 All numeric input and output is exact.
 """
 
@@ -112,11 +113,7 @@ def run_command(cmd: Command) -> tuple[int, str]:
                                 for t, lv in zip(trees, joint_levels(trees)))
             if l1 != l2:
                 return USAGE_ERROR, f"error: cannot compare {l1} with {l2}\n"
-            try:
-                o = x.group.compare(x, y, pad=opts.get("window"))
-            except UndecidedVerdict as u:
-                return UNDECIDED, f"UnknownBeyond({u.bound})\n"
-            return 0, f"{o}\n"
+            return 0, f"{x.group.compare(x, y)}\n"
 
         if cmd.name == "embed-q":
             q = parse_rational(cmd.args[0])
@@ -187,7 +184,7 @@ def run_command(cmd: Command) -> tuple[int, str]:
                 report = ev.verify_theorem2(word, seed=seed, budget=budget)
             elif suite == "orders":
                 report = er.verify_order_laws(seed=seed, budget=budget,
-                                              window=opts.get("window") or 64)
+                                              window=opts.get("window", 64))
             else:
                 return USAGE_ERROR, f"error: unknown suite {suite!r}\n"
             fmt = "json" if opts.get("json") else "text"
@@ -228,7 +225,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     p = sub.add_parser("cmp", help="compare two elements in the full order")
     p.add_argument("left")
     p.add_argument("right")
-    common(p)
+    common(p, window=False)
 
     p = sub.add_parser("embed-q", help="embed a rational via the alpha/z word")
     p.add_argument("rational")

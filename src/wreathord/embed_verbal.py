@@ -53,13 +53,12 @@ from .nilpotent import (
     Nil2Group,
     Word,
     WordFamily,
-    classify_word,
     eval_word,
-    parse_word,
+    normalize_family,
     select_S,
     verify_witness,
 )
-from .reporting import FAIL, PASS, Report, UNKNOWN, run_checks
+from .reporting import FAIL, PASS, Report, run_checks
 from .wreath import (
     Atom,
     BaseFunction,
@@ -161,7 +160,7 @@ class ChiFn(BaseFunction):
 
     def rays(self, coords: SCoords) -> RayStepFunction:
         steps = StepFunction.make(Fraction(0), [(self._i0, Fraction(1, self.n))])
-        return RayStepFunction.make([(self._rep0_key, self._rep0, steps)])
+        return RayStepFunction.make([(self._rep0_key, self._rep0, steps)], coords)
 
     def key(self) -> tuple:
         return ("chi", self.n)
@@ -307,23 +306,17 @@ class VerbalContext:
     """All the groups and named elements of the verbal embedding for one
     word family."""
 
-    def __init__(self, family: WordFamily | Word | str | Any,
-                 invert_order: bool = False, scan_pad: int = 64):
-        if isinstance(family, str):
-            family = parse_word(family)
-        if isinstance(family, Word):
-            classified = classify_word(family)
-            family = classified if classified is not None else family
+    def __init__(self, family: WordFamily | Word | str | Any, invert_order: bool = False):
+        family = normalize_family(family)
         self.family = family
         self.sgroup, self.witness = select_S(family, invert_order=invert_order)
         self.family_key = getattr(family, "family_key", repr(family))
         self.scoords = SCoords(self.sgroup, self.witness.element, self.family_key)
         self.QS = WreathGroup(f"QwrS[{self.family_key}]", self.scoords, RATIONALS,
-                              canonical="rays")
-        self.TC = WreathGroup(f"TwrC[{self.family_key}]", IntCoords("c"), self.QS,
-                              canonical="fibersteps")
-        self.DZ = WreathGroup(f"DwrZ[{self.family_key}]", IntCoords("z"), self.TC,
-                              canonical="tail", tail_kind="omega", scan_pad=scan_pad)
+                              RayStepFunction)
+        self.TC = WreathGroup(f"TwrC[{self.family_key}]", IntCoords("c"), self.QS, FiberSteps)
+        self.DZ = WreathGroup(f"DwrZ[{self.family_key}]", IntCoords("z"), self.TC, FiberSteps,
+                              tail_kind="omega")
         self._chi: dict[int, WreathElement] = {}
         self._psi: dict[int, WreathElement] = {}
         self._sweep: list[WreathElement] = []
@@ -604,16 +597,6 @@ class VerbalContext:
         return GWord(letters)
 
 
-def _normalize_family(family: WordFamily | Word | str | Any) -> Any:
-    if isinstance(family, str):
-        family = parse_word(family)
-    if isinstance(family, Word):
-        classified = classify_word(family)
-        if classified is not None:
-            return classified
-    return family
-
-
 @lru_cache(maxsize=None)
 def _context_cache(family: Any, invert_order: bool) -> VerbalContext:
     return VerbalContext(family, invert_order=invert_order)
@@ -621,49 +604,11 @@ def _context_cache(family: Any, invert_order: bool) -> VerbalContext:
 
 def get_context(family: WordFamily | Word | str | Any = CommutatorWord(),
                 invert_order: bool = False) -> VerbalContext:
-    family = _normalize_family(family)
+    family = normalize_family(family)
     try:
         return _context_cache(family, invert_order)
     except TypeError:
         return VerbalContext(family, invert_order=invert_order)
-
-
-# -- flat operation aliases (context-threaded) ---------------------------
-
-def chi(ctx: VerbalContext, n: int) -> WreathElement:
-    return ctx.chi(n)
-
-
-def psi(ctx: VerbalContext, n: int) -> WreathElement:
-    return ctx.psi(n)
-
-
-def psi_from_witness(ctx: VerbalContext, n: int) -> tuple[WreathElement, PsiCertificate]:
-    return ctx.psi_from_witness(n)
-
-
-def rho(ctx: VerbalContext, g: WreathElement) -> WreathElement:
-    return ctx.rho(g)
-
-
-def pi(ctx: VerbalContext, g: WreathElement) -> WreathElement:
-    return ctx.pi(g)
-
-
-def enumerate_D(ctx: VerbalContext, k: int) -> WreathElement:
-    return ctx.enumerate_D(k)
-
-
-def omega(ctx: VerbalContext) -> WreathElement:
-    return ctx.omega()
-
-
-def omega_commutator(ctx: VerbalContext, n: int, m: int) -> WreathElement:
-    return ctx.omega_commutator(n, m)
-
-
-def embed_verbal(ctx: VerbalContext, q: Rational) -> GWord:
-    return ctx.embed_word(q)
 
 
 # -- the verbal-embedding suite ---------------------------------------------
@@ -761,18 +706,12 @@ def verify_theorem2(family: WordFamily | Word | str | Any = CommutatorWord(),
 
     def embed_hom(rng, budget):
         count = max(4, budget // 2)
-        unknown, bound = 0, None
         for _ in range(count):
             p = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
             q = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
             v = DZ.equal_verdict(DZ.mul(ctx.embed(p), ctx.embed(q)), ctx.embed(p + q))
-            if v.is_unknown:
-                unknown += 1
-                bound = v.bound if bound is None else max(bound, v.bound)
-            elif not v.is_equal:
+            if not v.is_equal:
                 return FAIL, {"p": format_rational(p), "q": format_rational(q)}
-        if unknown:
-            return UNKNOWN, {"unknown": unknown, "scanned_to": bound}
         return PASS, {"pairs": count}
 
     def embed_injective(rng, budget):

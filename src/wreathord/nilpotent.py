@@ -239,6 +239,7 @@ class Nil2Group:
         self.rank = rank
         self.inverted = inverted
         self._pairs = [(p, q) for p in range(rank) for q in range(p + 1, rank)]
+        self._identity = MalcevElement(rank, (0,) * rank, (0,) * len(self._pairs))
 
     @property
     def nilpotency_class(self) -> int:
@@ -252,7 +253,7 @@ class Nil2Group:
         return Nil2Group(self.rank, not self.inverted)
 
     def identity(self) -> MalcevElement:
-        return MalcevElement(self.rank, (0,) * self.rank, (0,) * len(self._pairs))
+        return self._identity
 
     def generator(self, i: int) -> MalcevElement:
         if not 1 <= i <= self.rank:
@@ -429,6 +430,19 @@ def classify_word(w: Word) -> WordFamily | None:
     return None
 
 
+def normalize_family(family: WordFamily | Word | str | Any) -> Any:
+    """Parse a word given as text and replace a word of a built-in family
+    by that family; anything else (an unrecognized word, a plugin) is
+    returned as it is."""
+    if isinstance(family, str):
+        family = parse_word(family)
+    if isinstance(family, Word):
+        known = classify_word(family)
+        if known is not None:
+            return known
+    return family
+
+
 @dataclass(frozen=True)
 class VerbalWitness:
     """Nontrivial positive element of V(S) together with its presentation
@@ -458,16 +472,12 @@ def select_S(
     natively; a plugin object exposing ``select()`` may supply its own
     (ordered group, witness) pair.
     """
-    if isinstance(family, str):
-        family = parse_word(family)
+    family = normalize_family(family)
     if isinstance(family, Word):
-        known = classify_word(family)
-        if known is None:
-            raise UnsupportedWordSet(
-                f"no built-in group for word {family.fmt()!r};"
-                " supply a plugin with select()"
-            )
-        family = known
+        raise UnsupportedWordSet(
+            f"no built-in group for word {family.fmt()!r};"
+            " supply a plugin with select()"
+        )
 
     if isinstance(family, PowerWord):
         group = Nil2Group(1, inverted=invert_order)

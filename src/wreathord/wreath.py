@@ -8,11 +8,13 @@ support, and an increasing enumeration of its support.  The action
 convention is ``f^b(b0) = f(b0 * b^-1)``, and ``[x, y] = x^-1 y^-1 x y``,
 ``x^y = y^-1 x y``.
 
-Equality of two elements with equal tops is decided in three tiers:
+Equality of two elements with equal tops is decided in two exact tiers:
 
-1. canonical extensional forms, when every atom of the level admits one
-   (rational step functions over an integer line, ray-step functions
-   over a nilpotent coordinate group, or fiber-valued step forms);
+1. canonical extensional forms, when both elements have one: rational
+   step functions over an integer line, ray-step functions over a
+   nilpotent coordinate group, or fiber-valued step forms.  The three
+   form classes share one protocol (``of_atoms``, ``is_trivial``,
+   ``least_difference``, ``key``, ``fmt``), and a level names its class;
 2. an exact tail criterion for products of shifted powers of a single
    tail atom plus finitely supported atoms.  Each tail atom kind names
    the finitely many candidate coordinates off which a product with
@@ -20,14 +22,14 @@ Equality of two elements with equal tops is decided in three tiers:
    uniqueness, evaluated only at the shifts and finite-atom
    coordinates; omega: the dyadic collision and finite-atom
    coordinates), and the least non-identity candidate is the least
-   difference.  Nonzero nets are distinct, located by a support scan;
-3. a bounded window scan that returns an honest ``UnknownBeyond`` when
-   neither exact route applies.  No product of alpha or omega atoms
-   (with finitely supported atoms) reaches it.
+   difference.  Nonzero nets are distinct, located by a support scan
+   from the bottom with no window (only a safety cap of a million
+   coordinates).
 
-``Equal`` and ``Distinct`` verdicts are only ever produced by tiers with
-an exact justification; order queries on ``UnknownBeyond`` pairs fail
-loudly instead of guessing.
+Every element a built-in level can construct is decided by one of
+them, so ``Equal`` and ``Distinct`` are the only verdicts produced; a
+level given an atom with neither a form nor a tail criterion raises
+TypeError instead of guessing.
 
 The well-ordered-support invariant is what makes the least-difference
 scan meaningful: every atom's support is bounded below and enumerable in
@@ -39,11 +41,11 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterable, Iterator
 
-from .groundwork import Ordering, Rational, UndecidedVerdict, Verdict, format_rational
+from .groundwork import Ordering, Rational, Verdict, format_rational
 
 _SCAN_LIMIT = 1_000_000
 
@@ -133,9 +135,18 @@ class StepFunction:
     def right(self) -> Rational:
         return self.values[-1] if self.values else self.left
 
+    @staticmethod
+    def of_atoms(group: "WreathGroup", atoms: Iterable["Atom"]) -> "StepFunction":
+        return stepfun_canonicalize(atoms)
+
     @property
-    def is_zero(self) -> bool:
+    def is_trivial(self) -> bool:
         return self.left == 0 and not self.breaks
+
+    is_zero = is_trivial
+
+    def key(self) -> "StepFunction":
+        return self
 
     def add(self, other: "StepFunction") -> "StepFunction":
         return StepFunction.fold(((self, 0, 1), (other, 0, 1)))
@@ -187,17 +198,15 @@ class RayStepFunction:
     Each ray is keyed by the canonical coset representative of ``g``
     under left translation by the witness ``a``; the function along the
     ray is a StepFunction in the ray index ``i``.  Value off every
-    stored ray is 0.
+    stored ray is 0.  ``coords`` is the coordinate group S; it takes no
+    part in equality.
     """
 
     rays: tuple[tuple[Any, Any, StepFunction], ...]
+    coords: Any = field(compare=False, repr=False)
 
     @staticmethod
-    def zero() -> "RayStepFunction":
-        return RayStepFunction(())
-
-    @staticmethod
-    def make(entries: Iterable[tuple[Any, Any, StepFunction]]) -> "RayStepFunction":
+    def make(entries: Iterable[tuple[Any, Any, StepFunction]], coords: Any) -> "RayStepFunction":
         """Sum of the entries, grouped by ray key: each group is folded
         once (a lone entry is kept as it is) and zero rays are dropped."""
         groups: dict[Any, list[tuple[Any, StepFunction]]] = {}
@@ -209,13 +218,24 @@ class RayStepFunction:
             rep, steps = group[0]
             if len(group) > 1:
                 steps = StepFunction.fold((s, 0, 1) for _, s in group)
-            if not steps.is_zero:
+            if not steps.is_trivial:
                 rays.append((key, rep, steps))
-        return RayStepFunction(tuple(rays))
+        return RayStepFunction(tuple(rays), coords)
+
+    @staticmethod
+    def of_atoms(group: "WreathGroup", atoms: Iterable["Atom"]) -> "RayStepFunction":
+        """One fold over every atom's translated, scaled ray entries."""
+        entries = []
+        for a in atoms:
+            entries.extend(a.fn.rays(group.coords).translate(a.shift).scale(a.exp).rays)
+        return RayStepFunction.make(entries, group.coords)
 
     @property
-    def is_zero(self) -> bool:
+    def is_trivial(self) -> bool:
         return not self.rays
+
+    def key(self) -> "RayStepFunction":
+        return self
 
     def value(self, s: Any, coords: Any) -> Rational:
         rep, i = coords.ray_decompose(s)
@@ -226,29 +246,31 @@ class RayStepFunction:
         return Fraction(0)
 
     def add(self, other: "RayStepFunction") -> "RayStepFunction":
-        return RayStepFunction.make(self.rays + other.rays)
+        return RayStepFunction.make(self.rays + other.rays, self.coords)
 
     def neg(self) -> "RayStepFunction":
-        return RayStepFunction(tuple((k, r, s.neg()) for k, r, s in self.rays))
+        return RayStepFunction(tuple((k, r, s.neg()) for k, r, s in self.rays), self.coords)
 
     def scale(self, n: int) -> "RayStepFunction":
         if n == 0:
-            return RayStepFunction.zero()
-        return RayStepFunction(tuple((k, r, s.scale(n)) for k, r, s in self.rays))
+            return RayStepFunction((), self.coords)
+        return RayStepFunction(tuple((k, r, s.scale(n)) for k, r, s in self.rays), self.coords)
 
-    def translate(self, s: Any, coords: Any) -> "RayStepFunction":
+    def translate(self, s: Any) -> "RayStepFunction":
         """Form of this function conjugated by the coordinate ``s``
         (support moves from ``sigma`` to ``sigma * s``)."""
+        coords = self.coords
         entries = []
         for _, rep, steps in self.rays:
             rep2, i1 = coords.ray_decompose(coords.mul(rep, s))
             entries.append((coords.rep_key(rep2), rep2, steps.shift(i1)))
-        return RayStepFunction.make(entries)
+        return RayStepFunction.make(entries, coords)
 
-    def least_difference(self, other: "RayStepFunction", coords: Any) -> Any | None:
+    def least_difference(self, other: "RayStepFunction") -> Any | None:
         diff = self.add(other.neg())
-        if diff.is_zero:
+        if diff.is_trivial:
             return None
+        coords = self.coords
         candidates = []
         for _, rep, steps in diff.rays:
             if steps.left != 0:
@@ -260,10 +282,10 @@ class RayStepFunction:
                 best = cand
         return best
 
-    def fmt(self, coords: Any) -> str:
+    def fmt(self) -> str:
         if not self.rays:
             return "{0}"
-        parts = [f"ray({coords.fmt(rep)}): {steps.fmt()}" for _, rep, steps in self.rays]
+        parts = [f"ray({self.coords.fmt(rep)}): {steps.fmt()}" for _, rep, steps in self.rays]
         return "{" + "; ".join(parts) + "}"
 
 
@@ -297,12 +319,24 @@ class FiberSteps:
     def identity(fiber) -> "FiberSteps":
         return FiberSteps(fiber, fiber.identity(), (), ())
 
+    @staticmethod
+    def of_atoms(group: "WreathGroup", atoms: Iterable["Atom"]) -> "FiberSteps":
+        """Product of the atoms' forms, multiplied one by one, since the
+        fiber need not be abelian."""
+        fs = FiberSteps.identity(group.fiber)
+        for a in atoms:
+            part = a.fn.fiber_steps(group.fiber).shifted(a.shift)
+            if a.exp != 1:
+                part = part.pow(a.exp)
+            fs = fs.mul(part)
+        return fs
+
     def value(self, i: int):
         idx = bisect_right(self.breaks, i) - 1
         return self.left if idx < 0 else self.values[idx]
 
     @property
-    def is_identity_form(self) -> bool:
+    def is_trivial(self) -> bool:
         return not self.breaks and self.fiber.is_identity(self.left)
 
     def shifted(self, k: int) -> "FiberSteps":
@@ -420,14 +454,13 @@ class BaseFunction:
         raise TypeError(f"{self.name} has no fiber-step form")
 
     def tail_identity(self, group: "WreathGroup", element: "WreathElement",
-                      tails: list, finites: list) -> Verdict | None:
+                      tails: list, finites: list) -> Verdict:
         """Tier-2 verdict on whether ``element`` (a product of this tail
         atom's shifted powers and finite atoms) is the identity: Equal,
         Distinct(j) with j the least coordinate where it is not, or
         Distinct(None) when it is provably not the identity but locating
-        the least coordinate is left to the support scan.  None when the
-        kind has no criterion."""
-        return None
+        the least coordinate is left to the support scan."""
+        raise TypeError(f"{self.name} has no tail criterion")
 
     def merge_with(self, other: "BaseFunction", e1: int, e2: int) -> "BaseFunction | None":
         """Pointwise product with another function at the same shift, if
@@ -481,7 +514,7 @@ class PointFn(BaseFunction):
     def rays(self, coords: Any) -> RayStepFunction:
         rep, i = coords.ray_decompose(self.origin)
         steps = StepFunction.make(Fraction(0), [(i, self.point_value), (i + 1, Fraction(0))])
-        return RayStepFunction.make([(coords.rep_key(rep), rep, steps)])
+        return RayStepFunction.make([(coords.rep_key(rep), rep, steps)], coords)
 
     def fiber_steps(self, fiber: Any) -> FiberSteps:
         return FiberSteps.make(
@@ -568,28 +601,29 @@ class WreathElement:
 class WreathGroup:
     """Operations of one wreath-product level.
 
-    ``canonical`` picks the tier-1 strategy: "steps" (rational step
-    functions), "rays" (ray-step functions), "fibersteps" (fiber-valued
-    step forms; all atoms threshold/point shaped), or "tail" (canonical
-    only for all-finite or certified elements; tier 2 applies to
-    products of the level's tail atom).
+    ``form`` is the class of the level's canonical base forms
+    (StepFunction, RayStepFunction or FiberSteps); each offers
+    ``of_atoms``, ``is_trivial``, ``least_difference``, ``key`` and
+    ``fmt``.  Without a ``tail_kind`` every element has a form (an atom
+    without one raises TypeError).  With a ``tail_kind`` the form is
+    FiberSteps, elements carry point-form certificates (``ext``), only
+    all-finite or certified elements have a form, and tier 2 decides
+    products of the level's tail atom with finite atoms.
     """
 
-    def __init__(self, name: str, coords: Any, fiber: Any, canonical: str,
-                 tail_kind: str | None = None, scan_pad: int = 64):
-        if canonical not in ("steps", "rays", "fibersteps", "tail"):
-            raise ValueError(f"unknown canonical strategy {canonical!r}")
+    def __init__(self, name: str, coords: Any, fiber: Any, form: type,
+                 tail_kind: str | None = None):
         self.name = name
         self.coords = coords
         self.fiber = fiber
-        self.canonical = canonical
+        self.form = form
         self.tail_kind = tail_kind
-        self.scan_pad = scan_pad
         self._identity: WreathElement | None = None
+        self._top_identity_key = coords.key(coords.identity())
 
     @property
     def carries_ext(self) -> bool:
-        return self.canonical == "tail"
+        return self.tail_kind is not None
 
     # -- construction ---------------------------------------------------
 
@@ -683,7 +717,7 @@ class WreathGroup:
 
     def mul(self, x: WreathElement, y: WreathElement) -> WreathElement:
         self._same(x, y)
-        if self.coords.key(y.top) == self.coords.key(self.coords.identity()):
+        if self.coords.key(y.top) == self._top_identity_key:
             shifted = x.atoms
         else:
             shifted = tuple(
@@ -753,81 +787,45 @@ class WreathGroup:
         return x._canon
 
     def _compute_canonical(self, x: WreathElement):
-        """Tier-1 form of x's base, or None.  Step and ray forms come from
+        """Tier-1 form of x's base, or None when x has a non-finite atom
+        on a tail level and no certificate.  Step and ray forms come from
         one sort-and-accumulate fold over every atom's breaks, O(B log B)
         in the total break count B; fiber-step forms are multiplied atom
         by atom, since their fibers need not be abelian."""
-        if self.canonical == "steps":
-            return stepfun_canonicalize(x.atoms)
-        if self.canonical == "rays":
-            entries = []
-            for a in x.atoms:
-                rs = a.fn.rays(self.coords).translate(a.shift, self.coords).scale(a.exp)
-                entries.extend(rs.rays)
-            return RayStepFunction.make(entries)
-        if self.canonical == "fibersteps":
-            return self._fold_fiber_steps(x.atoms)
-        if all(a.fn.finite for a in x.atoms):
-            return self._fold_fiber_steps(x.atoms)
-        return x.ext
-
-    def _fold_fiber_steps(self, atoms: tuple[Atom, ...]) -> FiberSteps:
-        fs = FiberSteps.identity(self.fiber)
-        for a in atoms:
-            part = a.fn.fiber_steps(self.fiber).shifted(a.shift)
-            if a.exp != 1:
-                part = part.pow(a.exp)
-            fs = fs.mul(part)
-        return fs
-
-    def _canonical_diff(self, c1, c2) -> Verdict:
-        if isinstance(c1, StepFunction):
-            b = c1.least_difference(c2)
-        elif isinstance(c1, RayStepFunction):
-            b = c1.least_difference(c2, self.coords)
-        else:
-            b = c1.least_difference(c2)
-        return Verdict.equal() if b is None else Verdict.distinct(b)
+        if self.carries_ext and not all(a.fn.finite for a in x.atoms):
+            return x.ext
+        return self.form.of_atoms(self, x.atoms)
 
     # -- equality and order ---------------------------------------------------
 
-    def min_difference(self, x: WreathElement, y: WreathElement,
-                       pad: int | None = None) -> Verdict:
+    def min_difference(self, x: WreathElement, y: WreathElement) -> Verdict:
         """Verdict on the least coordinate where the base functions of x
-        and y differ.  Requires equal tops."""
+        and y differ: tier 1 compares canonical forms, tier 2 applies the
+        tail criterion to x * y^-1.  Requires equal tops."""
         self._same(x, y)
         if self.coords.key(x.top) != self.coords.key(y.top):
             raise ValueError("min_difference requires equal tops")
         c1 = self.base_canonical(x)
         c2 = self.base_canonical(y)
         if c1 is not None and c2 is not None:
-            return self._canonical_diff(c1, c2)
+            return _verdict(c1.least_difference(c2))
         # d's base is the base of x times the inverse of y's, both shifted
         # by the inverse of the common top, so d is not the identity at j
         # exactly where x and y differ at j * top
         d = self.mul(x, self.inv(y))
         dc = self.base_canonical(d)
         if dc is not None:
-            j = dc.least_difference(FiberSteps.identity(self.fiber))
-            t = Verdict.equal() if j is None else Verdict.distinct(j)
+            t = _verdict(dc.least_difference(self.base_canonical(self.identity())))
         else:
             t = self._tail_identity(d)
-        if t is not None:
-            if t.is_equal:
-                return t
-            if t.witness is not None:
-                return Verdict.distinct(self.coords.mul(t.witness, x.top))
-            b, _ = self._first_difference(x, y, None)
-            if b is None:
-                raise AssertionError("tail criterion found inequality but scan did not")
-            return Verdict.distinct(b)
-        bound = self._scan_hi(x, y) + (self.scan_pad if pad is None else pad)
-        b, hit_bound = self._first_difference(x, y, bound)
-        if b is not None:
-            return Verdict.distinct(b)
-        if hit_bound:
-            return Verdict.unknown_beyond(bound)
-        return Verdict.equal()
+        if t.is_equal:
+            return t
+        if t.witness is not None:
+            return Verdict.distinct(self.coords.mul(t.witness, x.top))
+        b = self._first_difference(x, y)
+        if b is None:
+            raise AssertionError("tail criterion found inequality but scan did not")
+        return Verdict.distinct(b)
 
     def least_nonidentity(self, x: WreathElement, candidates: Iterable[Any]) -> Verdict:
         """Equal, or Distinct at the least candidate coordinate where x is
@@ -838,9 +836,10 @@ class WreathGroup:
                 return Verdict.distinct(j)
         return Verdict.equal()
 
-    def _tail_identity(self, d: WreathElement) -> Verdict | None:
-        if self.tail_kind is None:
-            return None
+    def _tail_identity(self, d: WreathElement) -> Verdict:
+        """Tier-2 verdict on d, a product of shifted powers of the
+        level's tail atom and finite atoms (some atom of d is not
+        finite, or d would have a form)."""
         tails: list[Atom] = []
         finites: list[Atom] = []
         for a in d.atoms:
@@ -849,20 +848,18 @@ class WreathGroup:
             elif a.fn.finite:
                 finites.append(a)
             else:
-                return None
-        if not tails:
-            return None
+                kinds = ", ".join(sorted({b.fn.name for b in d.atoms}))
+                raise TypeError(f"{self.name} has no exact equality route for {kinds}")
         return tails[0].fn.tail_identity(self, d, tails, finites)
 
     def _shifted_support(self, a: Atom) -> Iterator[Any]:
         for sigma in a.fn.support():
             yield self.coords.mul(sigma, a.shift)
 
-    def _first_difference(self, x: WreathElement, y: WreathElement,
-                          bound: Any | None) -> tuple[Any | None, bool]:
+    def _first_difference(self, x: WreathElement, y: WreathElement) -> Any | None:
+        """Least support coordinate where x and y differ, scanning the
+        merged supports from the bottom; None when they agree on all."""
         streams = [self._shifted_support(a) for el in (x, y) for a in el.atoms]
-        if not streams:
-            return None, False
         merged = heapq.merge(*streams, key=self.coords.sort_key)
         seen = _MISSING
         steps = 0
@@ -871,31 +868,18 @@ class WreathGroup:
             if seen is not _MISSING and sk == seen:
                 continue
             seen = sk
-            if bound is not None and sk > bound:
-                return None, True
             steps += 1
             if steps > _SCAN_LIMIT:
                 raise RuntimeError("support scan exceeded the safety limit")
             if not self.fiber.equal(self.eval(x, b), self.eval(y, b)):
-                return b, False
-        return None, False
+                return b
+        return None
 
-    def _scan_hi(self, x: WreathElement, y: WreathElement) -> int:
-        vals = [0]
-        for el in (x, y):
-            for a in el.atoms:
-                if a.fn.finite:
-                    vals.extend(c + a.shift for c in a.fn.finite_coords())
-                else:
-                    vals.append(a.shift)
-        return max(vals)
-
-    def equal_verdict(self, x: WreathElement, y: WreathElement,
-                      pad: int | None = None) -> Verdict:
+    def equal_verdict(self, x: WreathElement, y: WreathElement) -> Verdict:
         self._same(x, y)
         if self.coords.key(x.top) != self.coords.key(y.top):
             return Verdict.distinct("top")
-        return self.min_difference(x, y, pad)
+        return self.min_difference(x, y)
 
     def equal(self, x: WreathElement, y: WreathElement) -> bool:
         self._same(x, y)
@@ -906,37 +890,27 @@ class WreathGroup:
         c1 = self.base_canonical(x)
         c2 = self.base_canonical(y)
         if c1 is not None and c2 is not None:
-            if isinstance(c1, FiberSteps):
-                return c1.key() == c2.key()
-            return c1 == c2
-        v = self.min_difference(x, y)
-        if v.is_unknown:
-            raise UndecidedVerdict(v.bound)
-        return v.is_equal
+            return c1.key() == c2.key()
+        return self.min_difference(x, y).is_equal
 
     def is_identity(self, x: WreathElement) -> bool:
         self._same(x)
-        if self.coords.key(x.top) != self.coords.key(self.coords.identity()):
+        if self.coords.key(x.top) != self._top_identity_key:
             return False
         c = self.base_canonical(x)
         if c is not None:
-            if isinstance(c, FiberSteps):
-                return c.is_identity_form
-            return c.is_zero
+            return c.is_trivial
         return self.equal(x, self.identity())
 
-    def compare(self, x: WreathElement, y: WreathElement,
-                pad: int | None = None) -> Ordering:
+    def compare(self, x: WreathElement, y: WreathElement) -> Ordering:
         self._same(x, y)
         o = self.coords.compare(x.top, y.top)
         if o is not Ordering.EQUAL:
             return o
-        v = self.min_difference(x, y, pad)
+        v = self.min_difference(x, y)
         if v.is_equal:
             return Ordering.EQUAL
-        if v.is_distinct:
-            return self.fiber.compare(self.eval(x, v.witness), self.eval(y, v.witness))
-        raise UndecidedVerdict(v.bound)
+        return self.fiber.compare(self.eval(x, v.witness), self.eval(y, v.witness))
 
     def is_positive(self, x: WreathElement) -> bool:
         return self.compare(x, self.identity()) is Ordering.GREATER
@@ -947,27 +921,26 @@ class WreathGroup:
         c = self.base_canonical(x)
         if c is None:
             raise ValueError("no canonical form available for key()")
-        ckey = c.key() if isinstance(c, FiberSteps) else c
-        return (self.coords.key(x.top), ckey)
+        return (self.coords.key(x.top), c.key())
 
     def fmt(self, x: WreathElement) -> str:
-        if self.canonical in ("steps", "rays", "fibersteps"):
-            c = self.base_canonical(x)
-            cstr = c.fmt(self.coords) if isinstance(c, RayStepFunction) else c.fmt()
-            if self.coords.key(x.top) == self.coords.key(self.coords.identity()):
-                return cstr
-            return f"{self.coords.fmt(x.top)} * {cstr}"
-        parts = []
-        if self.coords.key(x.top) != self.coords.key(self.coords.identity()):
-            parts.append(self.coords.fmt(x.top))
+        top_is_identity = self.coords.key(x.top) == self._top_identity_key
+        if not self.carries_ext:
+            cstr = self.base_canonical(x).fmt()
+            return cstr if top_is_identity else f"{self.coords.fmt(x.top)} * {cstr}"
+        parts = [] if top_is_identity else [self.coords.fmt(x.top)]
         for a in x.atoms:
             s = a.fn.fmt()
-            if self.coords.key(a.shift) != self.coords.key(self.coords.identity()):
+            if self.coords.key(a.shift) != self._top_identity_key:
                 s += f"[{self.coords.fmt(a.shift)}]"
             if a.exp != 1:
                 s += f"^{a.exp}"
             parts.append(s)
         return " * ".join(parts) if parts else "1"
+
+
+def _verdict(witness: Any | None) -> Verdict:
+    return Verdict.equal() if witness is None else Verdict.distinct(witness)
 
 
 # ----------------------------------------------------------------------
@@ -1000,13 +973,12 @@ def w_eval(x: WreathElement, coord: Any) -> Any:
     return x.group.eval(x, coord)
 
 
-def support_min_difference(x: WreathElement, y: WreathElement,
-                           pad: int | None = None) -> Verdict:
-    return x.group.min_difference(x, y, pad)
+def support_min_difference(x: WreathElement, y: WreathElement) -> Verdict:
+    return x.group.min_difference(x, y)
 
 
-def w_compare(x: WreathElement, y: WreathElement, pad: int | None = None) -> Ordering:
-    return x.group.compare(x, y, pad)
+def w_compare(x: WreathElement, y: WreathElement) -> Ordering:
+    return x.group.compare(x, y)
 
 
 def tail_symbol(x: WreathElement) -> dict[Any, int]:

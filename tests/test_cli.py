@@ -285,3 +285,32 @@ def test_parse_argv():
     cmd = parse_argv(["verify", "verbal", "--word", "x1^2", "--seed", "3", "--json"])
     assert cmd == Command("verify", ("verbal",),
                           {"word": "x1^2", "seed": 3, "budget": 200, "json": True})
+
+
+def test_python_dash_m_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-m", "wreathord", "cmp", "c", "c"],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "Equal\n", "")
+
+
+def test_cmp_takes_no_window(capsys):
+    assert main(["cmp", "c", "c", "--window", "3"]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("window", [0, 1, 4])
+def test_verify_orders_small_window_is_honoured(capsys, window):
+    argv = ["verify", "orders", "--window", str(window), "--budget", "100", "--json"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["params"]["window"] == window
+    assert doc["summary"] == {"failed": 0, "passed": 7, "total": 7, "unknown": 0}
+    for family in ("qc", "w"):
+        [check] = [c for c in doc["checks"] if c["name"] == f"{family}-brute-agreement"]
+        assert check["details"] == {"pairs": 100, "window": window}

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from random import Random
 
@@ -7,12 +8,15 @@ from hypothesis import given, settings, strategies as st
 from helpers import brute_compare, brute_least_difference, confirm_verdict
 
 from wreathord.embed_verbal import get_context
-from wreathord.groundwork import Ordering
+from wreathord.groundwork import RATIONALS, IntCoords, Ordering
 from wreathord.wreath import (
     Atom,
+    BaseFunction,
+    FiberSteps,
     MixedAtomError,
     PointFn,
     StepFunction,
+    WreathGroup,
     derived_commutator,
     stepfun_canonicalize,
     support_min_difference,
@@ -368,3 +372,108 @@ def test_derived_commutator_shape():
     assert QC.equal(derived_commutator(QC, xs), QC.comm(xs[0], xs[1]))
     with pytest.raises(ValueError):
         derived_commutator(QC, [c_elem(), c_elem(), c_elem()])
+
+
+def test_fmt_strings_of_every_level():
+    ctx = get_context("[x1,x2]")
+    QS, TC, DZ = ctx.QS, ctx.TC, ctx.DZ
+    cases = [
+        (QC.mul(QC.mul(tau(2), c_elem(3)), phi(5)),
+         "c^3 * {i<0: 0, 0<=i<1: 1/5, 1<=i<3: 0, i>=3: -1/2}"),
+        (W.mul(W.mul(z_elem(2), alpha()), W.pow(w_point(qc_point(Fraction(-1, 3)), at=-1), 2)),
+         "z^2 * alpha * point({i<0: 0, 0<=i<1: -1/3, i>=1: 0})[z^-1]^2"),
+        (QS.mul(QS.mul(ctx.chi(2), ctx.a_elem()), QS.inv(ctx.psi(3))),
+         "[x1,x2] * {ray(1): {i<0: 0, 0<=i<1: -1/3, i>=1: 1/2}}"),
+        (TC.mul(TC.mul(ctx.pi(ctx.chi(1)), ctx.c_elem(2)), ctx.rho(ctx.psi(2))),
+         "c^2 * {i<0: {0}, 0<=i<1: {ray(1): {i<0: 0, 0<=i<1: 1/2, i>=1: 0}}, "
+         "1<=i<2: {0}, i>=2: {ray(1): {i<0: 0, i>=0: 1}}}"),
+        (DZ.mul(DZ.mul(ctx.z_elem(-1), DZ.pow(ctx.omega(), 2)),
+                DZ.conj(ctx.omega(), ctx.z_elem(3))),
+         "z^-1 * omega^2 * omega[z^3]"),
+    ]
+    for el, text in cases:
+        assert el.group.fmt(el) == text
+
+
+def _level_pool(name):
+    """(group, generators, relators) of one level; every relator is the
+    identity although its formal product is not empty."""
+    if name == "QC":
+        return (QC, [tau(2), tau(3), phi(2), c_elem()],
+                [QC.comm(tau(2), tau(3)), QC.comm(phi(3), tau(5))])
+    if name == "W":
+        return (W, [alpha(), z_elem(), w_point(c_elem()), w_point(qc_point(Fraction(1, 3)), at=2)],
+                [W.comm(alpha(), w_point(qc_point(Fraction(2, 5)), at=3)),
+                 W.comm(alpha(), w_point(tau(4), at=-2))])
+    ctx = get_context("[x1,x2]")
+    if name == "QS":
+        return (ctx.QS, [ctx.chi(1), ctx.chi(2), ctx.psi(1), ctx.a_elem(),
+                         ctx.s_top(ctx.sgroup.generator(1))],
+                [ctx.QS.comm(ctx.chi(1), ctx.psi(2)), ctx.QS.comm(ctx.chi(2), ctx.psi(1))])
+    if name == "TC":
+        return (ctx.TC, [ctx.pi(ctx.chi(1)), ctx.pi(ctx.chi(2)), ctx.rho(ctx.psi(1)),
+                         ctx.c_elem(), ctx.pi(ctx.a_elem())],
+                [ctx.TC.comm(ctx.pi(ctx.chi(1)), ctx.TC.conj(ctx.pi(ctx.psi(2)), ctx.c_elem())),
+                 ctx.TC.comm(ctx.rho(ctx.chi(1)), ctx.pi(ctx.psi(1)))])
+    DZ = ctx.DZ
+    return (DZ, [ctx.omega(), ctx.z_elem(), DZ.point(ctx.c_elem()),
+                 DZ.point(ctx.pi(ctx.chi(1)), at=2)],
+            [DZ.comm(ctx.omega(), DZ.point(ctx.c_elem(), at=3)),
+             DZ.comm(ctx.omega(), DZ.point(ctx.rho(ctx.psi(1)), at=-1))])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["QC", "W", "QS", "TC", "DZ"]), st.data())
+def test_equality_routes_agree_on_every_level(name, data):
+    # equal, equal keys, an Equal least difference and x * y^-1 being the
+    # identity are four routes to one fact; half the pairs differ by a
+    # relator, so Equal pairs with different formal products occur
+    group, gens, relators = _level_pool(name)
+    letter = st.tuples(st.sampled_from(gens), st.sampled_from([-2, -1, 1, 2]))
+
+    def word(letters):
+        out = group.identity()
+        for g, e in letters:
+            out = group.mul(out, group.pow(g, e))
+        return out
+
+    x = word(data.draw(st.lists(letter, max_size=5)))
+    if data.draw(st.booleans()):
+        r = group.conj(data.draw(st.sampled_from(relators)), word(data.draw(st.lists(letter, max_size=2))))
+        y = group.mul(x, r) if data.draw(st.booleans()) else group.mul(r, x)
+    else:
+        y = word(data.draw(st.lists(letter, max_size=5)))
+        y = group.mul(group.top_element(group.coords.mul(x.top, group.coords.inv(y.top))), y)
+    same = group.equal(x, y)
+    assert group.min_difference(x, y).is_equal is same
+    assert group.is_identity(group.mul(x, group.inv(y))) is same
+    try:
+        keys = group.key(x), group.key(y)
+    except ValueError:
+        return
+    assert (keys[0] == keys[1]) is same
+
+
+class _Opaque(BaseFunction):
+    """1 from coordinate 0 on, with no canonical form and no tail criterion."""
+
+    name = "opaque"
+
+    def value(self, rel):
+        return Fraction(1) if rel >= 0 else Fraction(0)
+
+    def support(self):
+        return itertools.count(0)
+
+
+def test_level_without_exact_route_raises_type_error():
+    steps = WreathGroup("opaque-steps", IntCoords("c"), RATIONALS, StepFunction)
+    x = steps.element(0, [Atom(_Opaque(), 0, 1)])
+    with pytest.raises(TypeError, match="opaque"):
+        steps.equal(x, steps.identity())
+    tail = WreathGroup("opaque-tail", IntCoords("z"), QC, FiberSteps, tail_kind="alpha")
+    y = tail.element(0, [alpha().atoms[0], Atom(_Opaque(), 1, 1)])
+    with pytest.raises(TypeError, match="opaque"):
+        tail.min_difference(y, tail.identity())
+    with pytest.raises(TypeError, match="opaque"):
+        tail.is_identity(y)
