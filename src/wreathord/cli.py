@@ -91,6 +91,9 @@ def _render_eval(element: WreathElement, level: str, ctx: ev.VerbalContext,
 def run_command(cmd: Command) -> tuple[int, str]:
     """Execute one parsed command; returns (exit status, output text)."""
     opts = cmd.options
+    for name in ("window", "budget"):
+        if opts.get(name, 0) < 0:
+            return USAGE_ERROR, f"error: --{name} must be >= 0, got {opts[name]}\n"
     window = opts.get("window", 8)
     try:
         if cmd.name in ("eval", "mul"):
@@ -175,6 +178,8 @@ def run_command(cmd: Command) -> tuple[int, str]:
 
         if cmd.name == "verify":
             suite = cmd.args[0]
+            if "window" in opts and suite != "orders":
+                return USAGE_ERROR, f"error: verify {suite} takes no --window\n"
             seed = opts.get("seed", 0)
             budget = opts.get("budget", 200)
             if suite == "section2":

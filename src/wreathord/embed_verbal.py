@@ -17,9 +17,15 @@ For a word family V the construction stacks three wreath products:
   2^a - 2^b = 2^n - 2^m forces (a, b) = (n, m).
 
 Enumeration layout: d_0 = c, d_(2n-1) = pi applied to psi_n^-1, and the
-even indices >= 2 carry a breadth-first sweep of D words (duplicates
-permitted, semantically trivial words skipped).  The reserved indices
-make the embedding's word for m/n computable in O(1):
+even indices d_(2+2i) are unranked statelessly.  ``unrank_sequence(i)``
+reads bin(i + 1) as blocks 1 0^s, a bijection from N onto the nonempty
+finite sequences of naturals.  A D symbol 0 / 1 is c^(+-1) and 2+2j /
+3+2j is pi(t_j)^(+-1); the T element t_j is the product of the T
+symbols of sequence j, where 2i / 2i+1 is g_i^(+-1) over the
+witness-argument tops followed by chi(1), chi(2), ...  So d_(2+2i) has
+O(log i) factors of O(log i) T factors each, every D word appears, and
+duplicates and trivial words are allowed.  The reserved indices make
+the embedding's word for m/n computable in O(1):
 
     m/n  |->  [omega^(z^-2^(2n-1)), omega^(z^-1)]^m.
 
@@ -31,7 +37,6 @@ though the shifts grow like 2^(2n-1).
 from __future__ import annotations
 
 import itertools
-import threading
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -302,6 +307,16 @@ class PsiCertificate:
         return out
 
 
+def unrank_sequence(i: int) -> tuple[int, ...]:
+    """The i-th nonempty finite sequence of naturals: ``bin(i + 1)`` read
+    as blocks ``1 0^s``, one entry s per block.  A bijection from N onto
+    the nonempty sequences; length and entries are at most
+    log2(i + 1) + 1."""
+    if i < 0:
+        raise ValueError("sequence index must be >= 0")
+    return tuple(len(zeros) for zeros in bin(i + 1)[3:].split("1"))
+
+
 class VerbalContext:
     """All the groups and named elements of the verbal embedding for one
     word family."""
@@ -319,18 +334,16 @@ class VerbalContext:
                               tail_kind="omega")
         self._chi: dict[int, WreathElement] = {}
         self._psi: dict[int, WreathElement] = {}
-        self._sweep: list[WreathElement] = []
-        self._sweep_seen: set = set()
-        self._sweep_budget = 0
-        self._t_elems: list[WreathElement] = []
-        self._t_seen: set = set()
-        self._t_budget = 0
+        tops = {}
+        for _, args, _ in self.witness.presentation:
+            for g in args:
+                tops.setdefault(self.sgroup.key_of(g), g)
+        self.t_generators = tuple(self.s_top(g) for g in tops.values())
+        self._t_words: dict[int, WreathElement] = {}
+        self._d_words: dict[int, WreathElement] = {}
         self._omega: WreathElement | None = None
         self._omega_comms: dict[tuple[int, int], WreathElement] = {}
         self._embeds: dict[Rational, WreathElement] = {}
-        # the enumeration is a shared read-only sequence; extension is
-        # idempotent and index-stable, and serialized by this lock
-        self._enum_lock = threading.RLock()
 
     # -- Q wr S ----------------------------------------------------------
 
@@ -389,85 +402,49 @@ class VerbalContext:
 
     # -- enumeration of D ---------------------------------------------------
 
-    def _t_generators(self) -> list[WreathElement]:
-        gens = []
-        seen = set()
-        for _, args, _ in self.witness.presentation:
-            for g in args:
-                k = self.sgroup.key_of(g)
-                if k not in seen:
-                    seen.add(k)
-                    gens.append(self.s_top(g))
-        return gens
+    def _t_element(self, j: int) -> WreathElement:
+        """t_j: the product of the T symbols of ``unrank_sequence(j)``,
+        where 2i / 2i+1 is g_i^(+1) / g_i^(-1) and g_0, g_1, ... are the
+        witness-argument tops followed by chi(1), chi(2), ..."""
+        el = self._t_words.get(j)
+        if el is None:
+            base = self.t_generators
+            el = self.QS.identity()
+            for s in unrank_sequence(j):
+                i = s >> 1
+                g = base[i] if i < len(base) else self.chi(i - len(base) + 1)
+                el = self.QS.mul(el, self.QS.inv(g) if s & 1 else g)
+            el = self._t_words.setdefault(j, el)
+        return el
 
-    def _t_element(self, i: int) -> WreathElement:
-        with self._enum_lock:
-            return self._t_element_locked(i)
-
-    def _t_element_locked(self, i: int) -> WreathElement:
-        while len(self._t_elems) <= i:
-            self._t_budget += 1
-            if self._t_budget > 8:
-                raise RuntimeError("T-word enumeration budget exhausted")
-            b = self._t_budget
-            base_gens = self._t_generators()
-            gens = base_gens + [self.chi(j + 1) for j in range(b)]
-            gens = gens[: b + len(base_gens)]
-            symbols: list[WreathElement] = []
-            for g in gens:
-                symbols.append(g)
-                symbols.append(self.QS.inv(g))
-            for length in range(0, b + 1):
-                for combo in itertools.product(range(len(symbols)), repeat=length):
-                    if combo in self._t_seen:
-                        continue
-                    self._t_seen.add(combo)
-                    el = self.QS.identity()
-                    for idx in combo:
-                        el = self.QS.mul(el, symbols[idx])
-                    self._t_elems.append(el)
-        return self._t_elems[i]
-
-    def _sweep_element(self, i: int) -> WreathElement:
-        with self._enum_lock:
-            return self._sweep_element_locked(i)
-
-    def _sweep_element_locked(self, i: int) -> WreathElement:
-        while len(self._sweep) <= i:
-            self._sweep_budget += 1
-            if self._sweep_budget > 8:
-                raise RuntimeError("D-word enumeration budget exhausted")
-            b = self._sweep_budget
-            symbols: list[WreathElement] = [self.c_elem(1), self.c_elem(-1)]
-            for j in range(b):
-                p = self.pi(self._t_element(j))
-                symbols.append(p)
-                symbols.append(self.TC.inv(p))
-            for length in range(1, b + 1):
-                for combo in itertools.product(range(len(symbols)), repeat=length):
-                    key = (length, combo)
-                    if key in self._sweep_seen:
-                        continue
-                    self._sweep_seen.add(key)
-                    el = self.TC.identity()
-                    for idx in combo:
-                        el = self.TC.mul(el, symbols[idx])
-                    if not self.TC.is_identity(el):
-                        self._sweep.append(el)
-        return self._sweep[i]
+    def _d_symbol(self, s: int) -> WreathElement:
+        """D symbol 0 / 1 is c^(+1) / c^(-1); 2+2j / 3+2j is pi(t_j)^(+1) / ^(-1)."""
+        if s < 2:
+            return self.c_elem(-1 if s else 1)
+        p = self.pi(self._t_element((s - 2) >> 1))
+        return self.TC.inv(p) if s & 1 else p
 
     def enumerate_D(self, k: int) -> WreathElement:
         """Deterministic enumeration of D: index 0 is c, the odd index
-        2n-1 is pi applied to psi_n^-1, and the even indices >= 2 sweep
-        all remaining D words breadth-first (duplicates permitted)."""
+        2n-1 is pi applied to psi_n^-1, and the even index 2+2i is the
+        product of the D symbols of ``unrank_sequence(i)`` (duplicates
+        and trivial words permitted), so every word over c^(+-1) and
+        pi(t)^(+-1) is reached.  Each index is built once per context,
+        from O(log k) factors."""
         if k < 0:
             raise ValueError("enumeration index must be >= 0")
-        if k == 0:
-            return self.c_elem(1)
-        if k % 2 == 1:
-            n = (k + 1) // 2
-            return self.pi(self.QS.inv(self.psi(n)))
-        return self._sweep_element((k - 2) // 2)
+        el = self._d_words.get(k)
+        if el is None:
+            if k == 0:
+                el = self.c_elem(1)
+            elif k % 2 == 1:
+                el = self.pi(self.QS.inv(self.psi((k + 1) // 2)))
+            else:
+                el = self.TC.identity()
+                for s in unrank_sequence(k // 2 - 1):
+                    el = self.TC.mul(el, self._d_symbol(s))
+            el = self._d_words.setdefault(k, el)
+        return el
 
     def index_of_psi_slot(self, n: int) -> int:
         return 2 * n - 1
@@ -568,7 +545,7 @@ class VerbalContext:
     # -- randomized families --------------------------------------------------
 
     def random_t_element(self, rng: Random, max_len: int = 6) -> WreathElement:
-        gens = self._t_generators() + [self.chi(n) for n in (1, 2, 3)]
+        gens = [*self.t_generators, self.chi(1), self.chi(2), self.chi(3)]
         out = self.QS.identity()
         for _ in range(rng.randint(1, max_len)):
             g = rng.choice(gens)

@@ -314,3 +314,23 @@ def test_verify_orders_small_window_is_honoured(capsys, window):
     for family in ("qc", "w"):
         [check] = [c for c in doc["checks"] if c["name"] == f"{family}-brute-agreement"]
         assert check["details"] == {"pairs": 100, "window": window}
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "alpha", "--window", "-1"],
+    ["mul", "tau(2)", "tau(3)", "--window", "-3"],
+    ["verify", "orders", "--window", "-2", "--budget", "5"],
+    ["verify", "section2", "--budget", "-1"],
+    ["verify", "verbal", "--budget", "-1", "--json"],
+])
+def test_negative_window_or_budget_is_a_usage_error(capsys, argv):
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: --") and out.count("\n") == 1
+
+
+@pytest.mark.parametrize("suite", ["section2", "verbal"])
+def test_verify_window_only_applies_to_orders(capsys, suite):
+    assert main(["verify", suite, "--window", "3", "--budget", "1"]) == 2
+    out = capsys.readouterr().out
+    assert out == f"error: verify {suite} takes no --window\n"

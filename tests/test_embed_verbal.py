@@ -1,3 +1,5 @@
+import sys
+import threading
 import warnings
 from fractions import Fraction
 from random import Random
@@ -10,6 +12,7 @@ from wreathord.embed_verbal import (
     ConstructionViolation,
     VerbalContext,
     get_context,
+    unrank_sequence,
     verify_theorem2,
 )
 
@@ -166,3 +169,100 @@ def test_verify_theorem2_small_budget_both_families():
 def test_unsupported_word_family():
     with pytest.raises(UnsupportedWordSet):
         get_context("x1*x2")
+
+
+def _rank_sequence(seq):
+    """The inverse of unrank_sequence: one block 1 0^s per entry s."""
+    return int("".join("1" + "0" * s for s in seq), 2) - 1
+
+
+def _compositions(total):
+    """Every nonempty sequence of naturals s with sum(s_j + 1) <= total."""
+    out = []
+    for first in range(total):
+        out.append((first,))
+        out += [(first,) + rest for rest in _compositions(total - first - 1)]
+    return out
+
+
+def test_unrank_sequence_is_a_bijection_onto_compositions():
+    seqs = [unrank_sequence(i) for i in range(2 ** 12 - 1)]
+    assert len(set(seqs)) == len(seqs)
+    assert set(seqs) == set(_compositions(12))
+    assert all(_rank_sequence(seq) == i for i, seq in enumerate(seqs))
+    assert seqs[:4] == [(0,), (1,), (0, 0), (2,)]
+    with pytest.raises(ValueError):
+        unrank_sequence(-1)
+
+
+def _d_index(ctx, letters):
+    """The enumeration index of a D word given as (kind, arg, exp) letters:
+    ("c", None, e) or ("pi", T letters, e), T letters being
+    (generator index, exp) with generators the witness-argument tops
+    followed by chi(1), chi(2), ..."""
+    symbols = []
+    for kind, arg, e in letters:
+        if kind == "c":
+            symbols.append(0 if e == 1 else 1)
+        else:
+            j = _rank_sequence(tuple(2 * g + (t == -1) for g, t in arg))
+            symbols.append(2 + 2 * j + (e == -1))
+    return 2 + 2 * _rank_sequence(tuple(symbols))
+
+
+def test_enumerate_d_reaches_hand_built_words():
+    QS, TC = CTX.QS, CTX.TC
+    x1, x2 = CTX.t_generators
+    chi = {n: len(CTX.t_generators) - 1 + n for n in (1, 2)}  # index of chi(n)
+    words = [
+        # pi(chi(2))^-1 * c * pi(x1)
+        ([("pi", [(chi[2], 1)], -1), ("c", None, 1), ("pi", [(0, 1)], 1)],
+         TC.mul(TC.mul(TC.inv(CTX.pi(CTX.chi(2))), CTX.c_elem(1)), CTX.pi(x1))),
+        # c^-1 * pi(x2^-1 * chi(1)) * c^-1
+        ([("c", None, -1), ("pi", [(1, -1), (chi[1], 1)], 1), ("c", None, -1)],
+         TC.mul(TC.mul(CTX.c_elem(-1), CTX.pi(QS.mul(QS.inv(x2), CTX.chi(1)))),
+                CTX.c_elem(-1))),
+        # pi(x1 * x2)^-1
+        ([("pi", [(0, 1), (1, 1)], -1)], TC.inv(CTX.pi(QS.mul(x1, x2)))),
+    ]
+    for letters, product in words:
+        assert TC.equal(CTX.enumerate_D(_d_index(CTX, letters)), product)
+    # the first even indices: c, c^-1, c^2, pi(t_0) with t_0 = x1
+    assert [TC.key(CTX.enumerate_D(k)) for k in (2, 4, 6)] == [
+        TC.key(CTX.c_elem(e)) for e in (1, -1, 2)]
+    assert TC.equal(CTX.enumerate_D(8), CTX.pi(x1))
+
+
+def test_enumerate_d_far_indices_are_cheap():
+    fresh = VerbalContext(CommutatorWord())
+    assert fresh.enumerate_D(10 ** 6).group is fresh.TC
+    el = fresh.omega_commutator(10 ** 5, 0)
+    dval = fresh.TC.comm(fresh.enumerate_D(10 ** 5), fresh.enumerate_D(0))
+    assert fresh.TC.equal(el.eval(0), dval)
+
+
+def test_enumerate_d_concurrent_requests_agree():
+    ks = list(range(0, 40)) + [97, 1000, 12_345, 19_171, 10 ** 5]
+    reference = VerbalContext(CommutatorWord())
+    expected = {k: reference.TC.key(reference.enumerate_D(k)) for k in ks}
+    shared = VerbalContext(CommutatorWord())
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def worker(t):
+        order = list(ks)
+        Random(t).shuffle(order)
+        barrier.wait()
+        results[t] = {k: shared.TC.key(shared.enumerate_D(k)) for k in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * 4
