@@ -6,7 +6,6 @@ from .groundwork import (
     CyclicCoordinate,
     Ordering,
     Rational,
-    UndecidedVerdict,
     Verdict,
     canonical_fraction,
     format_rational,
@@ -42,7 +41,6 @@ from .wreath import (
     WreathGroup,
     derived_commutator,
     stepfun_canonicalize,
-    support_min_difference,
     tail_symbol,
     w_comm,
     w_compare,

@@ -1,8 +1,8 @@
 """wreathord command line: evaluate, multiply, compare, embed, verify.
 
 Exit statuses: 0 all good, 1 a verification check failed, 2 usage or
-parse error, 3 an undecided (UnknownBeyond) verdict, which no built-in
-level produces.
+parse error.  Every comparison is decided exactly, so ``cmp`` always
+prints Less, Equal or Greater.
 All numeric input and output is exact.
 """
 
@@ -12,7 +12,7 @@ import argparse
 import sys
 from dataclasses import dataclass, field
 
-from .groundwork import UndecidedVerdict, format_rational, parse_rational
+from .groundwork import format_rational, parse_rational
 from .nilpotent import UnsupportedWordSet, WordSyntaxError
 from .reporting import emit_report, exit_status
 from .wreath import WreathElement
@@ -21,7 +21,6 @@ from . import embed_verbal as ev
 from .exprs import ExprSyntaxError, build_element, joint_levels, parse_expr
 
 USAGE_ERROR = 2
-UNDECIDED = 3
 
 
 @dataclass(frozen=True)
@@ -199,8 +198,6 @@ def run_command(cmd: Command) -> tuple[int, str]:
 
     except (ExprSyntaxError, WordSyntaxError, UnsupportedWordSet, ValueError) as e:
         return USAGE_ERROR, f"error: {e}\n"
-    except UndecidedVerdict as u:
-        return UNDECIDED, f"UnknownBeyond({u.bound})\n"
 
 
 def _build_argparser() -> argparse.ArgumentParser:

@@ -25,7 +25,6 @@ fixed seed and budget.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -68,12 +67,6 @@ class TauFn(BaseFunction):
     def value(self, rel: int) -> Rational:
         return Fraction(0) if rel < 0 else Fraction(-1, self.n)
 
-    def support_min(self) -> int:
-        return 0
-
-    def support(self):
-        return itertools.count(0)
-
     @cached_property
     def _step(self) -> StepFunction:
         return StepFunction.make(Fraction(0), [(0, Fraction(-1, self.n))])
@@ -99,12 +92,6 @@ class PhiFn(BaseFunction):
 
     def value(self, rel: int) -> Rational:
         return Fraction(1, self.n) if rel == 0 else Fraction(0)
-
-    def support_min(self) -> int:
-        return 0
-
-    def support(self):
-        yield 0
 
     def finite_coords(self) -> tuple:
         return (0,)
@@ -132,31 +119,37 @@ class AlphaFn(BaseFunction):
     def value(self, rel: int) -> WreathElement:
         return alpha_value(rel)
 
-    def support_min(self) -> int:
-        return 0
-
-    def support(self):
-        return itertools.count(0)
-
     def key(self) -> tuple:
         return ("alpha",)
 
     def tail_identity(self, group, element, tails, finites) -> Verdict:
-        # Beyond the largest shift every alpha factor is in its tau
-        # range, where the pointwise sum is -(sum of n_t/(j-k_t)) from
-        # c^0 on.  That rational function of j vanishes for all large j
-        # only when the exponents grouped by shift all vanish.  With zero
-        # nets, at a coordinate that is neither a shift nor a finite-atom
-        # coordinate every factor is tau_(j-k) or the identity, all in
-        # the abelian base of Q Wr C, so the value there is the product
-        # of tau_(j-k)^(net at k), the identity: only the shifts and the
-        # finite-atom coordinates can differ.
+        # At a coordinate j that is neither a shift nor a finite-atom
+        # coordinate every factor is tau_(j-k) (shift k < j) or the
+        # identity, all in the abelian base of Q Wr C, so the value there
+        # is tau-shaped with height -(sum over k < j of N_k/(j-k)), N_k
+        # the net exponent at k.  Between two consecutive shifts that is
+        # P(j)/prod(j-k) over the r active shifts with N_k != 0, with
+        # deg P < r and P not the zero polynomial when r > 0 (partial
+        # fractions with distinct poles are unique).  So P has fewer than
+        # r roots, and the least non-identity coordinate of the interval,
+        # if any, is among its first r integers that are not finite-atom
+        # coordinates.  Those, the shifts and the finite-atom coordinates
+        # hold the least difference; zero nets add no integers.
         nets = net_exponents(tails)
-        if any(nets.values()):
-            return Verdict.distinct(None)
-        candidates = set(nets)
+        finite = set()
         for a in finites:
-            candidates.update(c + a.shift for c in a.fn.finite_coords())
+            finite.update(c + a.shift for c in a.fn.finite_coords())
+        candidates = finite | set(nets)
+        shifts = sorted(nets)
+        active = 0
+        for k, stop in zip(shifts, shifts[1:] + [None]):
+            active += nets[k] != 0
+            need, j = active, k + 1
+            while need and j != stop:
+                if j not in finite:
+                    candidates.add(j)
+                    need -= 1
+                j += 1
         return group.least_nonidentity(element, candidates)
 
 

@@ -36,7 +36,6 @@ though the shifts grow like 2^(2n-1).
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -156,13 +155,6 @@ class ChiFn(BaseFunction):
             return Fraction(1, self.n)
         return Fraction(0)
 
-    def support_min(self) -> MalcevElement:
-        return self.scoords.identity()
-
-    def support(self):
-        for i in itertools.count(0):
-            yield self.scoords.witness_power(i)
-
     def rays(self, coords: SCoords) -> RayStepFunction:
         steps = StepFunction.make(Fraction(0), [(self._i0, Fraction(1, self.n))])
         return RayStepFunction.make([(self._rep0_key, self._rep0, steps)], coords)
@@ -208,12 +200,6 @@ class PiFn(BaseFunction):
     def value(self, rel: int) -> WreathElement:
         return self.g if rel >= 0 else self.tgroup.identity()
 
-    def support_min(self) -> int:
-        return 0
-
-    def support(self):
-        return itertools.count(0)
-
     def fiber_steps(self, fiber: Any) -> FiberSteps:
         return FiberSteps.make(fiber, fiber.identity(), [(0, self.g)])
 
@@ -245,24 +231,23 @@ class OmegaFn(BaseFunction):
             return self.ctx.enumerate_D(rel.bit_length() - 1)
         return self.ctx.TC.identity()
 
-    def support_min(self) -> int:
-        return 1
-
-    def support(self):
-        for k in itertools.count(0):
-            yield 1 << k
-
     def key(self) -> tuple:
         return ("omega", self.ctx.family_key)
 
     def tail_identity(self, group, element, tails, finites) -> Verdict:
         # Away from the finitely many collision coordinates (where two
         # distinct shift groups are active at once: k1 + 2^a = k2 + 2^b
-        # has at most one solution per shift pair) the value at
-        # k + 2^b is d_b raised to the net exponent of shift k, so zero
-        # nets leave only the collision and finite-atom coordinates to
-        # evaluate; a nonzero net is witnessed at the first
-        # non-collision power.
+        # has at most one solution per shift pair) and the finite-atom
+        # coordinates, the value at k + 2^b is d_b raised to the net
+        # exponent N_k of shift k.  So the least difference is a
+        # collision or finite-atom coordinate, or k + 2^b for a shift
+        # with N_k != 0 and the least b for which k + 2^b is neither and
+        # d_b^(N_k) is not the identity; that one candidate per shift
+        # makes the criterion exact for any nets.  The search for b ends:
+        # each candidate blocks at most one b, and every odd-index
+        # d_(2n-1) = pi(psi_n^-1) is nontrivial in the torsion-free D.
+        # (A power added for one shift that another shift reaches too is
+        # a collision, already a candidate, so adding as we go is safe.)
         fiber = group.fiber
         nets = net_exponents(tails)
         candidates: set[int] = set()
@@ -277,16 +262,13 @@ class OmegaFn(BaseFunction):
                 if (m + 1) & m == 0:
                     a_exp = v + (m + 1).bit_length() - 1
                     candidates.add(k1 + (1 << a_exp))
-        bad = next((k for k, net in nets.items() if net), None)
-        if bad is not None:
-            net = nets[bad]
-            for b in range(512):
-                j = bad + (1 << b)
-                if j in candidates:
-                    continue
-                if not fiber.is_identity(fiber.pow(self.ctx.enumerate_D(b), net)):
-                    return Verdict.distinct(None)
-            raise RuntimeError("no nontrivial enumeration element within 512 indices")
+        for k, net in nets.items():
+            if net:
+                b = 0
+                while (k + (1 << b) in candidates
+                       or fiber.is_identity(fiber.pow(self.ctx.enumerate_D(b), net))):
+                    b += 1
+                candidates.add(k + (1 << b))
         return group.least_nonidentity(element, candidates)
 
 

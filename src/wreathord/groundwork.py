@@ -9,10 +9,9 @@ Comparisons come in two flavours:
 
 * ``Ordering`` -- the outcome of an exact three-way comparison
   (trichotomy holds: exactly one of Less / Equal / Greater).
-* ``Verdict`` -- the outcome of an equality test that may be only
-  semi-decidable.  ``Equal`` and ``Distinct(witness)`` are exact;
-  ``UnknownBeyond(bound)`` records that all coordinates up to ``bound``
-  were checked and agreed, and that no exact tail criterion applied.
+* ``Verdict`` -- the outcome of an exact equality test: ``Equal``, or
+  ``Distinct(witness)``; for wreath elements the witness is the least
+  coordinate where the two differ, or ``"top"``.
 """
 
 from __future__ import annotations
@@ -63,18 +62,16 @@ class Ordering(Enum):
 
 @dataclass(frozen=True)
 class Verdict:
-    """Three-valued equality outcome: Equal / Distinct / UnknownBeyond.
+    """Exact equality outcome: Equal / Distinct.
 
-    ``Distinct`` carries a witness: either a coordinate at which
-    evaluation confirms the inequality, or the string ``"top"`` when the
-    two elements already differ in their top components.
-    ``UnknownBeyond(bound)`` means every coordinate up to ``bound`` was
-    checked and agreed.
+    ``Distinct`` carries a witness: for wreath elements either the least
+    coordinate at which their base functions differ, or the string
+    ``"top"`` when they already differ in their top components; for two
+    rationals, their difference.
     """
 
     kind: str
     witness: Any = None
-    bound: Any = None
 
     @staticmethod
     def equal() -> "Verdict":
@@ -84,10 +81,6 @@ class Verdict:
     def distinct(witness: Any) -> "Verdict":
         return Verdict("distinct", witness=witness)
 
-    @staticmethod
-    def unknown_beyond(bound: Any) -> "Verdict":
-        return Verdict("unknown", bound=bound)
-
     @property
     def is_equal(self) -> bool:
         return self.kind == "equal"
@@ -96,37 +89,18 @@ class Verdict:
     def is_distinct(self) -> bool:
         return self.kind == "distinct"
 
-    @property
-    def is_unknown(self) -> bool:
-        return self.kind == "unknown"
-
     def __str__(self) -> str:
         if self.is_equal:
             return "Equal"
-        if self.is_distinct:
-            return f"Distinct({self.witness})"
-        return f"UnknownBeyond({self.bound})"
-
-
-class UndecidedVerdict(Exception):
-    """Raised when an order query hits an UnknownBeyond equality verdict.
-
-    Order queries never guess: an undecided equality makes the
-    comparison fail loudly, carrying the scanned bound.
-    """
-
-    def __init__(self, bound: Any):
-        super().__init__(f"equality undecided; scanned up to {bound}")
-        self.bound = bound
+        return f"Distinct({self.witness})"
 
 
 @runtime_checkable
 class OrderedGroup(Protocol):
     """Contract shared by every group in this package.
 
-    ``compare`` is a total order on elements whose equality verdicts are
-    decidable (it raises :class:`UndecidedVerdict` otherwise), and is
-    bi-invariant: g1 < g2 implies g1*x < g2*x and x*g1 < x*g2.
+    ``compare`` is a total, bi-invariant order: g1 < g2 implies
+    g1*x < g2*x and x*g1 < x*g2.
     """
 
     def identity(self) -> Any: ...

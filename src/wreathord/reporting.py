@@ -13,8 +13,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from .groundwork import UndecidedVerdict
-
 SCHEMA_VERSION = 1
 
 PASS = "pass"
@@ -76,16 +74,13 @@ def run_checks(
 
     Each check gets its own deterministically seeded generator, so the
     aggregate is identical no matter how the checks would be scheduled.
-    A check that raises becomes a record instead of ending the suite:
-    an undecided verdict is UNKNOWN with ``{"undecided": 1}``, any other
-    exception FAIL with ``{"error": <exception class name>}``.
+    A check that raises becomes a FAIL record with
+    ``{"error": <exception class name>}`` instead of ending the suite.
     """
     records = []
     for name, fn in checks:
         try:
             status, details = fn(check_rng(seed, name), budget)
-        except UndecidedVerdict:
-            status, details = UNKNOWN, {"undecided": 1}
         except Exception as e:
             status, details = FAIL, {"error": type(e).__name__}
         records.append(CheckRecord(name, status, details))
@@ -158,7 +153,8 @@ def emit_report(report: Report, fmt: str = "text") -> str:
 
 
 def exit_status(report: Report) -> int:
-    """0 all-pass, 1 any-fail, 3 undecided verdict encountered."""
+    """0 all-pass, 1 any-fail, 3 an UNKNOWN record (no built-in check
+    records one; the status is kept for schema-1 report consumers)."""
     if report.failed:
         return 1
     if report.unknown:

@@ -3,8 +3,7 @@
 An element of ``A Wr B`` (the semidirect product ``B ⋉ A^B``) is stored
 as a top element of the coordinate group B plus a *formal product* of
 shifted base atoms.  Base functions are never materialized as infinite
-maps; an atom knows its value at any coordinate, a lower bound of its
-support, and an increasing enumeration of its support.  The action
+maps; an atom knows its value at any coordinate.  The action
 convention is ``f^b(b0) = f(b0 * b^-1)``, and ``[x, y] = x^-1 y^-1 x y``,
 ``x^y = y^-1 x y``.
 
@@ -17,37 +16,29 @@ Equality of two elements with equal tops is decided in two exact tiers:
    ``least_difference``, ``key``, ``fmt``), and a level names its class;
 2. an exact tail criterion for products of shifted powers of a single
    tail atom plus finitely supported atoms.  Each tail atom kind names
-   the finitely many candidate coordinates off which a product with
-   zero net exponents is the identity (alpha: partial-fraction
-   uniqueness, evaluated only at the shifts and finite-atom
-   coordinates; omega: the dyadic collision and finite-atom
-   coordinates), and the least non-identity candidate is the least
-   difference.  Nonzero nets are distinct, located by a support scan
-   from the bottom with no window (only a safety cap of a million
-   coordinates).
+   finitely many candidate coordinates that are sure to contain the
+   least coordinate where the product is not the identity, if there is
+   one (alpha: the shifts, the finite-atom coordinates and, after each
+   shift, as many further integers as there are nonzero net exponents
+   at or below it; omega: the dyadic collision and finite-atom
+   coordinates and, for each shift with a nonzero net, its first
+   non-collision power whose value is not the identity), and the least
+   non-identity candidate is the least difference.
 
 Every element a built-in level can construct is decided by one of
 them, so ``Equal`` and ``Distinct`` are the only verdicts produced; a
 level given an atom with neither a form nor a tail criterion raises
 TypeError instead of guessing.
-
-The well-ordered-support invariant is what makes the least-difference
-scan meaningful: every atom's support is bounded below and enumerable in
-increasing coordinate order, and a finite union of well-ordered sets is
-well-ordered.
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 from .groundwork import Ordering, Rational, Verdict, format_rational
-
-_SCAN_LIMIT = 1_000_000
 
 
 class MixedAtomError(ValueError):
@@ -142,8 +133,6 @@ class StepFunction:
     @property
     def is_trivial(self) -> bool:
         return self.left == 0 and not self.breaks
-
-    is_zero = is_trivial
 
     def key(self) -> "StepFunction":
         return self
@@ -418,10 +407,10 @@ def _coord_is_origin(rel: Any) -> bool:
 class BaseFunction:
     """A named generator function of a wreath base.
 
-    Subclasses report the value at any (unshifted) coordinate, a lower
-    bound of the support, and an increasing enumeration of the support;
+    Subclasses report the value at any (unshifted) coordinate;
     extensional kinds additionally expose their step/ray/fiber-step
-    forms for the tier-1 equality path.
+    forms for the tier-1 equality path, and tail kinds their tier-2
+    criterion.
     """
 
     name = "?"
@@ -434,12 +423,6 @@ class BaseFunction:
     @property
     def is_trivial(self) -> bool:
         return False
-
-    def support_min(self) -> Any | None:
-        raise NotImplementedError
-
-    def support(self) -> Iterator[Any]:
-        raise NotImplementedError
 
     def finite_coords(self) -> tuple:
         raise TypeError(f"{self.name} does not have finite support")
@@ -457,9 +440,7 @@ class BaseFunction:
                       tails: list, finites: list) -> Verdict:
         """Tier-2 verdict on whether ``element`` (a product of this tail
         atom's shifted powers and finite atoms) is the identity: Equal,
-        Distinct(j) with j the least coordinate where it is not, or
-        Distinct(None) when it is provably not the identity but locating
-        the least coordinate is left to the support scan."""
+        or Distinct(j) with j the least coordinate where it is not."""
         raise TypeError(f"{self.name} has no tail criterion")
 
     def merge_with(self, other: "BaseFunction", e1: int, e2: int) -> "BaseFunction | None":
@@ -497,13 +478,6 @@ class PointFn(BaseFunction):
         if self._trivial is None:
             self._trivial = self.fiber.is_identity(self.point_value)
         return self._trivial
-
-    def support_min(self) -> Any | None:
-        return None if self.is_trivial else self.origin
-
-    def support(self) -> Iterator[Any]:
-        if not self.is_trivial:
-            yield self.origin
 
     def finite_coords(self) -> tuple:
         return () if self.is_trivial else (self.origin,)
@@ -820,17 +794,12 @@ class WreathGroup:
             t = self._tail_identity(d)
         if t.is_equal:
             return t
-        if t.witness is not None:
-            return Verdict.distinct(self.coords.mul(t.witness, x.top))
-        b = self._first_difference(x, y)
-        if b is None:
-            raise AssertionError("tail criterion found inequality but scan did not")
-        return Verdict.distinct(b)
+        return Verdict.distinct(self.coords.mul(t.witness, x.top))
 
     def least_nonidentity(self, x: WreathElement, candidates: Iterable[Any]) -> Verdict:
         """Equal, or Distinct at the least candidate coordinate where x is
-        not the identity; the caller vouches that x is the identity off
-        the candidates."""
+        not the identity; the caller vouches that the least coordinate
+        where x is not the identity, if there is one, is a candidate."""
         for j in sorted(candidates, key=self.coords.sort_key):
             if not self.fiber.is_identity(self.eval(x, j)):
                 return Verdict.distinct(j)
@@ -851,29 +820,6 @@ class WreathGroup:
                 kinds = ", ".join(sorted({b.fn.name for b in d.atoms}))
                 raise TypeError(f"{self.name} has no exact equality route for {kinds}")
         return tails[0].fn.tail_identity(self, d, tails, finites)
-
-    def _shifted_support(self, a: Atom) -> Iterator[Any]:
-        for sigma in a.fn.support():
-            yield self.coords.mul(sigma, a.shift)
-
-    def _first_difference(self, x: WreathElement, y: WreathElement) -> Any | None:
-        """Least support coordinate where x and y differ, scanning the
-        merged supports from the bottom; None when they agree on all."""
-        streams = [self._shifted_support(a) for el in (x, y) for a in el.atoms]
-        merged = heapq.merge(*streams, key=self.coords.sort_key)
-        seen = _MISSING
-        steps = 0
-        for b in merged:
-            sk = self.coords.sort_key(b)
-            if seen is not _MISSING and sk == seen:
-                continue
-            seen = sk
-            steps += 1
-            if steps > _SCAN_LIMIT:
-                raise RuntimeError("support scan exceeded the safety limit")
-            if not self.fiber.equal(self.eval(x, b), self.eval(y, b)):
-                return b
-        return None
 
     def equal_verdict(self, x: WreathElement, y: WreathElement) -> Verdict:
         self._same(x, y)
@@ -973,10 +919,6 @@ def w_eval(x: WreathElement, coord: Any) -> Any:
     return x.group.eval(x, coord)
 
 
-def support_min_difference(x: WreathElement, y: WreathElement) -> Verdict:
-    return x.group.min_difference(x, y)
-
-
 def w_compare(x: WreathElement, y: WreathElement) -> Ordering:
     return x.group.compare(x, y)
 
@@ -986,9 +928,7 @@ def tail_symbol(x: WreathElement) -> dict[Any, int]:
 
     Grouped exponents all being zero does NOT by itself certify
     triviality; the tail criterion still evaluates the product at its
-    candidate coordinates (for alpha the shifts and finite-atom
-    coordinates, for omega the dyadic collision and finite-atom
-    coordinates).
+    candidate coordinates.
     """
     if not x.atoms:
         return {}

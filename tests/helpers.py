@@ -39,13 +39,11 @@ def confirm_verdict(x: WreathElement, y: WreathElement, verdict,
     group = x.group
     if verdict.is_equal:
         return brute_least_difference(x, y, window) is None
-    if verdict.is_distinct:
-        if verdict.witness == "top":
-            return group.coords.key(x.top) != group.coords.key(y.top)
-        return not group.fiber.equal(
-            group.eval(x, verdict.witness), group.eval(y, verdict.witness)
-        )
-    return True
+    if verdict.witness == "top":
+        return group.coords.key(x.top) != group.coords.key(y.top)
+    return not group.fiber.equal(
+        group.eval(x, verdict.witness), group.eval(y, verdict.witness)
+    )
 
 
 def random_rational(rng: Random, max_num: int = 100, max_den: int = 100) -> Fraction:

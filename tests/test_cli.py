@@ -21,7 +21,6 @@ from wreathord.exprs import (
     parse_expr,
     print_expr,
 )
-from wreathord.groundwork import UndecidedVerdict
 from wreathord.reporting import PASS, CheckRecord, Report, exit_status, run_checks
 
 
@@ -222,18 +221,14 @@ def test_exit_status_mapping():
 
 
 def test_run_checks_records_exceptions():
-    def undecided(rng, budget):
-        raise UndecidedVerdict(7)
-
     def broken(rng, budget):
         raise ZeroDivisionError("boom")
 
     def fine(rng, budget):
         return PASS, {"n": budget}
 
-    report = run_checks("s", 0, 3, [("b", broken), ("a", undecided), ("c", fine)])
+    report = run_checks("s", 0, 3, [("b", broken), ("c", fine)])
     assert [(c.name, c.status, c.details) for c in report.checks] == [
-        ("a", "unknown", {"undecided": 1}),
         ("b", "fail", {"error": "ZeroDivisionError"}),
         ("c", "pass", {"n": 3}),
     ]
@@ -258,19 +253,18 @@ def test_lone_c_or_z_takes_the_level_of_the_other_expression(capsys):
     assert run_command(Command("cmp", ("c", "(* omega z)")))[0] == 2
 
 
-def test_undecided_cmp_reports_bound():
-    # a commuting point far beyond the alpha shifts, compared through the
-    # same library call the CLI makes, is an exact Equal, not undecided
-    from fractions import Fraction
-    from wreathord.embed_rationals import W, alpha, c_elem, qc_point, w_point
-    from wreathord.groundwork import Ordering
-    far = w_point(qc_point(Fraction(1, 5)), at=25_001)
-    x, y = W.mul(alpha(), far), W.mul(far, alpha())
-    assert W.min_difference(x, y).is_equal
-    assert W.compare(x, y) is Ordering.EQUAL
-    noncommuting = w_point(c_elem(), at=25_001)
-    v = W.min_difference(W.mul(alpha(), noncommuting), W.mul(noncommuting, alpha()))
-    assert v.is_distinct and v.witness == 25_001
+def test_cmp_decides_far_tail_pairs_exactly(capsys):
+    # a point far beyond the alpha shifts (phi_5 moved to z^25001) commutes
+    # with alpha; pairs whose alpha or omega nets differ at a far shift
+    # are decided there, with no scan from z^0 up to it
+    far = "(conj (comm (conj alpha (pow z -5)) alpha) (pow z 25001))"
+    assert main(["cmp", f"(* alpha {far})", f"(* {far} alpha)"]) == 0
+    assert capsys.readouterr().out == "Equal\n"
+    for k in (2 * 10**6, 10**12):
+        for gen in ("alpha", "omega"):
+            argv = ["cmp", f"(* {gen} shift({gen},{k}))", f"(* {gen} (pow shift({gen},{k}) 2))"]
+            assert main(argv) == 0
+            assert capsys.readouterr().out == "Less\n"
 
 
 def test_main_entrypoint(capsys):

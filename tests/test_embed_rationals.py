@@ -137,7 +137,7 @@ def test_beta_tilde():
     sf2 = beta_tilde([(0, 2, 1), (0, 3, 2)])
     assert sf2.value(0) == Fraction(-7, 6)
     assert sf2.value(9) == Fraction(-7, 6)
-    assert beta_tilde([]).is_zero
+    assert beta_tilde([]).is_trivial
     with pytest.raises(ValueError):
         beta_tilde([(0, 0, 1)])
 
