@@ -3,28 +3,20 @@ rationals into 2-generator fully ordered groups built from iterated
 wreath products, with a computable bi-invariant comparison."""
 
 from .groundwork import (
-    CyclicCoordinate,
     Ordering,
     Rational,
     Verdict,
     canonical_fraction,
     format_rational,
     parse_rational,
-    rat_add,
-    rat_cmp,
 )
 from .nilpotent import (
-    CommutatorWord,
     MalcevElement,
     Nil2Group,
-    PowerWord,
     UnsupportedWordSet,
     VerbalWitness,
     Word,
-    classify_word,
     eval_word,
-    nil2_compare,
-    nil2_mul,
     parse_word,
     select_S,
     verify_witness,
@@ -42,13 +34,6 @@ from .wreath import (
     derived_commutator,
     stepfun_canonicalize,
     tail_symbol,
-    w_comm,
-    w_compare,
-    w_conj,
-    w_eval,
-    w_inv,
-    w_mul,
-    w_pow,
 )
 from .embed_rationals import (
     GNormalForm,

@@ -206,6 +206,16 @@ def alpha() -> WreathElement:
 
 # -- words over the two generators and their normal form ----------------
 
+def _fmt_exponent(e: int) -> str:
+    """e in decimal, except +-2^k for k >= 64 as (2^k) or (-2^k): the
+    shift 2^(2n-1) of a large denominator n has more digits than Python
+    converts an int to text."""
+    k = abs(e).bit_length() - 1
+    if k >= 64 and abs(e) == 1 << k:
+        return f"({'-' if e < 0 else ''}2^{k})"
+    return str(e)
+
+
 @dataclass(frozen=True)
 class GWord:
     """Word over a two-generator alphabet, stored as exponent runs."""
@@ -225,7 +235,7 @@ class GWord:
     def fmt(self) -> str:
         if not self.letters:
             return "1"
-        return " ".join(g if e == 1 else f"{g}^{e}" for g, e in self.letters)
+        return " ".join(g if e == 1 else f"{g}^{_fmt_exponent(e)}" for g, e in self.letters)
 
     def __str__(self) -> str:
         return self.fmt()

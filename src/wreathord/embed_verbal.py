@@ -2,12 +2,12 @@
 
 For a word family V the construction stacks three wreath products:
 
-* ``Q Wr S`` with S the selected fiber/top group (Z for power words,
-  the free class-2 group of rank 2 for the commutator word) carrying a
-  positive verbal witness ``a``.  The base elements ``psi_n`` (1/n at
-  s = 1) and ``chi_n`` (1/n along the ray a^i, i >= 0) satisfy
-  ``psi_n = a^-1 a^(chi_n)``, which puts the embedded rationals inside
-  V(T) for T = <chi_n, witness arguments>.
+* ``Q Wr S`` with S the group ``select_S`` reads off the word (Z when
+  some variable has a nonzero exponent sum, else the free class-2 group
+  of rank 2) carrying a positive verbal witness ``a``.  The base
+  elements ``psi_n`` (1/n at s = 1) and ``chi_n`` (1/n along the ray
+  a^i, i >= 0) satisfy ``psi_n = a^-1 a^(chi_n)``, which puts the
+  embedded rationals inside V(T) for T = <chi_n, witness arguments>.
 * ``T Wr C`` with ``rho_g`` the point copy of g at c^0 and ``pi_g``
   equal to g from c^0 on; ``[pi_(g^-1), c] = rho_g`` puts the first
   copy of T inside the derived subgroup of D = <pi_g, c>.
@@ -21,11 +21,11 @@ even indices d_(2+2i) are unranked statelessly.  ``unrank_sequence(i)``
 reads bin(i + 1) as blocks 1 0^s, a bijection from N onto the nonempty
 finite sequences of naturals.  A D symbol 0 / 1 is c^(+-1) and 2+2j /
 3+2j is pi(t_j)^(+-1); the T element t_j is the product of the T
-symbols of sequence j, where 2i / 2i+1 is g_i^(+-1) over the
-witness-argument tops followed by chi(1), chi(2), ...  So d_(2+2i) has
-O(log i) factors of O(log i) T factors each, every D word appears, and
-duplicates and trivial words are allowed.  The reserved indices make
-the embedding's word for m/n computable in O(1):
+symbols of sequence j, where 2i / 2i+1 is g_i^(+-1) over the distinct
+nontrivial witness-argument tops followed by chi(1), chi(2), ...  So
+d_(2+2i) has O(log i) factors of O(log i) T factors each, every D word
+appears, and duplicates and trivial words are allowed.  The reserved
+indices make the embedding's word for m/n computable in O(1):
 
     m/n  |->  [omega^(z^-2^(2n-1)), omega^(z^-1)]^m.
 
@@ -52,13 +52,11 @@ from .groundwork import (
     format_rational,
 )
 from .nilpotent import (
-    CommutatorWord,
     MalcevElement,
     Nil2Group,
     Word,
-    WordFamily,
     eval_word,
-    normalize_family,
+    parse_word,
     select_S,
     verify_witness,
 )
@@ -90,10 +88,9 @@ class SCoords:
     the chosen point on the ray.
     """
 
-    def __init__(self, sgroup: Nil2Group, witness: MalcevElement, family_key: str):
+    def __init__(self, sgroup: Nil2Group, witness: MalcevElement):
         self.group = sgroup
         self.witness = witness
-        self.family_key = family_key
         self._powers: dict[int, MalcevElement] = {}
 
     def identity(self) -> MalcevElement:
@@ -112,10 +109,7 @@ class SCoords:
         return self.group.key_of(a)
 
     def sort_key(self, a) -> tuple:
-        gens, comms = a.gens, a.comms
-        if self.group.inverted:
-            return (tuple(-g for g in gens), tuple(-f for f in comms))
-        return (gens, comms)
+        return (a.gens, a.comms)
 
     def fmt(self, a) -> str:
         return a.fmt()
@@ -303,12 +297,9 @@ class VerbalContext:
     """All the groups and named elements of the verbal embedding for one
     word family."""
 
-    def __init__(self, family: WordFamily | Word | str | Any, invert_order: bool = False):
-        family = normalize_family(family)
-        self.family = family
-        self.sgroup, self.witness = select_S(family, invert_order=invert_order)
-        self.family_key = getattr(family, "family_key", repr(family))
-        self.scoords = SCoords(self.sgroup, self.witness.element, self.family_key)
+    def __init__(self, family: Word | str | Any):
+        self.sgroup, self.witness, self.family_key = select_S(family)
+        self.scoords = SCoords(self.sgroup, self.witness.element)
         self.QS = WreathGroup(f"QwrS[{self.family_key}]", self.scoords, RATIONALS,
                               RayStepFunction)
         self.TC = WreathGroup(f"TwrC[{self.family_key}]", IntCoords("c"), self.QS, FiberSteps)
@@ -319,7 +310,9 @@ class VerbalContext:
         tops = {}
         for _, args, _ in self.witness.presentation:
             for g in args:
-                tops.setdefault(self.sgroup.key_of(g), g)
+                # variables the reduction sends to 1 add no generator to T
+                if not self.sgroup.is_identity(g):
+                    tops.setdefault(self.sgroup.key_of(g), g)
         self.t_generators = tuple(self.s_top(g) for g in tops.values())
         self._t_words: dict[int, WreathElement] = {}
         self._d_words: dict[int, WreathElement] = {}
@@ -387,7 +380,7 @@ class VerbalContext:
     def _t_element(self, j: int) -> WreathElement:
         """t_j: the product of the T symbols of ``unrank_sequence(j)``,
         where 2i / 2i+1 is g_i^(+1) / g_i^(-1) and g_0, g_1, ... are the
-        witness-argument tops followed by chi(1), chi(2), ..."""
+        nontrivial witness-argument tops followed by chi(1), chi(2), ..."""
         el = self._t_words.get(j)
         if el is None:
             base = self.t_generators
@@ -557,22 +550,26 @@ class VerbalContext:
 
 
 @lru_cache(maxsize=None)
-def _context_cache(family: Any, invert_order: bool) -> VerbalContext:
-    return VerbalContext(family, invert_order=invert_order)
+def _context_cache(family: Any) -> VerbalContext:
+    return VerbalContext(family)
 
 
-def get_context(family: WordFamily | Word | str | Any = CommutatorWord(),
-                invert_order: bool = False) -> VerbalContext:
-    family = normalize_family(family)
+def get_context(family: Word | str | Any = "[x1,x2]") -> VerbalContext:
+    """The context of a word set, shared by every caller that names the
+    same freely reduced word."""
+    if isinstance(family, str):
+        family = parse_word(family)
+    if isinstance(family, Word):
+        family = family.reduced()
     try:
-        return _context_cache(family, invert_order)
+        return _context_cache(family)
     except TypeError:
-        return VerbalContext(family, invert_order=invert_order)
+        return VerbalContext(family)
 
 
 # -- the verbal-embedding suite ---------------------------------------------
 
-def verify_theorem2(family: WordFamily | Word | str | Any = CommutatorWord(),
+def verify_theorem2(family: Word | str | Any = "[x1,x2]",
                     seed: int = 0, budget: int = 200) -> Report:
     """Checks of the verbal embedding for one word family: the witness,
     psi_n = a^-1 a^(chi_n) with its replayable certificate, order

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .nilpotent import CommutatorWord
 from . import embed_rationals as er
 from . import embed_verbal as ev
 from .wreath import WreathElement
@@ -393,7 +392,7 @@ def build_element(expr: Expr, ctx: "ev.VerbalContext | None" = None,
     """Infer the level (unless given), bind atoms, and evaluate the
     expression tree."""
     if ctx is None:
-        ctx = ev.get_context(CommutatorWord())
+        ctx = ev.get_context("[x1,x2]")
     if level is None:
         level = infer_level(expr)
     return level, _build(expr, level, ctx)

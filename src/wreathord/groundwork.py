@@ -27,11 +27,6 @@ from typing import Any, Protocol, runtime_checkable
 #: the canonical form required everywhere in this package.
 Rational = Fraction
 
-#: Coordinate in an infinite cyclic group written multiplicatively: the
-#: integer ``i`` stands for ``c**i`` (or ``z**i``).  The group law is
-#: exponent addition and the order is the integer order.
-CyclicCoordinate = int
-
 
 class Ordering(Enum):
     """Exact three-way comparison outcome."""
@@ -117,16 +112,6 @@ class OrderedGroup(Protocol):
 
 
 # -- rational helpers --------------------------------------------------
-
-def rat_add(a: Rational, b: Rational) -> Rational:
-    """Exact sum, automatically in lowest terms."""
-    return a + b
-
-
-def rat_cmp(a: Rational, b: Rational) -> Ordering:
-    """Sign of ``a - b`` via exact cross-multiplication."""
-    return Ordering.of(a, b)
-
 
 def canonical_fraction(m: int, n: int) -> Rational:
     """m/n in lowest terms with a positive denominator.

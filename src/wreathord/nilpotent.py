@@ -18,9 +18,10 @@ Word syntax (used by the CLI and by plugin word sets)::
     atom    := var | "[" word "," word "]" | "(" word ")"
     var     := "x" digits          (1-based index)
 
-Built-in word families are the power words ``x1^n`` (n >= 2) and the
-commutator word ``[x1,x2]``.  Anything else requires a user plugin
-supplying an ordered group and a verbal witness.
+``select_S`` reduces any word outside gamma_3(F) to one of two ordered
+groups: Z when some variable has a nonzero exponent sum, otherwise the
+free class-2 group of rank 2.  A word in gamma_3(F) needs a group of
+class >= 3, which a user plugin supplies together with a verbal witness.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .reporting import FAIL, PASS, Report, run_checks
 
 
 class UnsupportedWordSet(Exception):
-    """Word family with no built-in group; supply a plugin instead."""
+    """Word in gamma_3(F), with no built-in group; supply a plugin instead."""
 
 
 class WordSyntaxError(ValueError):
@@ -228,29 +229,19 @@ class MalcevElement:
 class Nil2Group:
     """Free nilpotent group of class <= 2 and given rank, fully ordered.
 
-    Rank 1 degenerates to the free abelian group Z.  ``inverted=True``
-    replaces the order by its inverse; the group operations are
-    unaffected.
+    Rank 1 degenerates to the free abelian group Z.
     """
 
-    def __init__(self, rank: int, inverted: bool = False):
+    def __init__(self, rank: int):
         if rank < 1:
             raise ValueError("rank must be >= 1")
         self.rank = rank
-        self.inverted = inverted
         self._pairs = [(p, q) for p in range(rank) for q in range(p + 1, rank)]
         self._identity = MalcevElement(rank, (0,) * rank, (0,) * len(self._pairs))
 
     @property
     def nilpotency_class(self) -> int:
         return 1 if self.rank == 1 else 2
-
-    @property
-    def key(self) -> tuple:
-        return ("nil2", self.rank, self.inverted)
-
-    def with_inverted_order(self) -> "Nil2Group":
-        return Nil2Group(self.rank, not self.inverted)
 
     def identity(self) -> MalcevElement:
         return self._identity
@@ -329,8 +320,7 @@ class Nil2Group:
 
     def compare(self, x: MalcevElement, y: MalcevElement) -> Ordering:
         self._check(x, y)
-        o = Ordering.of((x.gens, x.comms), (y.gens, y.comms))
-        return o.reversed() if self.inverted else o
+        return Ordering.of((x.gens, x.comms), (y.gens, y.comms))
 
     def is_positive(self, x: MalcevElement) -> bool:
         return self.compare(x, self.identity()) is Ordering.GREATER
@@ -358,14 +348,6 @@ class Nil2Group:
         raise ValueError("ray element must be nontrivial")
 
 
-def nil2_mul(x: MalcevElement, y: MalcevElement) -> MalcevElement:
-    return Nil2Group(x.rank).mul(x, y)
-
-
-def nil2_compare(x: MalcevElement, y: MalcevElement) -> Ordering:
-    return Nil2Group(x.rank).compare(x, y)
-
-
 def eval_word(w: Word, args: Sequence[Any], group: Any = None) -> Any:
     """Image of the substitution w(args...) computed with the group's ops.
 
@@ -385,63 +367,7 @@ def eval_word(w: Word, args: Sequence[Any], group: Any = None) -> Any:
     return out
 
 
-# -- word families and verbal witnesses --------------------------------
-
-@dataclass(frozen=True)
-class PowerWord:
-    n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("power words need exponent >= 2")
-
-    def word(self) -> Word:
-        return Word.power(1, self.n)
-
-    @property
-    def family_key(self) -> str:
-        return f"x1^{self.n}"
-
-
-@dataclass(frozen=True)
-class CommutatorWord:
-    def word(self) -> Word:
-        return Word.commutator(Word(((1, 1),)), Word(((2, 1),)))
-
-    @property
-    def family_key(self) -> str:
-        return "[x1,x2]"
-
-
-WordFamily = PowerWord | CommutatorWord
-
-
-def classify_word(w: Word) -> WordFamily | None:
-    """Recognize the built-in families from a parsed word."""
-    r = w.reduced()
-    if r.letters and len({var for var, _ in r.letters}) == 1:
-        total = sum(exp for _, exp in r.letters)
-        if abs(total) >= 2 and len(r.letters) == abs(total):
-            return PowerWord(abs(total))
-    if len(r.letters) == 4:
-        (v1, e1), (v2, e2), (v3, e3), (v4, e4) = r.letters
-        if (v1, v2) == (v3, v4) and v1 != v2 and (e1, e2, e3, e4) == (-1, -1, 1, 1):
-            return CommutatorWord()
-    return None
-
-
-def normalize_family(family: WordFamily | Word | str | Any) -> Any:
-    """Parse a word given as text and replace a word of a built-in family
-    by that family; anything else (an unrecognized word, a plugin) is
-    returned as it is."""
-    if isinstance(family, str):
-        family = parse_word(family)
-    if isinstance(family, Word):
-        known = classify_word(family)
-        if known is not None:
-            return known
-    return family
-
+# -- verbal witnesses ---------------------------------------------------
 
 @dataclass(frozen=True)
 class VerbalWitness:
@@ -459,39 +385,68 @@ class VerbalWitness:
         return out
 
 
-def select_S(
-    family: WordFamily | Word | str | Any,
-    invert_order: bool = False,
-) -> tuple[Nil2Group, VerbalWitness]:
-    """Pick the fiber/top group for a word family plus a positive witness.
-
-    PowerWord(n) selects Z (free abelian of rank 1) with witness n;
-    CommutatorWord selects the free class-2 group of rank 2 with witness
-    [x1, x2].  If the chosen order makes the witness negative, the order
-    is replaced by its inverse.  Arbitrary word sets are not supported
-    natively; a plugin object exposing ``select()`` may supply its own
-    (ordered group, witness) pair.
-    """
-    family = normalize_family(family)
-    if isinstance(family, Word):
+def _reduce_word(word: Word) -> tuple[Nil2Group, VerbalWitness, str]:
+    """S, a witness and the family key read off one word (see select_S)."""
+    letters = word.reduced().letters
+    if not letters:
+        raise ValueError("the trivial word has no verbal embedding")
+    # V is closed under renaming variables, so only the occurring ones count
+    number = {v: i for i, v in enumerate(sorted({v for v, _ in letters}), 1)}
+    w = Word(tuple((number[v], e) for v, e in letters))
+    k = len(number)
+    free = Nil2Group(k)
+    image = eval_word(w, [free.generator(i) for i in range(1, k + 1)], free)
+    if any(image.gens):
+        # (a) x_i -> t for the first nonzero exponent sum e, the rest -> 1
+        i = next(i for i, e in enumerate(image.gens) if e)
+        group = Nil2Group(1)
+        images = {i: group.generator(1)}
+        key = Word.power(1, abs(image.gens[i])).fmt()
+    elif any(image.comms):
+        # (b) x_p -> x1, x_q -> x2 for the first nonzero [x_p,x_q] exponent
+        f, (p, q) = next((f, pq) for f, pq in zip(image.comms, free._pairs) if f)
+        group = Nil2Group(2)
+        images = {p: group.generator(1), q: group.generator(2)}
+        key = "[x1,x2]" if abs(f) == 1 else f"[x1,x2]^{abs(f)}"
+    else:
         raise UnsupportedWordSet(
-            f"no built-in group for word {family.fmt()!r};"
-            " supply a plugin with select()"
-        )
+            f"word {word.fmt()!r} lies in gamma_3(F): every group of class <= 2"
+            " satisfies it, so S needs class >= 3; supply a plugin with select()")
+    args = tuple(images.get(j, group.identity()) for j in range(k))
+    return group, VerbalWitness(eval_word(w, args, group), ((w, args, 1),)), key
 
-    if isinstance(family, PowerWord):
-        group = Nil2Group(1, inverted=invert_order)
-        gen = group.generator(1)
-        a = group.pow(gen, family.n)
-        witness = VerbalWitness(a, ((family.word(), (gen,), 1),))
-    elif isinstance(family, CommutatorWord):
-        group = Nil2Group(2, inverted=invert_order)
-        x1, x2 = group.generator(1), group.generator(2)
-        a = group.comm(x1, x2)
-        witness = VerbalWitness(a, ((family.word(), (x1, x2), 1),))
+
+def select_S(family: Word | str | Any) -> tuple[Any, VerbalWitness, str]:
+    """Pick the fiber/top group S for a word set V, a positive witness in
+    V(S), and the family key that names the construction.
+
+    A word (or its text) is freely reduced and its occurring variables
+    renumbered x1..xk.  Its image in the free class-2 group of rank k is
+    x1^e1 ... xk^ek times a product of [x_p,x_q]^(a_pq):
+
+    * (a) some e_i != 0: S = Z, sending x_i to the generator t and every
+      other variable to 1, gives the value t^(e_i); the key is x1^|e_i|.
+    * (b) every e_i = 0: S is the free class-2 group of rank 2, and
+      sending x_p -> x1, x_q -> x2 (the first a_pq != 0) and every other
+      variable to 1 gives [x1,x2]^(a_pq); the key is [x1,x2] or
+      [x1,x2]^|a_pq|.
+
+    Both substitutions are homomorphisms from the class-2 quotient, so
+    the value is the image computed there.  If neither applies, the word
+    lies in gamma_3(F), every group of class <= 2 satisfies it, and
+    UnsupportedWordSet is raised.  A plugin object exposing ``select()``
+    supplies its own (ordered group, witness) pair instead, keyed by its
+    ``family_key``.  A negative witness is replaced by its inverse (the
+    presentation reversed with its signs flipped), which also lies in
+    V(S), so the order of S never needs inverting.
+    """
+    if isinstance(family, str):
+        family = parse_word(family)
+    if isinstance(family, Word):
+        group, witness, key = _reduce_word(family)
     elif hasattr(family, "select"):
         group, witness = family.select()
-        a = witness.element
+        key = getattr(family, "family_key", repr(family))
     else:
         raise UnsupportedWordSet(f"unsupported word family: {family!r}")
 
@@ -499,10 +454,9 @@ def select_S(
     if group.is_identity(a):
         raise ValueError("verbal witness must be nontrivial")
     if not group.is_positive(a):
-        group = group.with_inverted_order()
-        if not group.is_positive(a):
-            raise AssertionError("witness not positive under either order")
-    return group, witness
+        witness = VerbalWitness(group.inv(a), tuple(
+            (w, args, -sign) for w, args, sign in reversed(witness.presentation)))
+    return group, witness, key
 
 
 def verify_witness(witness: VerbalWitness, group: Any, seed: int = 0) -> Report:

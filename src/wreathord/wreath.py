@@ -744,11 +744,11 @@ class WreathGroup:
         hit = x._evals.get(k, _MISSING)
         if hit is not _MISSING:
             return hit
-        v = self.fiber.identity()
+        one = v = self.fiber.identity()
         for a in x.atoms:
             rel = self.coords.mul(coord, self.coords.inv(a.shift))
             av = a.fn.value(rel)
-            if not self.fiber.is_identity(av):
+            if av is not one and not self.fiber.is_identity(av):
                 v = self.fiber.mul(v, av if a.exp == 1 else self.fiber.pow(av, a.exp))
         x._evals[k] = v
         return v
@@ -887,40 +887,6 @@ class WreathGroup:
 
 def _verdict(witness: Any | None) -> Verdict:
     return Verdict.equal() if witness is None else Verdict.distinct(witness)
-
-
-# ----------------------------------------------------------------------
-# module-level operation surface
-# ----------------------------------------------------------------------
-
-def w_mul(x: WreathElement, y: WreathElement) -> WreathElement:
-    return x.group.mul(x, y)
-
-
-def w_inv(x: WreathElement) -> WreathElement:
-    return x.group.inv(x)
-
-
-def w_conj(x: WreathElement, y: WreathElement) -> WreathElement:
-    """y^-1 * x * y"""
-    return x.group.conj(x, y)
-
-
-def w_comm(x: WreathElement, y: WreathElement) -> WreathElement:
-    """x^-1 * y^-1 * x * y"""
-    return x.group.comm(x, y)
-
-
-def w_pow(x: WreathElement, n: int) -> WreathElement:
-    return x.group.pow(x, n)
-
-
-def w_eval(x: WreathElement, coord: Any) -> Any:
-    return x.group.eval(x, coord)
-
-
-def w_compare(x: WreathElement, y: WreathElement) -> Ordering:
-    return x.group.compare(x, y)
 
 
 def tail_symbol(x: WreathElement) -> dict[Any, int]:

@@ -12,7 +12,6 @@ import pytest
 
 from helpers import confirm_verdict
 
-from wreathord.nilpotent import CommutatorWord, PowerWord
 from wreathord.reporting import emit_report
 from wreathord.embed_rationals import (
     QC,
@@ -41,8 +40,8 @@ def theorem1_report():
 @pytest.fixture(scope="module")
 def theorem2_reports():
     return {
-        "commutator": verify_theorem2(CommutatorWord(), seed=SEED, budget=200),
-        "power2": verify_theorem2(PowerWord(2), seed=SEED, budget=200),
+        "commutator": verify_theorem2("[x1,x2]", seed=SEED, budget=200),
+        "power2": verify_theorem2("x1^2", seed=SEED, budget=200),
     }
 
 
@@ -119,7 +118,7 @@ def test_criterion_6_theorem2_both_families(theorem2_reports):
 
 def test_criterion_7_verdict_soundness():
     rng = Random(SEED)
-    ctx = get_context(CommutatorWord())
+    ctx = get_context("[x1,x2]")
     checked = 0
     for _ in range(200):
         x, y = random_qc_element(rng), random_qc_element(rng)
@@ -148,8 +147,8 @@ def test_criterion_8_determinism():
         chunk = []
         chunk.append(emit_report(verify_section2(seed=7, budget=16)))
         chunk.append(emit_report(verify_section2(seed=7, budget=16), "json"))
-        chunk.append(emit_report(verify_theorem2(CommutatorWord(), seed=7, budget=16)))
-        chunk.append(emit_report(verify_theorem2(PowerWord(2), seed=7, budget=16)))
+        chunk.append(emit_report(verify_theorem2("[x1,x2]", seed=7, budget=16)))
+        chunk.append(emit_report(verify_theorem2("x1^2", seed=7, budget=16)))
         chunk.append(emit_report(verify_order_laws(seed=7, budget=24)))
         chunk.append(emit_report(verify_order_laws(seed=7, budget=24), "json"))
         outputs.append("\n".join(chunk))

@@ -170,6 +170,10 @@ def test_run_embed_verbal_families():
     status, out = run_command(Command("embed-verbal", ("1/2",), {"word": "x1^2"}))
     assert status == 0
     assert "z^8" in out
+    # the shift 2^15999 has more digits than Python converts an int to text
+    status, out = run_command(Command("embed-verbal", ("1/8000",)))
+    assert status == 0
+    assert "z^(2^15999)" in out
 
 
 def test_run_normal_form():
@@ -185,7 +189,7 @@ def test_usage_errors_exit_2():
     assert status == 2
     status, _ = run_command(Command("verify", ("bogus",)))
     assert status == 2
-    status, _ = run_command(Command("embed-verbal", ("1/2",), {"word": "x1*x2"}))
+    status, _ = run_command(Command("embed-verbal", ("1/2",), {"word": "[[x1,x2],x3]"}))
     assert status == 2
 
 

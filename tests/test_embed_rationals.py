@@ -30,21 +30,20 @@ from wreathord.embed_rationals import (
     verify_theorem1,
 )
 from wreathord.reporting import emit_report
-from wreathord.wreath import w_eval
 
 
 def test_tau_values():
     t3 = tau(3)
-    assert w_eval(t3, -1) == 0
-    assert w_eval(t3, 0) == Fraction(-1, 3)
-    assert w_eval(t3, 5) == Fraction(-1, 3)
-    assert w_eval(t3, -(10**9)) == 0
+    assert t3.eval(-1) == 0
+    assert t3.eval(0) == Fraction(-1, 3)
+    assert t3.eval(5) == Fraction(-1, 3)
+    assert t3.eval(-(10**9)) == 0
 
 
 def test_phi_values():
-    assert w_eval(phi(1), 0) == Fraction(1, 1)
-    assert w_eval(phi(4), 0) == Fraction(1, 4)
-    assert w_eval(phi(4), 1) == 0
+    assert phi(1).eval(0) == Fraction(1, 1)
+    assert phi(4).eval(0) == Fraction(1, 4)
+    assert phi(4).eval(1) == 0
     with pytest.raises(ValueError):
         tau(0)
     with pytest.raises(ValueError):

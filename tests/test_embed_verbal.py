@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from wreathord.groundwork import Ordering
-from wreathord.nilpotent import CommutatorWord, PowerWord, UnsupportedWordSet
+from wreathord.nilpotent import UnsupportedWordSet
 from wreathord.embed_verbal import (
     ConstructionViolation,
     VerbalContext,
@@ -17,8 +17,8 @@ from wreathord.embed_verbal import (
 )
 
 
-CTX = get_context(CommutatorWord())
-ZTX = get_context(PowerWord(2))
+CTX = get_context("[x1,x2]")
+ZTX = get_context("x1^2")
 
 
 def test_chi_values():
@@ -80,7 +80,7 @@ def test_enumerate_d_reservations():
 
 
 def test_enumerate_d_deterministic_across_contexts():
-    fresh = VerbalContext(CommutatorWord())
+    fresh = VerbalContext("[x1,x2]")
     for k in range(0, 9):
         a, b = CTX.enumerate_D(k), fresh.enumerate_D(k)
         assert a.top == b.top
@@ -161,14 +161,14 @@ def test_power_word_context_embedding():
 
 
 def test_verify_theorem2_small_budget_both_families():
-    for family in (CommutatorWord(), PowerWord(2)):
+    for family in ("[x1,x2]", "x1^2"):
         report = verify_theorem2(family, seed=5, budget=16)
         assert report.all_pass, [c for c in report.checks if c.status != "pass"]
 
 
 def test_unsupported_word_family():
     with pytest.raises(UnsupportedWordSet):
-        get_context("x1*x2")
+        get_context("[[x1,x2],x3]")
 
 
 def _rank_sequence(seq):
@@ -234,7 +234,7 @@ def test_enumerate_d_reaches_hand_built_words():
 
 
 def test_enumerate_d_far_indices_are_cheap():
-    fresh = VerbalContext(CommutatorWord())
+    fresh = VerbalContext("[x1,x2]")
     assert fresh.enumerate_D(10 ** 6).group is fresh.TC
     el = fresh.omega_commutator(10 ** 5, 0)
     dval = fresh.TC.comm(fresh.enumerate_D(10 ** 5), fresh.enumerate_D(0))
@@ -243,9 +243,9 @@ def test_enumerate_d_far_indices_are_cheap():
 
 def test_enumerate_d_concurrent_requests_agree():
     ks = list(range(0, 40)) + [97, 1000, 12_345, 19_171, 10 ** 5]
-    reference = VerbalContext(CommutatorWord())
+    reference = VerbalContext("[x1,x2]")
     expected = {k: reference.TC.key(reference.enumerate_D(k)) for k in ks}
-    shared = VerbalContext(CommutatorWord())
+    shared = VerbalContext("[x1,x2]")
     barrier = threading.Barrier(4)
     results = [None] * 4
 

@@ -1,19 +1,16 @@
+import time
 from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wreathord.groundwork import Ordering
 from wreathord.nilpotent import (
-    CommutatorWord,
     Nil2Group,
-    PowerWord,
     UnsupportedWordSet,
     Word,
-    classify_word,
     eval_word,
-    nil2_compare,
-    nil2_mul,
     parse_word,
     select_S,
     verify_witness,
@@ -60,7 +57,7 @@ def test_collection_examples():
     assert G2.mul(X1, X2) == G2.element((1, 1), (0,))
     # frozen from the Heisenberg oracle: x2*x1 collects to f12 = -1
     assert heisenberg_coords([(2, 1), (1, 1)]) == (1, 1, -1)
-    assert nil2_mul(X2, X1) == G2.element((1, 1), (-1,))
+    assert G2.mul(X2, X1) == G2.element((1, 1), (-1,))
     g = G2.element((3, -2), (5,))
     assert G2.mul(g, G2.inv(g)) == G2.identity()
 
@@ -95,7 +92,7 @@ def test_compare_examples():
     # coordinate-comparison oracle: e([x1,x2]) = (0,0) versus e(x1^-1) =
     # (-1,0); the first differing generator exponent is 0 > -1
     comm = G2.comm(X1, X2)
-    assert nil2_compare(comm, G2.inv(X1)) is Ordering.GREATER
+    assert G2.compare(comm, G2.inv(X1)) is Ordering.GREATER
 
 
 def test_group_axioms_random():
@@ -181,16 +178,9 @@ def test_word_parsing():
         parse_word("y1")
 
 
-def test_classify_word():
-    assert classify_word(parse_word("x1^3")) == PowerWord(3)
-    assert classify_word(parse_word("x2^4")) == PowerWord(4)
-    assert classify_word(parse_word("[x1,x2]")) == CommutatorWord()
-    assert classify_word(parse_word("x1")) is None
-    assert classify_word(parse_word("x1*x2")) is None
-
-
 def test_select_power_word():
-    group, witness = select_S(PowerWord(3))
+    group, witness, key = select_S("x1^3")
+    assert key == "x1^3"
     assert group.rank == 1
     assert witness.element == group.element((3,))
     # oracle: the verbal subgroup of Z under x^3 is 3Z, by enumerating
@@ -202,24 +192,66 @@ def test_select_power_word():
 
 
 def test_select_commutator_word():
-    group, witness = select_S(CommutatorWord())
+    group, witness, key = select_S("[x1,x2]")
+    assert key == "[x1,x2]"
     assert group.rank == 2
     assert witness.element == group.element((0, 0), (1,))
     assert group.is_positive(witness.element)
 
 
-def test_select_with_inverted_order_normalizes_positivity():
-    group, witness = select_S(CommutatorWord(), invert_order=True)
-    # the inverted order makes [x1,x2] negative, so selection flips back
-    assert group.is_positive(witness.element)
-    assert witness.element == group.element((0, 0), (1,))
-
-
 def test_select_unsupported():
-    with pytest.raises(UnsupportedWordSet):
-        select_S("x1*x2")
+    with pytest.raises(UnsupportedWordSet, match="class >= 3"):
+        select_S("[[x1,x2],x3]")
     with pytest.raises(ValueError):
-        PowerWord(1)
+        select_S("x1*x1^-1")
+
+
+_LETTER = st.tuples(st.integers(1, 4), st.sampled_from([1, -1]))
+
+
+@st.composite
+def words(draw):
+    """Words in x1..x4 of length <= 12.  Half are u times a rearrangement
+    of u^-1, with every exponent sum zero, so both reductions are drawn."""
+    u = draw(st.lists(_LETTER, max_size=6))
+    if draw(st.booleans()):
+        return u + draw(st.lists(_LETTER, max_size=6))
+    return u + [(v, -e) for v, e in draw(st.permutations(u))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(words())
+def test_select_reads_S_and_witness_off_any_word(letters):
+    # oracle without Nil2Group: the exponent sums, and the [x_p,x_q]
+    # exponent as the Heisenberg f12 of the word with every other
+    # variable deleted (sent to 1)
+    sums = [sum(e for v, e in letters if v == i) for i in range(1, 5)]
+    comms = [heisenberg_coords([(1 if v == p else 2, e) for v, e in letters if v in (p, q)])[2]
+             for p in range(1, 5) for q in range(p + 1, 5)]
+    word = Word(tuple(letters))
+    if not any(sums) and not any(comms):
+        with pytest.raises((UnsupportedWordSet, ValueError)):
+            select_S(word)
+        return
+    group, witness, key = select_S(word)
+    assert verify_witness(witness, group).all_pass
+    assert group.is_positive(witness.element)
+    if any(sums):
+        e = abs(next(e for e in sums if e))
+        assert (group.rank, witness.element.gens) == (1, (e,))
+        assert key == ("x1" if e == 1 else f"x1^{e}")
+    else:
+        f = abs(next(f for f in comms if f))
+        assert (group.rank, witness.element.comms) == (2, (f,))
+        assert key == ("[x1,x2]" if f == 1 else f"[x1,x2]^{f}")
+
+
+def test_select_renumbers_the_occurring_variables():
+    t = time.perf_counter()
+    group, witness, key = select_S("[x1,x1000000]")
+    assert time.perf_counter() - t < 1.0
+    assert (group.rank, key) == (2, "[x1,x2]")
+    assert witness.presentation[0][0] == parse_word("[x1,x2]")
 
 
 def test_select_plugin_object():
@@ -232,13 +264,13 @@ def test_select_plugin_object():
             witness = VerbalWitness(g.pow(gen, 5), ((Word.power(1, 5), (gen,), 1),))
             return g, witness
 
-    group, witness = select_S(FifthPowers())
+    group, witness, _ = select_S(FifthPowers())
     assert witness.element == group.element((5,))
     assert verify_witness(witness, group).all_pass
 
 
 def test_verify_witness_pass_and_corrupted():
-    group, witness = select_S(CommutatorWord())
+    group, witness, _ = select_S("[x1,x2]")
     assert verify_witness(witness, group).all_pass
     from wreathord.nilpotent import VerbalWitness
     word, args, sign = witness.presentation[0]
@@ -247,7 +279,7 @@ def test_verify_witness_pass_and_corrupted():
     assert not report.all_pass
     assert report.check("witness-reconstruct").status == "fail"
 
-    group2, witness2 = select_S(PowerWord(2))
+    group2, witness2, _ = select_S("x1^2")
     rep2 = verify_witness(witness2, group2)
     assert rep2.all_pass
     assert witness2.element == group2.element((2,))

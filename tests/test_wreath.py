@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 from random import Random
 
@@ -19,13 +20,6 @@ from wreathord.wreath import (
     derived_commutator,
     stepfun_canonicalize,
     tail_symbol,
-    w_comm,
-    w_compare,
-    w_conj,
-    w_eval,
-    w_inv,
-    w_mul,
-    w_pow,
 )
 from wreathord.embed_rationals import (
     QC,
@@ -59,65 +53,65 @@ def test_step_function_basics():
 
 
 def test_w_mul_pointwise_example():
-    x = w_mul(tau(2), tau(3))
-    assert w_eval(x, 0) == Fraction(-5, 6)
-    assert w_eval(x, -1) == 0
+    x = tau(2) * tau(3)
+    assert x.eval(0) == Fraction(-5, 6)
+    assert x.eval(-1) == 0
 
 
 def test_mul_identity_and_inverse():
-    x = w_mul(tau(4), c_elem(2))
-    assert QC.equal(w_mul(x, QC.identity()), x)
-    assert QC.is_identity(w_mul(tau(5), w_inv(tau(5))))
+    x = tau(4) * c_elem(2)
+    assert QC.equal(x * QC.identity(), x)
+    assert QC.is_identity(tau(5) * tau(5).inv())
 
 
 def test_relations_via_commutators():
     for n in range(1, 21):
-        assert QC.equal(w_comm(tau(n), c_elem()), phi(n))
+        assert QC.equal(tau(n).comm(c_elem()), phi(n))
     for m in (1, 2, 9):
         for n in (1, 5, 20):
-            assert QC.is_identity(w_comm(tau(m), tau(n)))
-    assert QC.equal(w_conj(tau(3), QC.identity()), tau(3))
+            assert QC.is_identity(tau(m).comm(tau(n)))
+    assert QC.equal(tau(3).conj(QC.identity()), tau(3))
 
 
 def test_conj_comm_pow_identities_under_evaluation():
     rng = Random(5)
     for _ in range(50):
         x, y = random_qc_element(rng), random_qc_element(rng)
-        conj = w_conj(x, y)
-        expected = w_mul(w_mul(w_inv(y), x), y)
+        conj = x.conj(y)
+        expected = y.inv() * x * y
         assert QC.equal(conj, expected)
-        assert QC.equal(w_comm(x, y), w_mul(w_inv(x), w_mul(w_inv(y), w_mul(x, y))))
-        assert QC.equal(w_pow(x, 3), w_mul(x, w_mul(x, x)))
-        assert QC.equal(w_pow(x, -2), w_inv(w_mul(x, x)))
+        assert QC.equal(x.comm(y), x.inv() * (y.inv() * (x * y)))
+        assert QC.equal(x ** 3, x * (x * x))
+        assert QC.equal(x ** -2, (x * x).inv())
 
 
 def test_w_eval_alpha():
     a = alpha()
-    assert QC.equal(w_eval(a, 0), c_elem())
-    assert QC.is_identity(w_eval(a, -1))
-    assert QC.is_identity(w_eval(a, -5))
-    assert QC.equal(w_eval(a, 3), tau(3))
-    assert QC.is_identity(w_eval(W.identity(), 12))
+    assert QC.equal(a.eval(0), c_elem())
+    assert QC.is_identity(a.eval(-1))
+    assert QC.is_identity(a.eval(-5))
+    assert QC.equal(a.eval(3), tau(3))
+    assert QC.is_identity(W.identity().eval(12))
 
 
 def test_commutator_window_values():
     # [alpha^(z^-2), alpha] carries phi_2 at z^0 and is trivial elsewhere
     comm = alpha_commutator(2)
-    assert QC.equal(w_eval(comm, 0), phi(2))
+    assert QC.equal(comm.eval(0), phi(2))
     for j in (-5, -2, -1, 1, 2, 7):
-        assert QC.is_identity(w_eval(comm, j))
+        assert QC.is_identity(comm.eval(j))
 
 
 def test_support_min_difference_examples():
     v = QC.min_difference(tau(2), tau(3))
     assert v.is_distinct and v.witness == 0
-    assert w_eval(tau(2), 0) == Fraction(-1, 2)
-    assert w_eval(tau(3), 0) == Fraction(-1, 3)
+    assert tau(2).eval(0) == Fraction(-1, 2)
+    assert tau(3).eval(0) == Fraction(-1, 3)
 
-    x = w_mul(tau(2), qc_point(Fraction(1, 7), at=-3))
+    x = tau(2) * qc_point(Fraction(1, 7), at=-3)
     assert QC.min_difference(x, x).is_equal
 
-    lhs = w_mul(phi_element(Fraction(1, 2)), phi_element(Fraction(1, 3)))
+    lhs = phi_element(Fraction(1, 2)) * phi_element(Fraction(1, 3))
     assert W.min_difference(lhs, phi_element(Fraction(5, 6))).is_equal
 
     with pytest.raises(ValueError):
@@ -128,20 +122,20 @@ def test_w_compare_examples():
     # the top dominates
     a = W.mul(z_elem(1), alpha())
     b = W.mul(z_elem(0), alpha())
-    assert w_compare(a, b) is Ordering.GREATER
-    assert w_compare(phi_element(Fraction(1, 3)), phi_element(Fraction(1, 2))) is Ordering.LESS
-    x = w_mul(alpha(), W.conj(alpha(), z_elem(-2)))
-    assert w_compare(x, x) is Ordering.EQUAL
+    assert W.compare(a, b) is Ordering.GREATER
+    assert W.compare(phi_element(Fraction(1, 3)), phi_element(Fraction(1, 2))) is Ordering.LESS
+    x = alpha() * W.conj(alpha(), z_elem(-2))
+    assert W.compare(x, x) is Ordering.EQUAL
 
 
 def test_stepfun_canonicalize():
-    prod = w_mul(tau(2), w_pow(tau(3), 2))
+    prod = tau(2) * tau(3) ** 2
     sf = stepfun_canonicalize(prod)
     assert sf.value(-1) == 0
     assert sf.value(0) == Fraction(-7, 6)
     assert sf.value(50) == Fraction(-7, 6)
     assert stepfun_canonicalize(QC.identity()).is_trivial
-    assert stepfun_canonicalize(w_mul(tau(4), w_inv(tau(4)))).is_trivial
+    assert stepfun_canonicalize(tau(4) * tau(4).inv()).is_trivial
 
 
 def test_stepfun_canonicalize_random_products():
@@ -152,7 +146,7 @@ def test_stepfun_canonicalize_random_products():
         again = stepfun_canonicalize(el)
         assert sf == again
         for j in range(-12, 13):
-            assert sf.value(j) == w_eval(el, j)
+            assert sf.value(j) == el.eval(j)
 
 
 @st.composite
@@ -224,17 +218,17 @@ def test_tail_symbol():
     # is mandatory
     assert not W.is_identity(comm)
 
-    prod = w_mul(alpha(), W.conj(alpha(), z_elem(1)))
+    prod = alpha() * W.conj(alpha(), z_elem(1))
     assert tail_symbol(prod) == {0: 1, 1: 1}
     assert not W.is_identity(prod)
-    assert QC.equal(w_eval(prod, 0), c_elem())
+    assert QC.equal(prod.eval(0), c_elem())
 
-    x = w_mul(w_inv(W.conj(alpha(), z_elem(-3))), W.conj(alpha(), z_elem(-3)))
+    x = W.conj(alpha(), z_elem(-3)).inv() * W.conj(alpha(), z_elem(-3))
     assert tail_symbol(x) == {}
     assert W.is_identity(x)
 
     with pytest.raises(MixedAtomError):
-        tail_symbol(w_mul(alpha(), w_point(c_elem())))
+        tail_symbol(alpha() * w_point(c_elem()))
 
 
 def test_semidirect_product_law():
@@ -243,17 +237,17 @@ def test_semidirect_product_law():
     rng = Random(12)
     for _ in range(350):
         x, y = random_qc_element(rng), random_qc_element(rng)
-        z = w_mul(x, y)
+        z = x * y
         for j in range(-25, 25):
-            lhs = w_eval(z, j)
-            rhs = w_eval(x, j - y.top) + w_eval(y, j)
+            lhs = z.eval(j)
+            rhs = x.eval(j - y.top) + y.eval(j)
             assert lhs == rhs
     for _ in range(150):
         x, y = random_w_element(rng), random_w_element(rng)
-        z = w_mul(x, y)
+        z = x * y
         for j in range(-25, 25):
-            lhs = w_eval(z, j)
-            rhs = QC.mul(w_eval(x, j - y.top), w_eval(y, j))
+            lhs = z.eval(j)
+            rhs = QC.mul(x.eval(j - y.top), y.eval(j))
             assert QC.equal(lhs, rhs)
 
 
@@ -292,13 +286,13 @@ def test_far_point_pairs_are_decided_exactly():
     # finite-atom coordinates, however far apart they are
     far = 25_001
     p = w_point(qc_point(Fraction(1, 3)), at=far)
-    x = w_mul(alpha(), p)
-    y = w_mul(p, alpha())
+    x = alpha() * p
+    y = p * alpha()
     assert W.min_difference(x, y).is_equal
     assert W.compare(x, y) is Ordering.EQUAL
     # with a noncommuting far point the same shape is decidably distinct
     q = w_point(c_elem(), at=far)
-    x2, y2 = w_mul(alpha(), q), w_mul(q, alpha())
+    x2, y2 = alpha() * q, q * alpha()
     v2 = W.min_difference(x2, y2)
     assert v2.is_distinct and v2.witness == far
 
@@ -309,10 +303,10 @@ def test_alpha_tail_witness_past_a_root():
     # vanishes at j = 4, so the least difference is z^5, the second
     # integer after the last shift (two nonzero nets are active there)
     a = alpha().atoms[0].fn
-    fixes = [c_elem(-4), w_pow(tau(1), -4), w_pow(tau(2), -4), w_mul(c_elem(), w_pow(tau(3), -4))]
+    fixes = [c_elem(-4), tau(1) ** -4, tau(2) ** -4, c_elem() * tau(3) ** -4]
     x = W.element(0, [Atom(a, 0, 4), Atom(a, 3, -1)]
                   + [Atom(PointFn(f, QC, 0), j, 1) for j, f in enumerate(fixes)])
-    assert all(QC.is_identity(w_eval(x, j)) for j in range(-3, 5))
+    assert all(QC.is_identity(x.eval(j)) for j in range(-3, 5))
     v = W.min_difference(x, W.identity())
     assert v.is_distinct and v.witness == 5
     assert W.compare(x, W.identity()) is Ordering.LESS
@@ -324,10 +318,21 @@ def test_omega_tail_witness_past_a_cancelled_power():
     ctx = get_context("[x1,x2]")
     DZ, TC = ctx.DZ, ctx.TC
     x = DZ.element(0, [ctx.omega().atoms[0], Atom(PointFn(ctx.c_elem(-1), TC, 0), 1, 1)])
-    assert TC.is_identity(w_eval(x, 1))
+    assert TC.is_identity(x.eval(1))
     v = DZ.min_difference(x, DZ.identity())
     assert v.is_distinct and v.witness == 2
     assert DZ.compare(x, DZ.identity()) is Ordering.LESS
+
+
+@functools.cache
+def _tail_strategies(tail_fn, span):
+    """The strategies of tail_pairs that depend on no drawn value, built
+    once per tail atom and span: hypothesis validates a strategy object
+    on its first draw, which cost more than the draws themselves."""
+    coord = st.integers(-span, span)
+    tail = st.builds(lambda k, e: Atom(tail_fn, k, e), coord, st.sampled_from([-2, -1, 1, 2]))
+    return (st.lists(tail, min_size=1, max_size=4), st.lists(tail, max_size=4), coord,
+            st.booleans(), st.integers(-2, 2), st.integers(-3, 3))
 
 
 @st.composite
@@ -337,19 +342,16 @@ def tail_pairs(draw, group, tail_fn, span, point_values):
     there or within 2 of a tail shift.  Half the time y reuses x's tail
     atoms in another order, so the tail exponents of x * y^-1 net to
     zero at every shift."""
-    tail = st.builds(lambda k, e: Atom(tail_fn, k, e),
-                     st.integers(-span, span), st.sampled_from([-2, -1, 1, 2]))
-    x_tails = draw(st.lists(tail, min_size=1, max_size=4))
-    if draw(st.booleans()):
+    x_list, y_list, coord, coin, offset, tops = _tail_strategies(tail_fn, span)
+    x_tails = draw(x_list)
+    if draw(coin):
         y_tails = x_tails
     else:
-        y_tails = draw(st.lists(tail, max_size=4))
-    near = st.builds(lambda a, d: a.shift + d,
-                     st.sampled_from(x_tails + y_tails), st.integers(-2, 2))
+        y_tails = draw(y_list)
+    near = st.builds(lambda a, d: a.shift + d, st.sampled_from(x_tails + y_tails), offset)
     point = st.builds(lambda k, v: Atom(PointFn(v, group.fiber, 0), k, 1),
-                      st.one_of(st.integers(-span, span), near),
-                      st.sampled_from(point_values))
-    top = draw(st.integers(-3, 3))
+                      st.one_of(coord, near), st.sampled_from(point_values))
+    top = draw(tops)
 
     def element(tails):
         points = draw(st.lists(point, max_size=3))
