@@ -439,11 +439,12 @@ def brute_confirms(x: WreathElement, y: WreathElement, window: int) -> bool:
     v = group.min_difference(x, y)
     hi = window if v.is_equal else min(window, v.witness - 1)
     for j in range(-window, hi + 1):
-        if not group.fiber.equal(group.eval(x, j), group.eval(y, j)):
+        if not group.fiber.equal(group.eval_atoms(x, j), group.eval_atoms(y, j)):
             return False
     if v.is_equal:
         return o is Ordering.EQUAL
-    return group.fiber.compare(group.eval(x, v.witness), group.eval(y, v.witness)) is o
+    return group.fiber.compare(group.eval_atoms(x, v.witness),
+                               group.eval_atoms(y, v.witness)) is o
 
 
 # -- the rational-embedding suite ------------------------------------------
@@ -513,7 +514,7 @@ def verify_theorem1(seed: int = 0, budget: int = 200) -> Report:
             if nf.factors:
                 lo = min(s for s, _ in nf.factors)
                 for j in (lo - 1, lo - 5):
-                    if not QC.is_identity(rebuilt.eval(j)):
+                    if not QC.is_identity(W.eval_atoms(rebuilt, j)):
                         return FAIL, {"word": word.fmt(), "below": j}
         return PASS, {"words": max(1, budget // 2)}
 

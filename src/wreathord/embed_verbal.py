@@ -556,11 +556,11 @@ def _context_cache(family: Any) -> VerbalContext:
 
 def get_context(family: Word | str | Any = "[x1,x2]") -> VerbalContext:
     """The context of a word set, shared by every caller that names the
-    same freely reduced word."""
+    same freely reduced word up to renaming its variables."""
     if isinstance(family, str):
         family = parse_word(family)
     if isinstance(family, Word):
-        family = family.reduced()
+        family = family.reduced().renumbered()
     try:
         return _context_cache(family)
     except TypeError:
@@ -634,7 +634,7 @@ def verify_theorem2(family: Word | str | Any = "[x1,x2]",
                 return FAIL, {}
             if el.atoms:
                 lo = min(a.shift for a in el.atoms)
-                if not QS.is_identity(el.eval(lo - 1)):
+                if not QS.is_identity(TC.eval_atoms(el, lo - 1)):
                     return FAIL, {"below": lo - 1}
         return PASS, {"samples": count}
 

@@ -17,6 +17,7 @@ the level's top generator (the witness a for Q Wr S).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -91,90 +92,82 @@ Expr = Union[NameAtom, IndexedAtom, PiAtom, ShiftAtom, Mul, Inv, Pow, Conj, Comm
 _BARE_ATOMS = ("alpha", "omega", "c", "z")
 _INDEXED_ATOMS = ("tau", "phi", "chi", "psi")
 _OPS = ("*", "inv", "pow", "conj", "comm")
+_NAME = re.compile(r"([\w*]+)\s*")
+_INT = re.compile(r"(-?\d+)\s*")
+_PUNCT = {ch: re.compile(re.escape(ch) + r"\s*") for ch in "(),"}
 
 
 class _Parser:
+    """Recursive descent with one precompiled-regex match per token; each
+    token match also consumes the whitespace after it, so ``pos`` always
+    rests on the next token."""
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        self.pos = len(text) - len(text.lstrip())
 
     def error(self, message: str, expected: str | None = None):
         raise ExprSyntaxError(message, self.pos, expected)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.text[self.pos:self.pos + 1]
 
     def expect(self, ch: str):
-        if self.peek() != ch:
+        m = _PUNCT[ch].match(self.text, self.pos)
+        if m is None:
             self.error(f"unexpected {self.peek()!r}", expected=repr(ch))
-        self.pos += 1
+        self.pos = m.end()
 
-    def read_name(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                             or self.text[self.pos] in "*_"):
-            self.pos += 1
-        if self.pos == start:
+    def read_name(self) -> re.Match:
+        """The next name's match; an error about the name points at ``end(1)``."""
+        m = _NAME.match(self.text, self.pos)
+        if m is None:
             self.error("expected a name", expected="atom or operator")
-        return self.text[start:self.pos]
+        self.pos = m.end()
+        return m
 
     def read_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.peek() == "-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start or self.text[start:self.pos] == "-":
+        m = _INT.match(self.text, self.pos)
+        if m is None:
+            # a lone minus sign is consumed before the error, as a prefix
+            self.pos += self.peek() == "-"
             self.error("expected an integer", expected="integer")
-        return int(self.text[start:self.pos])
+        self.pos = m.end()
+        return int(m.group(1))
 
     def parse_expr(self) -> Expr:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            op = self.read_name()
-            if op == "*":
-                args = [self.parse_expr()]
-                while self.peek() != ")":
-                    args.append(self.parse_expr())
-                self.expect(")")
-                return Mul(tuple(args))
-            if op == "inv":
-                arg = self.parse_expr()
-                self.expect(")")
-                return Inv(arg)
-            if op == "pow":
-                arg = self.parse_expr()
-                n = self.read_int()
-                self.expect(")")
-                return Pow(arg, n)
-            if op == "conj":
-                x = self.parse_expr()
-                y = self.parse_expr()
-                self.expect(")")
-                return Conj(x, y)
-            if op == "comm":
-                x = self.parse_expr()
-                y = self.parse_expr()
-                self.expect(")")
-                return Comm(x, y)
+        if self.peek() != "(":
+            return self.parse_atom()
+        self.expect("(")
+        m = self.read_name()
+        op = m.group(1)
+        if op not in _OPS:
+            self.pos = m.end(1)
             self.error(f"unknown operator {op!r}", expected="one of " + ", ".join(_OPS))
-        return self.parse_atom()
+        if op == "*":
+            args = [self.parse_expr()]
+            while self.peek() != ")":
+                args.append(self.parse_expr())
+            out = Mul(tuple(args))
+        elif op == "inv":
+            out = Inv(self.parse_expr())
+        elif op == "pow":
+            out = Pow(self.parse_expr(), self.read_int())
+        elif op == "conj":
+            out = Conj(self.parse_expr(), self.parse_expr())
+        else:
+            out = Comm(self.parse_expr(), self.parse_expr())
+        self.expect(")")
+        return out
 
     def parse_atom(self) -> Expr:
-        name = self.read_name()
-        if name in ("c", "z", "alpha", "omega"):
+        m = self.read_name()
+        name = m.group(1)
+        if name in _BARE_ATOMS:
             return NameAtom(name)
         if name in _INDEXED_ATOMS:
+            at = self.pos + 1
             self.expect("(")
-            at = self.pos
             n = self.read_int()
             if n < 1:
                 self.pos = at
@@ -193,14 +186,15 @@ class _Parser:
             k = self.read_int()
             self.expect(")")
             return ShiftAtom(atom, k)
+        self.pos = m.end(1)
         self.error(f"unknown atom {name!r}",
                    expected="one of " + ", ".join(_BARE_ATOMS + _INDEXED_ATOMS + ("pi", "shift")))
 
 
 def parse_expr(text: str) -> Expr:
+    """Parse an element expression; linear in the length of the text."""
     p = _Parser(text)
     expr = p.parse_expr()
-    p.skip_ws()
     if p.pos != len(text):
         p.error("trailing input after the expression")
     return expr
@@ -372,10 +366,7 @@ def _build(expr: Expr, level: str, ctx: "ev.VerbalContext") -> WreathElement:
         inner = _build(expr.atom, level, ctx)
         return group.conj(inner, _top_power(level, ctx, expr.k))
     if isinstance(expr, Mul):
-        out = group.identity()
-        for a in expr.args:
-            out = group.mul(out, _build(a, level, ctx))
-        return out
+        return group.product([_build(a, level, ctx) for a in expr.args])
     if isinstance(expr, Inv):
         return group.inv(_build(expr.arg, level, ctx))
     if isinstance(expr, Pow):

@@ -27,7 +27,7 @@ class >= 3, which a user plugin supplies together with a verbal witness.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from .groundwork import Ordering, Verdict
@@ -48,10 +48,12 @@ class WordSyntaxError(ValueError):
 class Word:
     """Element of the free group on x1, x2, ... as a letter sequence.
 
-    Letters are (variable index >= 1, exponent +1 or -1).
+    Letters are (variable index >= 1, exponent +1 or -1).  ``text``, the
+    parsed text kept for messages, takes no part in equality.
     """
 
     letters: tuple[tuple[int, int], ...]
+    text: str | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for var, exp in self.letters:
@@ -70,7 +72,13 @@ class Word:
                 out.pop()
             else:
                 out.append(letter)
-        return Word(tuple(out))
+        return Word(tuple(out), self.text)
+
+    def renumbered(self) -> "Word":
+        """The word with its occurring variables renamed x1..xk in
+        increasing order."""
+        number = {v: i for i, v in enumerate(sorted({v for v, _ in self.letters}), 1)}
+        return Word(tuple((number[v], e) for v, e in self.letters), self.text)
 
     def inv(self) -> "Word":
         return Word(tuple((v, -e) for v, e in reversed(self.letters)))
@@ -186,7 +194,7 @@ def parse_word(text: str) -> Word:
     p.skip_ws()
     if p.pos != len(text):
         raise p.error("trailing input")
-    return w
+    return Word(w.letters, text)
 
 
 @dataclass(frozen=True)
@@ -387,13 +395,11 @@ class VerbalWitness:
 
 def _reduce_word(word: Word) -> tuple[Nil2Group, VerbalWitness, str]:
     """S, a witness and the family key read off one word (see select_S)."""
-    letters = word.reduced().letters
-    if not letters:
-        raise ValueError("the trivial word has no verbal embedding")
     # V is closed under renaming variables, so only the occurring ones count
-    number = {v: i for i, v in enumerate(sorted({v for v, _ in letters}), 1)}
-    w = Word(tuple((number[v], e) for v, e in letters))
-    k = len(number)
+    w = word.reduced().renumbered()
+    if not w.letters:
+        raise ValueError("the trivial word has no verbal embedding")
+    k = w.arity
     free = Nil2Group(k)
     image = eval_word(w, [free.generator(i) for i in range(1, k + 1)], free)
     if any(image.gens):
@@ -410,7 +416,7 @@ def _reduce_word(word: Word) -> tuple[Nil2Group, VerbalWitness, str]:
         key = "[x1,x2]" if abs(f) == 1 else f"[x1,x2]^{abs(f)}"
     else:
         raise UnsupportedWordSet(
-            f"word {word.fmt()!r} lies in gamma_3(F): every group of class <= 2"
+            f"word {word.text or word.fmt()!r} lies in gamma_3(F): every group of class <= 2"
             " satisfies it, so S needs class >= 3; supply a plugin with select()")
     args = tuple(images.get(j, group.identity()) for j in range(k))
     return group, VerbalWitness(eval_word(w, args, group), ((w, args, 1),)), key

@@ -36,6 +36,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from operator import sub
 from typing import Any, Iterable
 
 from .groundwork import Ordering, Rational, Verdict, format_rational
@@ -96,13 +98,12 @@ class StepFunction:
         for step, shift, exp in parts:
             if not exp:
                 continue
-            prev = step.left
-            if prev:
-                left += prev * exp
-            for b, v in zip(step.breaks, step.values):
+            if step.left:
+                left += step.left * exp
+            for b, d in step.jumps:
                 c = b + shift
-                d = v - prev if exp == 1 else (v - prev) * exp
-                prev = v
+                if exp != 1:
+                    d *= exp
                 if c in jumps:
                     jumps[c] += d
                 else:
@@ -117,6 +118,11 @@ class StepFunction:
                 breaks.append(b)
                 values.append(running)
         return StepFunction(left, tuple(breaks), tuple(values))
+
+    @cached_property
+    def jumps(self) -> tuple[tuple[int, Rational], ...]:
+        """(b, the value from b on minus the value before b) per break b."""
+        return tuple(zip(self.breaks, map(sub, self.values, (self.left,) + self.values[:-1])))
 
     def value(self, i: int) -> Rational:
         idx = bisect_right(self.breaks, i) - 1
@@ -226,9 +232,9 @@ class RayStepFunction:
     def key(self) -> "RayStepFunction":
         return self
 
-    def value(self, s: Any, coords: Any) -> Rational:
-        rep, i = coords.ray_decompose(s)
-        key = coords.rep_key(rep)
+    def value(self, s: Any) -> Rational:
+        rep, i = self.coords.ray_decompose(s)
+        key = self.coords.rep_key(rep)
         for k, _, steps in self.rays:
             if k == key:
                 return steps.value(i)
@@ -666,21 +672,25 @@ class WreathGroup:
             self._push(out, a)
         return tuple(out)
 
-    def _concat_reduced(self, left: tuple[Atom, ...], right: tuple[Atom, ...]) -> tuple[Atom, ...]:
-        """Concatenate two already-reduced atom tuples; only the junction
-        can merge or cancel, so interior atoms are not re-examined."""
-        if not left:
-            return right
-        if not right:
-            return left
-        out = list(left)
+    def _extend(self, out: list[Atom], right: tuple[Atom, ...]) -> None:
+        """Append an already-reduced atom tuple to a reduced list; only the
+        junction can merge or cancel, so interior atoms are not re-examined."""
+        if not out:
+            out.extend(right)
+            return
         for i, a in enumerate(right):
             n = len(out)
             self._push(out, a)
             if len(out) > n:
                 # nothing merged: the rest of the right side is untouched
-                return tuple(out) + right[i + 1:]
-        return tuple(out)
+                out.extend(right[i + 1:])
+                return
+
+    def _shifted(self, atoms: tuple[Atom, ...], t: Any) -> tuple[Atom, ...]:
+        """The atoms with each shift times t; they stay reduced."""
+        if self.coords.key(t) == self._top_identity_key:
+            return atoms
+        return tuple(Atom(a.fn, self.coords.mul(a.shift, t), a.exp) for a in atoms)
 
     def _same(self, *xs: WreathElement):
         for x in xs:
@@ -690,18 +700,31 @@ class WreathGroup:
     # -- group operations -------------------------------------------------
 
     def mul(self, x: WreathElement, y: WreathElement) -> WreathElement:
+        # kept apart from product((x, y)), which costs verify-rational 15 % (BENCH_1.json)
         self._same(x, y)
-        if self.coords.key(y.top) == self._top_identity_key:
-            shifted = x.atoms
-        else:
-            shifted = tuple(
-                Atom(a.fn, self.coords.mul(a.shift, y.top), a.exp) for a in x.atoms
-            )
-        ext = None
-        if self.carries_ext and x.ext is not None and y.ext is not None:
-            ext = x.ext.shifted(y.top).mul(y.ext)
-        atoms = self._concat_reduced(shifted, y.atoms)
-        return WreathElement(self, self.coords.mul(x.top, y.top), atoms, ext)
+        ext = x.ext and y.ext and x.ext.shifted(y.top).mul(y.ext)
+        out = list(self._shifted(x.atoms, y.top))
+        self._extend(out, y.atoms)
+        return WreathElement(self, self.coords.mul(x.top, y.top), tuple(out), ext)
+
+    def product(self, xs: Iterable[WreathElement]) -> WreathElement:
+        """x1 * ... * xn in one pass, equal to the left fold of mul: each
+        factor's atoms are shifted by the later tops, merged at the junctions."""
+        xs = tuple(xs)
+        self._same(*xs)
+        if not xs:
+            return self.identity()
+        coords = self.coords
+        later = [coords.identity()]
+        for x in reversed(xs[1:]):
+            later.append(coords.mul(x.top, later[-1]))
+        out, ext = [], xs[0].ext
+        for i, x in enumerate(xs):
+            self._extend(out, self._shifted(x.atoms, later[-1 - i]))
+            if i:
+                ext = ext and x.ext and ext.shifted(x.top).mul(x.ext)
+        top = coords.mul(xs[0].top, later[-1])
+        return WreathElement(self, top, tuple(out), ext)
 
     def inv(self, x: WreathElement) -> WreathElement:
         self._same(x)
@@ -710,12 +733,15 @@ class WreathGroup:
         atoms = tuple(
             Atom(a.fn, self.coords.mul(a.shift, ti), -a.exp) for a in reversed(x.atoms)
         )
-        ext = None
-        if self.carries_ext and x.ext is not None:
-            ext = x.ext.inv().shifted(ti)
-        return WreathElement(self, ti, atoms, ext)
+        return WreathElement(self, ti, atoms, x.ext and x.ext.inv().shifted(ti))
 
     def pow(self, x: WreathElement, n: int) -> WreathElement:
+        if n and len(x.atoms) == 1 and self.coords.key(x.top) == self._top_identity_key:
+            # one atom on the base: the power is that atom's exponent times n
+            self._same(x)
+            (a,) = x.atoms
+            return WreathElement(self, x.top, (Atom(a.fn, a.shift, a.exp * n),),
+                                 x.ext and x.ext.pow(n))
         if n < 0:
             return self.pow(self.inv(x), -n)
         out = self.identity()
@@ -729,7 +755,14 @@ class WreathGroup:
         return out
 
     def conj(self, x: WreathElement, y: WreathElement) -> WreathElement:
-        return self.mul(self.mul(self.inv(y), x), y)
+        if y.atoms:
+            return self.mul(self.mul(self.inv(y), x), y)
+        # by a top t alone: t^-1 x t only shifts the atoms and certificate
+        self._same(x, y)
+        t, coords = y.top, self.coords
+        top = coords.mul(coords.mul(coords.inv(t), x.top), t)
+        ext = x.ext and y.ext and x.ext.shifted(t)
+        return WreathElement(self, top, self._shifted(x.atoms, t), ext)
 
     def comm(self, x: WreathElement, y: WreathElement) -> WreathElement:
         return self.mul(self.mul(self.inv(x), self.inv(y)), self.mul(x, y))
@@ -737,6 +770,15 @@ class WreathGroup:
     # -- evaluation -------------------------------------------------------
 
     def eval(self, x: WreathElement, coord: Any) -> Any:
+        """x's base at coord; a computed canonical form is read by bisection."""
+        if x.ext is None and x._canon is not _MISSING and x._canon is not None:
+            self._same(x)
+            return x._canon.value(coord)
+        return self.eval_atoms(x, coord)
+
+    def eval_atoms(self, x: WreathElement, coord: Any) -> Any:
+        """x's base at coord from its certificate or atoms, never from its
+        canonical form, so brute-force oracles can check the form by it."""
         self._same(x)
         if x.ext is not None:
             return x.ext.value(coord)

@@ -16,7 +16,7 @@ def brute_least_difference(x: WreathElement, y: WreathElement,
     functions differ, by direct evaluation."""
     group = x.group
     for j in range(-window, window + 1):
-        if not group.fiber.equal(group.eval(x, j), group.eval(y, j)):
+        if not group.fiber.equal(group.eval_atoms(x, j), group.eval_atoms(y, j)):
             return j
     return None
 
@@ -29,7 +29,7 @@ def brute_compare(x: WreathElement, y: WreathElement, window: int = 64) -> Order
     j = brute_least_difference(x, y, window)
     if j is None:
         return Ordering.EQUAL
-    return group.fiber.compare(group.eval(x, j), group.eval(y, j))
+    return group.fiber.compare(group.eval_atoms(x, j), group.eval_atoms(y, j))
 
 
 def confirm_verdict(x: WreathElement, y: WreathElement, verdict,
@@ -42,7 +42,7 @@ def confirm_verdict(x: WreathElement, y: WreathElement, verdict,
     if verdict.witness == "top":
         return group.coords.key(x.top) != group.coords.key(y.top)
     return not group.fiber.equal(
-        group.eval(x, verdict.witness), group.eval(y, verdict.witness)
+        group.eval_atoms(x, verdict.witness), group.eval_atoms(y, verdict.witness)
     )
 
 

@@ -1,7 +1,9 @@
 import json
+import re
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wreathord.cli import Command, main, parse_argv, run_command
 from wreathord.exprs import (
@@ -52,6 +54,85 @@ def test_parse_errors_carry_positions():
         parse_expr("alpha alpha")
     with pytest.raises(ExprSyntaxError):
         parse_expr("(* )")
+
+
+# (text, message) pairs recorded from the character-by-character parser
+# that preceded the regex tokenizer; both the wording and the position
+# must stay as they were
+_GOLDEN_SYNTAX_ERRORS = [
+    ('', 'expected a name (at position 0; expected atom or operator)'),
+    ('   ', 'expected a name (at position 3; expected atom or operator)'),
+    ('(*)', 'expected a name (at position 2; expected atom or operator)'),
+    ('(foo tau(1))', "unknown operator 'foo' (at position 4; expected one of *, inv, pow, conj, comm)"),
+    ('(*tau(1))', "unknown operator '*tau' (at position 5; expected one of *, inv, pow, conj, comm)"),
+    ('tau', "unexpected '' (at position 3; expected '(')"),
+    ('tau(x)', 'expected an integer (at position 4; expected integer)'),
+    ('tau(-)', 'expected an integer (at position 5; expected integer)'),
+    ('tau( 0)', 'tau index must be >= 1 (at position 4)'),
+    ('tau(-3)', 'tau index must be >= 1 (at position 4)'),
+    ('tau(2', "unexpected '' (at position 5; expected ')')"),
+    ('bogus', "unknown atom 'bogus' (at position 5; expected one of alpha, omega, c, z, tau, phi, "
+              "chi, psi, pi, shift)"),
+    ('c_1', "unknown atom 'c_1' (at position 3; expected one of alpha, omega, c, z, tau, phi, "
+            "chi, psi, pi, shift)"),
+    ('shift(tau(1) 3)', "unexpected '3' (at position 13; expected ',')"),
+    ('shift((* tau(1)),2)', 'expected a name (at position 6; expected atom or operator)'),
+    ('(pow tau(1))', 'expected an integer (at position 11; expected integer)'),
+    ('(pow\ttau(1)\n- 3)', 'expected an integer (at position 13; expected integer)'),
+    ('(pow tau(1) 2 3)', "unexpected '3' (at position 14; expected ')')"),
+    ('(inv tau(1) tau(2))', "unexpected 't' (at position 12; expected ')')"),
+    ('(comm tau(1) tau(2)', "unexpected '' (at position 19; expected ')')"),
+    ('pi(chi(1)', "unexpected '' (at position 9; expected ')')"),
+    ('  ( *\ttau(1)\n  phi(2) )  x', 'trailing input after the expression (at position 25)'),
+    ('alpha(1)', 'trailing input after the expression (at position 5)'),
+    ('(* tau(1) ())', 'expected a name (at position 11; expected atom or operator)'),
+]
+
+
+def test_parse_error_messages_and_positions_are_golden():
+    for text, message in _GOLDEN_SYNTAX_ERRORS:
+        with pytest.raises(ExprSyntaxError) as e:
+            parse_expr(text)
+        assert str(e.value) == message, text
+        assert f"at position {e.value.position}" in message
+
+
+_BARE = st.sampled_from(["c", "z", "alpha", "omega"]).map(NameAtom)
+_INDEXED = st.builds(IndexedAtom, st.sampled_from(["tau", "phi", "chi", "psi"]),
+                     st.integers(1, 10**12))
+
+
+def _compound(inner):
+    atom = st.one_of(_BARE, _INDEXED, st.builds(PiAtom, inner))
+    return st.one_of(
+        st.builds(ShiftAtom, atom, st.integers(-10**12, 10**12)),
+        st.builds(PiAtom, inner),
+        st.lists(inner, min_size=1, max_size=4).map(lambda xs: Mul(tuple(xs))),
+        st.builds(Inv, inner),
+        st.builds(Pow, inner, st.integers(-10**12, 10**12)),
+        st.builds(Conj, inner, inner),
+        st.builds(Comm, inner, inner),
+    )
+
+
+_EXPRS = st.recursive(st.one_of(_BARE, _INDEXED), _compound, max_leaves=12)
+_TOKEN = re.compile(r"-?\d+|[\w*]+|\S")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_EXPRS, st.data())
+def test_parse_print_round_trip_with_varied_whitespace(tree, data):
+    tokens = _TOKEN.findall(print_expr(tree))
+    gaps = st.sampled_from(["", " ", "  ", "\t", "\n", " \r\n "])
+    text = data.draw(gaps)
+    for prev, tok in zip([""] + tokens, tokens):
+        gap = data.draw(gaps)
+        # two word-like tokens need whitespace between them
+        if not gap and prev and re.match(r"[\w*]", prev[-1]) and re.match(r"[\w*]", tok[0]):
+            gap = " "
+        text += (gap if prev else "") + tok
+    text += data.draw(gaps)
+    assert parse_expr(text) == tree
 
 
 def _random_atom(rng: Random):
@@ -191,6 +272,14 @@ def test_usage_errors_exit_2():
     assert status == 2
     status, _ = run_command(Command("embed-verbal", ("1/2",), {"word": "[[x1,x2],x3]"}))
     assert status == 2
+
+
+def test_gamma3_error_shows_the_word_as_typed(capsys):
+    assert main(["verify", "verbal", "--word", "[[x1,x2],x3]"]) == 2
+    out, err = capsys.readouterr()
+    # the CLI writes its one error line to stdout
+    assert out.startswith("error: word '[[x1,x2],x3]' lies in gamma_3(F)")
+    assert out.count("\n") == 1 and err == ""
 
 
 def test_verify_determinism_and_exit_codes():

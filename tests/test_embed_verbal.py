@@ -11,6 +11,7 @@ from wreathord.nilpotent import UnsupportedWordSet
 from wreathord.embed_verbal import (
     ConstructionViolation,
     VerbalContext,
+    _context_cache,
     get_context,
     unrank_sequence,
     verify_theorem2,
@@ -167,8 +168,21 @@ def test_verify_theorem2_small_budget_both_families():
 
 
 def test_unsupported_word_family():
-    with pytest.raises(UnsupportedWordSet):
+    # the message quotes the word as typed, not its expanded letters
+    with pytest.raises(UnsupportedWordSet, match=r"word '\[\[x1,x2\],x3\]' lies in gamma_3"):
         get_context("[[x1,x2],x3]")
+
+
+def test_renamings_of_a_word_share_one_context():
+    before = _context_cache.cache_info()
+    assert get_context("x1^2") is get_context("x2^2") is ZTX
+    assert get_context("[x3,x5]") is get_context("[x1,x2]") is CTX
+    assert get_context("x2*x1*x1^-1*x2") is ZTX
+    after = _context_cache.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (5, 0)
+    # x1^-2 has the same S but a different witness presentation
+    inverse = get_context("x1^-2")
+    assert inverse is not ZTX and inverse is get_context("x7^-2")
 
 
 def _rank_sequence(seq):

@@ -146,7 +146,7 @@ def test_stepfun_canonicalize_random_products():
         again = stepfun_canonicalize(el)
         assert sf == again
         for j in range(-12, 13):
-            assert sf.value(j) == el.eval(j)
+            assert sf.value(j) == QC.eval_atoms(el, j)
 
 
 @st.composite
@@ -173,7 +173,7 @@ def test_step_fold_matches_evaluation_and_ignores_order(data):
     for b in sf.breaks:
         coords.update((b - 1, b))
     for j in coords:
-        assert sf.value(j) == QC.eval(el, j), j
+        assert sf.value(j) == QC.eval_atoms(el, j), j
     # canonical: adjacent values differ, so the form is the function
     assert all(u != v for u, v in zip((sf.left,) + sf.values, sf.values))
     shuffled = QC.element(0, data.draw(st.permutations(atoms)))
@@ -207,7 +207,7 @@ def test_ray_fold_matches_evaluation(data):
     for a in atoms:
         for d in (-1, 0, 1):
             s = sc.mul(sc.witness_power(d), a.shift)
-            assert rs.value(s, sc) == ctx.QS.eval(el, s)
+            assert rs.value(s) == ctx.QS.eval_atoms(el, s)
 
 
 def test_tail_symbol():
@@ -371,7 +371,7 @@ def assert_least_difference(x, y):
     shifts = {a.shift for el in (x, y) for a in el.atoms}
 
     def differs(j):
-        return not group.fiber.equal(group.eval(x, j), group.eval(y, j))
+        return not group.fiber.equal(group.eval_atoms(x, j), group.eval_atoms(y, j))
 
     if v.is_equal:
         bad = [j for k in shifts for j in range(k - 40, k + 41) if differs(j)]
@@ -519,3 +519,82 @@ def test_level_without_exact_route_raises_type_error():
         tail.min_difference(y, tail.identity())
     with pytest.raises(TypeError, match="opaque"):
         tail.is_identity(y)
+
+
+# -- one-pass products against the generic mul route --------------------------
+
+def _level_elements(level: str, rng: Random):
+    """(group, random element, random one-atom base element) at a level."""
+    ctx = get_context("[x1,x2]")
+    if level == "qc":
+        group, x = QC, random_qc_element(rng)
+    elif level == "w":
+        group, x = W, random_w_element(rng)
+    elif level == "qs":
+        group, x = ctx.QS, ctx.random_t_element(rng, max_len=4)
+    elif level == "tc":
+        group, x = ctx.TC, ctx.random_d_element(rng, max_len=3)
+    else:
+        group = ctx.DZ
+        x = group.mul(ctx.g_word_element(ctx.random_g_word(rng)),
+                      group.point(ctx.random_d_element(rng, max_len=2), at=rng.randint(-3, 3)))
+    a = rng.choice(x.atoms) if x.atoms else None
+    one = group.atom_element(a.fn, a.shift, a.exp) if a else group.identity()
+    return group, x, one
+
+
+def _same_element(group, fast, generic) -> None:
+    assert group.coords.key(fast.top) == group.coords.key(generic.top)
+    key = lambda x: tuple((a.fn.key(), group.coords.key(a.shift), a.exp) for a in x.atoms)
+    assert key(fast) == key(generic)
+    assert (fast.ext is None) == (generic.ext is None)
+    if fast.ext is not None:
+        assert fast.ext.key() == generic.ext.key()
+    assert group.fmt(fast) == group.fmt(generic)
+
+
+def _top_coord(level: str, k: int):
+    if level == "qs":
+        return get_context("[x1,x2]").scoords.witness_power(k)
+    return k
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["qc", "w", "qs", "tc", "dz"]), st.integers(0, 10**9),
+       st.integers(0, 5), st.integers(-4, 4), st.integers(-5, 5))
+def test_one_pass_products_match_the_mul_route(level, seed, count, k, n):
+    rng = Random(seed)
+    drawn = [_level_elements(level, rng) for _ in range(max(count, 1))]
+    group = drawn[0][0]
+    xs = [x for _, x, _ in drawn][:count]
+    generic = functools.reduce(group.mul, xs, group.identity())
+    _same_element(group, group.product(xs), generic)
+    # conjugation by a top alone
+    x, one = drawn[0][1], drawn[0][2]
+    top = group.top_element(_top_coord(level, k))
+    _same_element(group, group.conj(x, top), group.mul(group.mul(group.inv(top), x), top))
+    # a power of a one-atom base element
+    base = one if n >= 0 else group.inv(one)
+    generic = functools.reduce(group.mul, [base] * abs(n), group.identity())
+    _same_element(group, group.pow(one, n), generic)
+
+
+def test_building_a_product_costs_no_mul_per_term(monkeypatch):
+    from wreathord.exprs import build_element, parse_expr
+
+    def text(terms):
+        rng = Random(terms)
+        return "(* " + " ".join(
+            f"(pow shift(tau({rng.randint(1, 500)}),{rng.randint(-5000, 5000)}) "
+            f"{rng.choice([-3, -2, -1, 1, 2, 3])})" for _ in range(terms)) + ")"
+
+    calls = []
+    mul = WreathGroup.mul
+    monkeypatch.setattr(WreathGroup, "mul", lambda self, x, y: calls.append(1) or mul(self, x, y))
+    counts = []
+    for terms in (100, 300):
+        tree = parse_expr(text(terms))
+        calls.clear()
+        build_element(tree)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2
