@@ -1,7 +1,8 @@
 """wreathord command line: evaluate, multiply, compare, embed, verify.
 
 Exit statuses: 0 all good, 1 a verification check failed, 2 usage or
-parse error.  Every comparison is decided exactly, so ``cmp`` always
+parse error; the status-2 ``error:`` line goes to stderr, with nothing
+on stdout.  Every comparison is decided exactly, so ``cmp`` always
 prints Less, Equal or Greater.
 All numeric input and output is exact.
 """
@@ -286,7 +287,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else USAGE_ERROR
     status, output = run_command(cmd)
-    sys.stdout.write(output)
+    # a usage error's one line goes where argparse writes its own
+    (sys.stderr if status == USAGE_ERROR else sys.stdout).write(output)
     return status
 
 

@@ -13,9 +13,10 @@ j > 0, and the embedding is
     m/n  |->  [alpha^(z^-n), alpha]^m,
 
 whose evaluation is the point function with value m/n at (z^0, c^0).
-Every image element carries that point form as a verified certificate,
-so downstream equality and order queries on embedded rationals are O(1)
-instead of re-running the tail criterion.
+phi_n's image carries that point form as a certificate, checked by the
+exact alpha tail criterion when it is made, and its powers take the
+certificate's power pointwise, so downstream equality and order queries
+on embedded rationals are O(1) instead of re-running the tail criterion.
 
 The verification suites at the bottom (homomorphism, injectivity, order
 preservation, normal-form bound, torsion-freeness, solvable length 3,
@@ -241,17 +242,28 @@ class GWord:
         return self.fmt()
 
 
-def g_word_element(w: GWord) -> WreathElement:
-    """Evaluate a word over {alpha, z} in W."""
-    out = W.identity()
+def commutator_word(gen: str, a: int, b: int, m: int) -> GWord:
+    """[g^(z^-a), g^(z^-b)]^m over {gen, z}, with g^(z^-k) spelt
+    z^k g z^-k and its z^0 letters dropped."""
+    def conj(k: int, e: int) -> tuple:
+        return (("z", k), (gen, e), ("z", -k)) if k else ((gen, e),)
+    return GWord(conj(a, -1) + conj(b, -1) + conj(a, 1) + conj(b, 1)).power(m)
+
+
+def g_word_element(w: GWord, tail: WreathElement | None = None) -> WreathElement:
+    """Evaluate a word over {g, z} in g's group, g the tail generator
+    (alpha in W by default, or a context's omega in D Wr Z)."""
+    g = alpha() if tail is None else tail
+    group, gen = g.group, g.atoms[0].fn.name
+    out = group.identity()
     for name, e in w.letters:
         if name == "z":
-            g = z_elem(e)
-        elif name == "alpha":
-            g = W.pow(alpha(), e)
+            x = group.top_element(e)
+        elif name == gen:
+            x = group.pow(g, e)
         else:
             raise ValueError(f"unknown generator {name!r}")
-        out = W.mul(out, g)
+        out = group.mul(out, x)
     return out
 
 
@@ -267,19 +279,8 @@ class GNormalForm:
     factors: tuple[tuple[int, int], ...]
 
     def grouped(self) -> dict[int, int]:
-        nets: dict[int, int] = {}
-        for shift, exp in self.factors:
-            nets[shift] = nets.get(shift, 0) + exp
+        nets = net_exponents(Atom(_ALPHA_FN, s, e) for s, e in self.factors)
         return dict(sorted(nets.items()))
-
-    def fmt(self) -> str:
-        if not self.k and not self.factors:
-            return "1"
-        parts = [f"z^{self.k}"] if self.k else []
-        for shift, exp in self.factors:
-            s = f"(alpha^[z^{shift}])"
-            parts.append(s if exp == 1 else s + f"^{exp}")
-        return " * ".join(parts)
 
 
 def g_normal_form(w: GWord | WreathElement) -> GNormalForm:
@@ -304,38 +305,17 @@ def alpha_commutator(n: int) -> WreathElement:
 
 @lru_cache(maxsize=None)
 def phi_star(n: int) -> WreathElement:
-    """The image of phi_n in the first copy of Q Wr C, certified.
-
-    Both commutands are single-atom base elements (top z^0), so the
-    commutator evaluates pointwise: value at z^j is
-    [alpha(j+n), alpha(j)].  alpha(j) is the identity for j < 0, which
-    kills every coordinate below 0, and for j > 0 both values lie in
-    the abelian base Q^C, which kills every coordinate above 0.  The
-    only coordinate left, j = 0, is computed exactly.
-    """
-    raw = alpha_commutator(n)
-    if raw.top != 0 or any(a.shift not in (-n, 0) for a in raw.atoms):
-        raise AssertionError("unexpected commutator shape")
-    at0 = QC.comm(alpha_value(n), alpha_value(0))
-    if not QC.equal(at0, phi(n)):
-        raise AssertionError(f"[tau_{n}, c] != phi_{n}")
-    steps = FiberSteps.make(QC, QC.identity(), [(0, phi(n)), (1, QC.identity())])
-    return WreathElement(W, raw.top, raw.atoms, steps)
+    """The image of phi_n in the first copy of Q Wr C: [alpha^(z^-n),
+    alpha], certified by the alpha tail criterion as the point function
+    phi_n at z^0 ([tau_n, c] there; below z^0 alpha is the identity, and
+    above it both values lie in the abelian base Q^C)."""
+    return W.certified(alpha_commutator(n), phi(n))
 
 
 def big_phi(q: Rational) -> GWord:
-    """The word [z^n alpha z^-n, alpha]^m sent to m/n (n > 0 canonical)."""
+    """The word [alpha^(z^-n), alpha]^m sent to m/n (n > 0 canonical)."""
     q = Fraction(q)
-    m, n = q.numerator, q.denominator
-    if m == 0:
-        return GWord(())
-    base = GWord((
-        ("z", n), ("alpha", -1), ("z", -n),
-        ("alpha", -1),
-        ("z", n), ("alpha", 1), ("z", -n),
-        ("alpha", 1),
-    ))
-    return base.power(m)
+    return commutator_word("alpha", q.denominator, 0, q.numerator)
 
 
 @lru_cache(maxsize=None)
@@ -417,9 +397,10 @@ def random_w_base(rng: Random) -> WreathElement:
     return W.element(0, el.atoms)
 
 
-def random_g_word(rng: Random, max_len: int = 8) -> GWord:
+def random_g_word(rng: Random, max_len: int = 8, gen: str = "alpha") -> GWord:
+    """A random word of 1 to max_len letters gen^(+-1) and z^(+-1)."""
     letters = tuple(
-        (rng.choice(["alpha", "z"]), rng.choice([-1, 1]))
+        (rng.choice([gen, "z"]), rng.choice([-1, 1]))
         for _ in range(rng.randint(1, max_len))
     )
     return GWord(letters)

@@ -29,15 +29,15 @@ indices make the embedding's word for m/n computable in O(1):
 
     m/n  |->  [omega^(z^-2^(2n-1)), omega^(z^-1)]^m.
 
-Images carry verified point-form certificates exactly as in the
-rational embedding, so equality and order queries stay cheap even
-though the shifts grow like 2^(2n-1).
+Images carry point-form certificates checked exactly as in the
+rational embedding (``WreathGroup.certified``), and powers take the
+certificate's power pointwise, so equality and order queries stay cheap
+even though the shifts grow like 2^(2n-1).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
@@ -54,8 +54,8 @@ from .groundwork import (
 from .nilpotent import (
     MalcevElement,
     Nil2Group,
+    VerbalWitness,
     Word,
-    eval_word,
     parse_word,
     select_S,
     verify_witness,
@@ -64,6 +64,7 @@ from .reporting import FAIL, PASS, Report, run_checks
 from .wreath import (
     Atom,
     BaseFunction,
+    ConstructionViolation,
     FiberSteps,
     PointFn,
     RayStepFunction,
@@ -73,11 +74,7 @@ from .wreath import (
     derived_commutator,
     net_exponents,
 )
-from .embed_rationals import GWord
-
-
-class ConstructionViolation(Exception):
-    """An identity the construction guarantees failed to verify."""
+from .embed_rationals import GWord, commutator_word, g_word_element, random_g_word
 
 
 class SCoords:
@@ -266,23 +263,6 @@ class OmegaFn(BaseFunction):
         return group.least_nonidentity(element, candidates)
 
 
-@dataclass(frozen=True)
-class PsiCertificate:
-    """psi_n as a signed product of word values of V over T: the inverse
-    of the witness presentation followed by the presentation with every
-    argument conjugated by chi_n."""
-
-    n: int
-    factors: tuple[tuple[Word, tuple[WreathElement, ...], int], ...]
-
-    def replay(self, group: WreathGroup) -> WreathElement:
-        out = group.identity()
-        for word, args, sign in self.factors:
-            value = eval_word(word, args, group)
-            out = group.mul(out, value if sign == 1 else group.inv(value))
-        return out
-
-
 def unrank_sequence(i: int) -> tuple[int, ...]:
     """The i-th nonempty finite sequence of naturals: ``bin(i + 1)`` read
     as blocks ``1 0^s``, one entry s per block.  A bijection from N onto
@@ -343,11 +323,12 @@ class VerbalContext:
         return self._psi[n]
 
     def psi_from_witness(self, n: int, a_element: WreathElement | None = None,
-                         ) -> tuple[WreathElement, PsiCertificate]:
+                         ) -> VerbalWitness:
         """Compute a^-1 a^(chi_n) inside Q Wr S, check it against psi_n,
-        and emit the verbal certificate (a product of V-values: the
-        conjugate of a word value is the word value of the conjugated
-        arguments)."""
+        and return it as a verbal witness over Q Wr S: the inverse of the
+        witness presentation followed by the presentation with every
+        argument conjugated by chi_n (the conjugate of a word value is the
+        word value of the conjugated arguments)."""
         a_el = self.a_elem() if a_element is None else a_element
         computed = self.QS.mul(self.QS.inv(a_el), self.QS.conj(a_el, self.chi(n)))
         if not self.QS.equal(computed, self.psi(n)):
@@ -362,7 +343,7 @@ class VerbalContext:
                 self.QS.conj(self.s_top(g), self.chi(n)) for g in args
             )
             factors.append((word, conj_args, sign))
-        return computed, PsiCertificate(n, tuple(factors))
+        return VerbalWitness(computed, tuple(factors))
 
     # -- T wr C ------------------------------------------------------------
 
@@ -451,7 +432,6 @@ class VerbalContext:
             return self._omega_comms[(n, m)]
         x = self.DZ.conj(self.omega(), self.z_elem(-(1 << n)))
         y = self.DZ.conj(self.omega(), self.z_elem(-(1 << m)))
-        raw = self.DZ.comm(x, y)
         dval = self.TC.comm(self.enumerate_D(n), self.enumerate_D(m))
         # normalize the certificate value extensionally so that its powers
         # stay single atoms (a point form when the support is finite)
@@ -459,14 +439,7 @@ class VerbalContext:
             dval = self.TC.from_finite_steps(dval.top, self.TC.base_canonical(dval))
         except ValueError:
             pass
-        steps = FiberSteps.make(self.TC, self.TC.identity(),
-                                [(0, dval), (1, self.TC.identity())])
-        expected = self.DZ.from_finite_steps(0, steps)
-        if not self.DZ.equal_verdict(raw, expected).is_equal:
-            raise ConstructionViolation(
-                f"omega commutator ({n}, {m}) failed its point-form certificate"
-            )
-        out = WreathElement(self.DZ, raw.top, raw.atoms, steps)
+        out = self.DZ.certified(self.DZ.comm(x, y), dval)
         self._omega_comms[(n, m)] = out
         return out
 
@@ -481,41 +454,15 @@ class VerbalContext:
             out = self.DZ.identity()
         else:
             comm = self.omega_commutator(self.index_of_psi_slot(q.denominator), 0)
-            # power the atoms and the certificate separately: the base of a
-            # top-trivial element powers pointwise, so one FiberSteps.pow
-            # replaces a cascade of per-multiplication compositions
-            bare = WreathElement(self.DZ, comm.top, comm.atoms, None)
-            powed = self.DZ.pow(bare, q.numerator)
-            out = WreathElement(self.DZ, powed.top, powed.atoms,
-                                comm.ext.pow(q.numerator))
+            out = self.DZ.pow(comm, q.numerator)
         self._embeds[q] = out
         return out
 
     def embed_word(self, q: Rational) -> GWord:
+        """The word [omega^(z^-2^(2n-1)), omega^(z^-1)]^m of m/n."""
         q = Fraction(q)
-        if q == 0:
-            return GWord(())
-        m, n = q.numerator, q.denominator
-        p = 1 << self.index_of_psi_slot(n)
-        base = GWord((
-            ("z", p), ("omega", -1), ("z", -p),
-            ("z", 1), ("omega", -1), ("z", -1),
-            ("z", p), ("omega", 1), ("z", -p),
-            ("z", 1), ("omega", 1), ("z", -1),
-        ))
-        return base.power(m)
-
-    def g_word_element(self, w: GWord) -> WreathElement:
-        out = self.DZ.identity()
-        for name, e in w.letters:
-            if name == "z":
-                g = self.z_elem(e)
-            elif name == "omega":
-                g = self.DZ.pow(self.omega(), e)
-            else:
-                raise ValueError(f"unknown generator {name!r}")
-            out = self.DZ.mul(out, g)
-        return out
+        return commutator_word("omega", 1 << self.index_of_psi_slot(q.denominator), 1,
+                               q.numerator)
 
     # -- randomized families --------------------------------------------------
 
@@ -540,13 +487,6 @@ class VerbalContext:
                     p = self.TC.inv(p)
                 out = self.TC.mul(out, p)
         return out
-
-    def random_g_word(self, rng: Random, max_len: int = 4) -> GWord:
-        letters = tuple(
-            (rng.choice(["omega", "z"]), rng.choice([-1, 1]))
-            for _ in range(rng.randint(1, max_len))
-        )
-        return GWord(letters)
 
 
 @lru_cache(maxsize=None)
@@ -587,8 +527,8 @@ def verify_theorem2(family: Word | str | Any = "[x1,x2]",
 
     def psi_identity(rng, budget):
         for n in range(1, 51):
-            computed, cert = ctx.psi_from_witness(n)
-            if not QS.equal(computed, ctx.psi(n)):
+            cert = ctx.psi_from_witness(n)
+            if not QS.equal(cert.element, ctx.psi(n)):
                 return FAIL, {"n": n}
             if not QS.equal(cert.replay(QS), ctx.psi(n)):
                 return FAIL, {"n": n, "stage": "certificate replay"}
@@ -714,7 +654,7 @@ def verify_theorem2(family: Word | str | Any = "[x1,x2]",
         depth = c + 3
         tuples = max(2, budget // 100)
         for _ in range(tuples):
-            elems = [ctx.g_word_element(ctx.random_g_word(rng, max_len=3))
+            elems = [g_word_element(random_g_word(rng, max_len=3, gen="omega"), ctx.omega())
                      for _ in range(1 << depth)]
             if not DZ.is_identity(derived_commutator(DZ, elems)):
                 return FAIL, {"depth": depth}

@@ -379,13 +379,14 @@ def eval_word(w: Word, args: Sequence[Any], group: Any = None) -> Any:
 
 @dataclass(frozen=True)
 class VerbalWitness:
-    """Nontrivial positive element of V(S) together with its presentation
-    as a signed product of word values."""
+    """An element of V(G) together with its presentation as a signed
+    product of word values over G: the nontrivial positive witness in
+    V(S), or psi_n in V(T) over Q Wr S."""
 
-    element: MalcevElement
-    presentation: tuple[tuple[Word, tuple[MalcevElement, ...], int], ...]
+    element: Any
+    presentation: tuple[tuple[Word, tuple[Any, ...], int], ...]
 
-    def replay(self, group: Any) -> MalcevElement:
+    def replay(self, group: Any) -> Any:
         out = group.identity()
         for word, args, sign in self.presentation:
             value = eval_word(word, args, group)

@@ -47,6 +47,10 @@ class MixedAtomError(ValueError):
     """tail_symbol got a product mixing different atom kinds."""
 
 
+class ConstructionViolation(Exception):
+    """An identity the construction guarantees failed to verify."""
+
+
 # ----------------------------------------------------------------------
 # canonical extensional forms
 # ----------------------------------------------------------------------
@@ -539,13 +543,13 @@ class WreathElement:
 
     ``ext``, when present, is a FiberSteps form that is evaluation-equal
     to the formal product; it is attached only by certified constructors
-    and is preserved by products, inverses, and powers.  Per-element
-    caches only ever hold deterministically recomputable values, so
-    concurrent readers either miss (and recompute the same value) or
-    observe a consistent entry.
+    and is preserved by products, inverses, and powers.  The cached
+    canonical form is deterministically recomputable, so concurrent
+    readers either miss (and recompute the same value) or observe a
+    consistent entry.
     """
 
-    __slots__ = ("group", "top", "atoms", "ext", "_evals", "_canon")
+    __slots__ = ("group", "top", "atoms", "ext", "_canon")
 
     def __init__(self, group: "WreathGroup", top: Any, atoms: tuple[Atom, ...],
                  ext: FiberSteps | None = None):
@@ -553,7 +557,6 @@ class WreathElement:
         self.top = top
         self.atoms = atoms
         self.ext = ext
-        self._evals: dict = {}
         self._canon = _MISSING
 
     def eval(self, coord: Any) -> Any:
@@ -642,6 +645,19 @@ class WreathGroup:
             for c, v in steps.finite_support_pairs()
         )
         return WreathElement(self, top, atoms, steps if self.carries_ext else None)
+
+    def certified(self, raw: WreathElement, value: Any) -> WreathElement:
+        """raw, a top-trivial element of a level with certificates, with the
+        point form taking ``value`` at z^0 attached as its certificate, once
+        the level's exact ``equal`` has checked raw against that form."""
+        self._same(raw)
+        one = self.fiber.identity()
+        steps = FiberSteps.make(self.fiber, one, [(0, value), (1, one)])
+        if raw.top != 0 or not self.equal(raw, self.from_finite_steps(0, steps)):
+            raise ConstructionViolation(
+                f"{self.name}: element is not the point function "
+                f"{self.fiber.fmt(value)} at z^0")
+        return WreathElement(self, raw.top, raw.atoms, steps)
 
     def _push(self, out: list[Atom], a: Atom) -> None:
         """Append one atom to an already-reduced list, merging or
@@ -736,12 +752,18 @@ class WreathGroup:
         return WreathElement(self, ti, atoms, x.ext and x.ext.inv().shifted(ti))
 
     def pow(self, x: WreathElement, n: int) -> WreathElement:
-        if n and len(x.atoms) == 1 and self.coords.key(x.top) == self._top_identity_key:
-            # one atom on the base: the power is that atom's exponent times n
+        if n and self.coords.key(x.top) == self._top_identity_key:
+            # with the top trivial the base powers pointwise: the certificate
+            # takes one FiberSteps.pow, one atom multiplies its exponent, and
+            # more atoms are powered without the certificate
             self._same(x)
-            (a,) = x.atoms
-            return WreathElement(self, x.top, (Atom(a.fn, a.shift, a.exp * n),),
-                                 x.ext and x.ext.pow(n))
+            ext = x.ext and x.ext.pow(n)
+            if len(x.atoms) == 1:
+                (a,) = x.atoms
+                return WreathElement(self, x.top, (Atom(a.fn, a.shift, a.exp * n),), ext)
+            if ext is not None:
+                bare = self.pow(WreathElement(self, x.top, x.atoms), n)
+                return WreathElement(self, bare.top, bare.atoms, ext)
         if n < 0:
             return self.pow(self.inv(x), -n)
         out = self.identity()
@@ -782,17 +804,12 @@ class WreathGroup:
         self._same(x)
         if x.ext is not None:
             return x.ext.value(coord)
-        k = self.coords.key(coord)
-        hit = x._evals.get(k, _MISSING)
-        if hit is not _MISSING:
-            return hit
         one = v = self.fiber.identity()
         for a in x.atoms:
             rel = self.coords.mul(coord, self.coords.inv(a.shift))
             av = a.fn.value(rel)
             if av is not one and not self.fiber.is_identity(av):
                 v = self.fiber.mul(v, av if a.exp == 1 else self.fiber.pow(av, a.exp))
-        x._evals[k] = v
         return v
 
     # -- canonical forms ----------------------------------------------------

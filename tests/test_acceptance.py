@@ -19,7 +19,9 @@ from wreathord.embed_rationals import (
     c_elem,
     commutator_table,
     expected_commutator_case,
+    g_word_element,
     phi,
+    random_g_word,
     random_qc_element,
     random_w_element,
     tau,
@@ -131,8 +133,8 @@ def test_criterion_7_verdict_soundness():
         assert confirm_verdict(x, y, W.min_difference(x, y))
         checked += 1
     for _ in range(100):
-        x = ctx.g_word_element(ctx.random_g_word(rng, max_len=4))
-        y = ctx.g_word_element(ctx.random_g_word(rng, max_len=4))
+        x = g_word_element(random_g_word(rng, max_len=4, gen="omega"), ctx.omega())
+        y = g_word_element(random_g_word(rng, max_len=4, gen="omega"), ctx.omega())
         y = ctx.DZ.element(x.top, y.atoms)
         assert confirm_verdict(x, y, ctx.DZ.min_difference(x, y))
         checked += 1

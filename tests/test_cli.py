@@ -277,9 +277,9 @@ def test_usage_errors_exit_2():
 def test_gamma3_error_shows_the_word_as_typed(capsys):
     assert main(["verify", "verbal", "--word", "[[x1,x2],x3]"]) == 2
     out, err = capsys.readouterr()
-    # the CLI writes its one error line to stdout
-    assert out.startswith("error: word '[[x1,x2],x3]' lies in gamma_3(F)")
-    assert out.count("\n") == 1 and err == ""
+    # the CLI writes its one error line to stderr, like argparse
+    assert err.startswith("error: word '[[x1,x2],x3]' lies in gamma_3(F)")
+    assert err.count("\n") == 1 and out == ""
 
 
 def test_verify_determinism_and_exit_codes():
@@ -412,12 +412,42 @@ def test_verify_orders_small_window_is_honoured(capsys, window):
 ])
 def test_negative_window_or_budget_is_a_usage_error(capsys, argv):
     assert main(argv) == 2
-    out = capsys.readouterr().out
-    assert out.startswith("error: --") and out.count("\n") == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: --") and err.count("\n") == 1 and out == ""
 
 
 @pytest.mark.parametrize("suite", ["section2", "verbal"])
 def test_verify_window_only_applies_to_orders(capsys, suite):
     assert main(["verify", suite, "--window", "3", "--budget", "1"]) == 2
-    out = capsys.readouterr().out
-    assert out == f"error: verify {suite} takes no --window\n"
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: verify {suite} takes no --window\n")
+
+
+def test_embed_outputs_are_golden():
+    from pathlib import Path
+    golden = json.loads((Path(__file__).parent / "embed_golden.json").read_text())
+    assert len(golden) == 15
+    for key, expected in golden.items():
+        name, q, *rest = key.split(" ")
+        options = {"word": rest[1]} if rest else {}
+        assert run_command(Command(name, (q,), options)) == (0, expected), key
+
+
+def test_perfbench_tracer_installs_against_src():
+    # every library name the benchmark's tracer wraps must still exist
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    root = Path(__file__).resolve().parent.parent
+    code = ("from fractions import Fraction\n"
+            "from tracer import Tracer\n"
+            "from wreathord import embed_rationals as er\n"
+            "t = Tracer()\n"
+            "t.install()\n"
+            "er.phi_element(Fraction(2, 3))\n"
+            "print(t.calls['embed_rationals.phi_element'])\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    done = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1\n", "")

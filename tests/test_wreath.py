@@ -12,6 +12,7 @@ from wreathord.groundwork import RATIONALS, IntCoords, Ordering
 from wreathord.wreath import (
     Atom,
     BaseFunction,
+    ConstructionViolation,
     FiberSteps,
     MixedAtomError,
     PointFn,
@@ -28,9 +29,12 @@ from wreathord.embed_rationals import (
     alpha_commutator,
     beta_tilde,
     c_elem,
+    g_word_element,
     phi,
     phi_element,
+    phi_star,
     qc_point,
+    random_g_word,
     random_qc_element,
     random_w_element,
     tau,
@@ -536,7 +540,7 @@ def _level_elements(level: str, rng: Random):
         group, x = ctx.TC, ctx.random_d_element(rng, max_len=3)
     else:
         group = ctx.DZ
-        x = group.mul(ctx.g_word_element(ctx.random_g_word(rng)),
+        x = group.mul(g_word_element(random_g_word(rng, max_len=4, gen="omega"), ctx.omega()),
                       group.point(ctx.random_d_element(rng, max_len=2), at=rng.randint(-3, 3)))
     a = rng.choice(x.atoms) if x.atoms else None
     one = group.atom_element(a.fn, a.shift, a.exp) if a else group.identity()
@@ -598,3 +602,55 @@ def test_building_a_product_costs_no_mul_per_term(monkeypatch):
         build_element(tree)
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 2
+
+
+# -- certificates: checked when made, powered pointwise -------------------------
+
+def test_certified_raises_on_a_wrong_value():
+    raw = alpha_commutator(3)
+    assert W.certified(raw, phi(3)).ext.key() == phi_star(3).ext.key()
+    for wrong in (phi(4), QC.identity(), QC.pow(phi(3), 2)):
+        with pytest.raises(ConstructionViolation):
+            W.certified(raw, wrong)
+    with pytest.raises(ConstructionViolation):
+        W.certified(W.mul(raw, z_elem()), phi(3))
+    ctx = get_context("[x1,x2]")
+    TC, DZ = ctx.TC, ctx.DZ
+    raw = DZ.comm(DZ.conj(ctx.omega(), ctx.z_elem(-2)), DZ.conj(ctx.omega(), ctx.z_elem(-1)))
+    right = TC.comm(ctx.enumerate_D(1), ctx.enumerate_D(0))
+    assert DZ.equal(DZ.certified(raw, right), ctx.omega_commutator(1, 0))
+    for wrong in (TC.identity(), TC.inv(right), TC.comm(ctx.enumerate_D(3), ctx.enumerate_D(0))):
+        with pytest.raises(ConstructionViolation):
+            DZ.certified(raw, wrong)
+
+
+def _certified_pool():
+    ctx = get_context("[x1,x2]")
+    DZ = ctx.DZ
+    w = [phi_star(1), phi_star(4), W.mul(phi_star(2), phi_star(3)),
+         W.mul(phi_star(2), w_point(qc_point(Fraction(1, 2)), at=3)),
+         W.conj(phi_star(3), z_elem(2))]
+    dz = [ctx.omega_commutator(1, 0), ctx.omega_commutator(2, 5),
+          DZ.mul(ctx.omega_commutator(3, 0), ctx.omega_commutator(1, 0)),
+          DZ.mul(ctx.omega_commutator(1, 2), DZ.point(ctx.enumerate_D(4), at=-2))]
+    return [(W, x) for x in w] + [(DZ, x) for x in dz]
+
+
+def test_powers_of_certified_elements_match_the_mul_fold():
+    for group, x in _certified_pool():
+        assert x.ext is not None and x.top == 0
+        for n in range(-5, 6):
+            base = x if n >= 0 else group.inv(x)
+            generic = functools.reduce(group.mul, [base] * abs(n), group.identity())
+            _same_element(group, group.pow(x, n), generic)
+        assert group.pow(x, 0) is group.identity()
+
+
+def test_phi_element_powers_its_certificate_without_multiplying_it(monkeypatch):
+    phi_star(1013)
+    calls = []
+    mul = FiberSteps.mul
+    monkeypatch.setattr(FiberSteps, "mul", lambda self, other: calls.append(1) or mul(self, other))
+    el = phi_element(Fraction(5, 1013))
+    assert calls == []
+    assert QC.equal(el.eval(0), QC.pow(phi(1013), 5))
