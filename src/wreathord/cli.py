@@ -32,7 +32,7 @@ class Command:
 
 
 def _ctx(options) -> ev.VerbalContext:
-    word = options.get("word") or "[x1,x2]"
+    word = options.get("word", "[x1,x2]")
     return ev.get_context(word)
 
 
@@ -185,7 +185,7 @@ def run_command(cmd: Command) -> tuple[int, str]:
             if suite == "section2":
                 report = er.verify_section2(seed=seed, budget=budget)
             elif suite == "verbal":
-                word = opts.get("word") or "[x1,x2]"
+                word = opts.get("word", "[x1,x2]")
                 report = ev.verify_theorem2(word, seed=seed, budget=budget)
             elif suite == "orders":
                 report = er.verify_order_laws(seed=seed, budget=budget,

@@ -13,10 +13,11 @@ j > 0, and the embedding is
     m/n  |->  [alpha^(z^-n), alpha]^m,
 
 whose evaluation is the point function with value m/n at (z^0, c^0).
-phi_n's image carries that point form as a certificate, checked by the
-exact alpha tail criterion when it is made, and its powers take the
-certificate's power pointwise, so downstream equality and order queries
-on embedded rationals are O(1) instead of re-running the tail criterion.
+The exact alpha tail criterion decides that equality once per
+denominator n, and from then on phi_n's image is that point atom: the
+image of m/n is one atom with exponent m, so downstream equality and
+order queries on embedded rationals compare canonical forms instead of
+re-running the tail criterion.
 
 The verification suites at the bottom (homomorphism, injectivity, order
 preservation, normal-form bound, torsion-freeness, solvable length 3,
@@ -305,10 +306,10 @@ def alpha_commutator(n: int) -> WreathElement:
 
 @lru_cache(maxsize=None)
 def phi_star(n: int) -> WreathElement:
-    """The image of phi_n in the first copy of Q Wr C: [alpha^(z^-n),
-    alpha], certified by the alpha tail criterion as the point function
-    phi_n at z^0 ([tau_n, c] there; below z^0 alpha is the identity, and
-    above it both values lie in the abelian base Q^C)."""
+    """The image of phi_n in the first copy of Q Wr C: the point function
+    phi_n at z^0, which the alpha tail criterion decides equal to
+    [alpha^(z^-n), alpha] ([tau_n, c] there; below z^0 alpha is the
+    identity, and above it both values lie in the abelian base Q^C)."""
     return W.certified(alpha_commutator(n), phi(n))
 
 
@@ -318,9 +319,9 @@ def big_phi(q: Rational) -> GWord:
     return commutator_word("alpha", q.denominator, 0, q.numerator)
 
 
-@lru_cache(maxsize=None)
 def phi_element(q: Rational) -> WreathElement:
-    """Certified element of W representing the embedded rational q."""
+    """The element of W representing the embedded rational q: the point
+    atom of phi_star(n) with exponent m, for q = m/n."""
     q = Fraction(q)
     if q == 0:
         return W.identity()

@@ -29,10 +29,11 @@ indices make the embedding's word for m/n computable in O(1):
 
     m/n  |->  [omega^(z^-2^(2n-1)), omega^(z^-1)]^m.
 
-Images carry point-form certificates checked exactly as in the
-rational embedding (``WreathGroup.certified``), and powers take the
-certificate's power pointwise, so equality and order queries stay cheap
-even though the shifts grow like 2^(2n-1).
+As in the rational embedding, the omega tail criterion decides each
+commutator equal to its point function once (``WreathGroup.certified``),
+and from then on the commutator is that point atom and an image is one
+atom with exponent m, so equality and order queries stay cheap even
+though the shifts grow like 2^(2n-1).
 """
 
 from __future__ import annotations
@@ -298,7 +299,6 @@ class VerbalContext:
         self._d_words: dict[int, WreathElement] = {}
         self._omega: WreathElement | None = None
         self._omega_comms: dict[tuple[int, int], WreathElement] = {}
-        self._embeds: dict[Rational, WreathElement] = {}
 
     # -- Q wr S ----------------------------------------------------------
 
@@ -416,8 +416,8 @@ class VerbalContext:
         return self._omega
 
     def omega_commutator(self, n: int, m: int) -> WreathElement:
-        """[omega^(z^-2^n), omega^(z^-2^m)], certified equal to the point
-        function with value [d_n, d_m] at z^0.
+        """The point function with value [d_n, d_m] at z^0, once decided
+        equal to [omega^(z^-2^n), omega^(z^-2^m)].
 
         The only coordinate where both shift groups are active is z^0
         (the dyadic collision equation has no other solution), which the
@@ -433,8 +433,8 @@ class VerbalContext:
         x = self.DZ.conj(self.omega(), self.z_elem(-(1 << n)))
         y = self.DZ.conj(self.omega(), self.z_elem(-(1 << m)))
         dval = self.TC.comm(self.enumerate_D(n), self.enumerate_D(m))
-        # normalize the certificate value extensionally so that its powers
-        # stay single atoms (a point form when the support is finite)
+        # normalize the point value extensionally, to point atoms of T wr C
+        # when its support is finite, so that its powers stay short
         try:
             dval = self.TC.from_finite_steps(dval.top, self.TC.base_canonical(dval))
         except ValueError:
@@ -444,19 +444,15 @@ class VerbalContext:
         return out
 
     def embed(self, q: Rational) -> WreathElement:
-        """Certified image of q in G = <omega, z>: for m/n the word
+        """Image of q in G = <omega, z>: for m/n the word
         [omega^(z^-2^(2n-1)), omega^(z^-1)]^m, whose value at z^0 is
-        rho applied to psi_n^m (and identity everywhere else)."""
+        rho applied to psi_n^m (and identity everywhere else), held as
+        that point atom with exponent m."""
         q = Fraction(q)
-        if q in self._embeds:
-            return self._embeds[q]
         if q == 0:
-            out = self.DZ.identity()
-        else:
-            comm = self.omega_commutator(self.index_of_psi_slot(q.denominator), 0)
-            out = self.DZ.pow(comm, q.numerator)
-        self._embeds[q] = out
-        return out
+            return self.DZ.identity()
+        comm = self.omega_commutator(self.index_of_psi_slot(q.denominator), 0)
+        return self.DZ.pow(comm, q.numerator)
 
     def embed_word(self, q: Rational) -> GWord:
         """The word [omega^(z^-2^(2n-1)), omega^(z^-1)]^m of m/n."""

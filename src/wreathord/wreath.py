@@ -28,7 +28,9 @@ Equality of two elements with equal tops is decided in two exact tiers:
 Every element a built-in level can construct is decided by one of
 them, so ``Equal`` and ``Distinct`` are the only verdicts produced; a
 level given an atom with neither a form nor a tail criterion raises
-TypeError instead of guessing.
+TypeError instead of guessing.  A tail product known to equal a point
+function is replaced by that point atom once ``WreathGroup.certified``
+has decided the equality, so it takes tier 1 from then on.
 """
 
 from __future__ import annotations
@@ -321,14 +323,15 @@ class FiberSteps:
     @staticmethod
     def of_atoms(group: "WreathGroup", atoms: Iterable["Atom"]) -> "FiberSteps":
         """Product of the atoms' forms, multiplied one by one, since the
-        fiber need not be abelian."""
-        fs = FiberSteps.identity(group.fiber)
+        fiber need not be abelian.  It starts from the first form, so a
+        lone atom keeps its own fiber values (and their cached forms)."""
+        fs = None
         for a in atoms:
             part = a.fn.fiber_steps(group.fiber).shifted(a.shift)
             if a.exp != 1:
                 part = part.pow(a.exp)
-            fs = fs.mul(part)
-        return fs
+            fs = part if fs is None else fs.mul(part)
+        return FiberSteps.identity(group.fiber) if fs is None else fs
 
     def value(self, i: int):
         idx = bisect_right(self.breaks, i) - 1
@@ -348,10 +351,6 @@ class FiberSteps:
         merged = sorted(set(self.breaks) | set(other.breaks))
         changes = [(b, f.mul(self.value(b), other.value(b))) for b in merged]
         return FiberSteps.make(f, f.mul(self.left, other.left), changes)
-
-    def inv(self) -> "FiberSteps":
-        f = self.fiber
-        return FiberSteps(f, f.inv(self.left), self.breaks, tuple(f.inv(v) for v in self.values))
 
     def pow(self, n: int) -> "FiberSteps":
         f = self.fiber
@@ -541,22 +540,17 @@ _MISSING = object()
 class WreathElement:
     """top * base, with the base a formal product of shifted atoms.
 
-    ``ext``, when present, is a FiberSteps form that is evaluation-equal
-    to the formal product; it is attached only by certified constructors
-    and is preserved by products, inverses, and powers.  The cached
-    canonical form is deterministically recomputable, so concurrent
-    readers either miss (and recompute the same value) or observe a
-    consistent entry.
+    The cached canonical form is deterministically recomputable, so
+    concurrent readers either miss (and recompute the same value) or
+    observe a consistent entry.
     """
 
-    __slots__ = ("group", "top", "atoms", "ext", "_canon")
+    __slots__ = ("group", "top", "atoms", "_canon")
 
-    def __init__(self, group: "WreathGroup", top: Any, atoms: tuple[Atom, ...],
-                 ext: FiberSteps | None = None):
+    def __init__(self, group: "WreathGroup", top: Any, atoms: tuple[Atom, ...]):
         self.group = group
         self.top = top
         self.atoms = atoms
-        self.ext = ext
         self._canon = _MISSING
 
     def eval(self, coord: Any) -> Any:
@@ -589,9 +583,9 @@ class WreathGroup:
     ``of_atoms``, ``is_trivial``, ``least_difference``, ``key`` and
     ``fmt``.  Without a ``tail_kind`` every element has a form (an atom
     without one raises TypeError).  With a ``tail_kind`` the form is
-    FiberSteps, elements carry point-form certificates (``ext``), only
-    all-finite or certified elements have a form, and tier 2 decides
-    products of the level's tail atom with finite atoms.
+    FiberSteps, only elements whose atoms are all finite have a form,
+    and tier 2 decides products of the level's tail atom with finite
+    atoms.
     """
 
     def __init__(self, name: str, coords: Any, fiber: Any, form: type,
@@ -604,33 +598,23 @@ class WreathGroup:
         self._identity: WreathElement | None = None
         self._top_identity_key = coords.key(coords.identity())
 
-    @property
-    def carries_ext(self) -> bool:
-        return self.tail_kind is not None
-
     # -- construction ---------------------------------------------------
 
-    def element(self, top: Any, atoms: Iterable[Atom],
-                ext: FiberSteps | None = None) -> WreathElement:
-        return WreathElement(self, top, self._reduce(atoms), ext)
+    def element(self, top: Any, atoms: Iterable[Atom]) -> WreathElement:
+        return WreathElement(self, top, self._reduce(atoms))
 
     def identity(self) -> WreathElement:
         if self._identity is None:
-            ext = FiberSteps.identity(self.fiber) if self.carries_ext else None
-            self._identity = WreathElement(self, self.coords.identity(), (), ext)
+            self._identity = WreathElement(self, self.coords.identity(), ())
         return self._identity
 
     def top_element(self, k: Any) -> WreathElement:
-        ext = FiberSteps.identity(self.fiber) if self.carries_ext else None
-        return WreathElement(self, k, (), ext)
+        return WreathElement(self, k, ())
 
     def atom_element(self, fn: BaseFunction, shift: Any = None, exp: int = 1) -> WreathElement:
         if shift is None:
             shift = self.coords.identity()
-        ext = None
-        if self.carries_ext and fn.finite:
-            ext = fn.fiber_steps(self.fiber).shifted(shift).pow(exp)
-        return self.element(self.coords.identity(), (Atom(fn, shift, exp),), ext)
+        return self.element(self.coords.identity(), (Atom(fn, shift, exp),))
 
     def point(self, value: Any, at: Any = None) -> WreathElement:
         fn = PointFn(value, self.fiber, self.coords.identity())
@@ -638,26 +622,24 @@ class WreathGroup:
 
     def from_finite_steps(self, top: Any, steps: FiberSteps) -> WreathElement:
         """Element whose base is the given finite-support form, realized
-        as a product of point atoms (so the formal-product algebra stays
-        sound) with the form attached as its certificate."""
+        as a product of point atoms."""
         atoms = tuple(
             Atom(PointFn(v, self.fiber, self.coords.identity()), c, 1)
             for c, v in steps.finite_support_pairs()
         )
-        return WreathElement(self, top, atoms, steps if self.carries_ext else None)
+        return WreathElement(self, top, atoms)
 
     def certified(self, raw: WreathElement, value: Any) -> WreathElement:
-        """raw, a top-trivial element of a level with certificates, with the
-        point form taking ``value`` at z^0 attached as its certificate, once
-        the level's exact ``equal`` has checked raw against that form."""
+        """The point element taking ``value`` at the origin, once the
+        level's exact ``equal`` has decided that raw is that element (so
+        a raw with a nontrivial top or another value raises)."""
         self._same(raw)
-        one = self.fiber.identity()
-        steps = FiberSteps.make(self.fiber, one, [(0, value), (1, one)])
-        if raw.top != 0 or not self.equal(raw, self.from_finite_steps(0, steps)):
+        out = self.point(value)
+        if not self.equal(raw, out):
             raise ConstructionViolation(
                 f"{self.name}: element is not the point function "
                 f"{self.fiber.fmt(value)} at z^0")
-        return WreathElement(self, raw.top, raw.atoms, steps)
+        return out
 
     def _push(self, out: list[Atom], a: Atom) -> None:
         """Append one atom to an already-reduced list, merging or
@@ -718,10 +700,9 @@ class WreathGroup:
     def mul(self, x: WreathElement, y: WreathElement) -> WreathElement:
         # kept apart from product((x, y)), which costs verify-rational 15 % (BENCH_1.json)
         self._same(x, y)
-        ext = x.ext and y.ext and x.ext.shifted(y.top).mul(y.ext)
         out = list(self._shifted(x.atoms, y.top))
         self._extend(out, y.atoms)
-        return WreathElement(self, self.coords.mul(x.top, y.top), tuple(out), ext)
+        return WreathElement(self, self.coords.mul(x.top, y.top), tuple(out))
 
     def product(self, xs: Iterable[WreathElement]) -> WreathElement:
         """x1 * ... * xn in one pass, equal to the left fold of mul: each
@@ -734,13 +715,11 @@ class WreathGroup:
         later = [coords.identity()]
         for x in reversed(xs[1:]):
             later.append(coords.mul(x.top, later[-1]))
-        out, ext = [], xs[0].ext
+        out: list[Atom] = []
         for i, x in enumerate(xs):
             self._extend(out, self._shifted(x.atoms, later[-1 - i]))
-            if i:
-                ext = ext and x.ext and ext.shifted(x.top).mul(x.ext)
         top = coords.mul(xs[0].top, later[-1])
-        return WreathElement(self, top, tuple(out), ext)
+        return WreathElement(self, top, tuple(out))
 
     def inv(self, x: WreathElement) -> WreathElement:
         self._same(x)
@@ -749,21 +728,15 @@ class WreathGroup:
         atoms = tuple(
             Atom(a.fn, self.coords.mul(a.shift, ti), -a.exp) for a in reversed(x.atoms)
         )
-        return WreathElement(self, ti, atoms, x.ext and x.ext.inv().shifted(ti))
+        return WreathElement(self, ti, atoms)
 
     def pow(self, x: WreathElement, n: int) -> WreathElement:
-        if n and self.coords.key(x.top) == self._top_identity_key:
-            # with the top trivial the base powers pointwise: the certificate
-            # takes one FiberSteps.pow, one atom multiplies its exponent, and
-            # more atoms are powered without the certificate
+        if n and len(x.atoms) == 1 and self.coords.key(x.top) == self._top_identity_key:
+            # with the top trivial the base powers pointwise, so one atom
+            # multiplies its exponent
             self._same(x)
-            ext = x.ext and x.ext.pow(n)
-            if len(x.atoms) == 1:
-                (a,) = x.atoms
-                return WreathElement(self, x.top, (Atom(a.fn, a.shift, a.exp * n),), ext)
-            if ext is not None:
-                bare = self.pow(WreathElement(self, x.top, x.atoms), n)
-                return WreathElement(self, bare.top, bare.atoms, ext)
+            (a,) = x.atoms
+            return WreathElement(self, x.top, (Atom(a.fn, a.shift, a.exp * n),))
         if n < 0:
             return self.pow(self.inv(x), -n)
         out = self.identity()
@@ -779,12 +752,11 @@ class WreathGroup:
     def conj(self, x: WreathElement, y: WreathElement) -> WreathElement:
         if y.atoms:
             return self.mul(self.mul(self.inv(y), x), y)
-        # by a top t alone: t^-1 x t only shifts the atoms and certificate
+        # by a top t alone: t^-1 x t only shifts the atoms
         self._same(x, y)
         t, coords = y.top, self.coords
         top = coords.mul(coords.mul(coords.inv(t), x.top), t)
-        ext = x.ext and y.ext and x.ext.shifted(t)
-        return WreathElement(self, top, self._shifted(x.atoms, t), ext)
+        return WreathElement(self, top, self._shifted(x.atoms, t))
 
     def comm(self, x: WreathElement, y: WreathElement) -> WreathElement:
         return self.mul(self.mul(self.inv(x), self.inv(y)), self.mul(x, y))
@@ -793,17 +765,15 @@ class WreathGroup:
 
     def eval(self, x: WreathElement, coord: Any) -> Any:
         """x's base at coord; a computed canonical form is read by bisection."""
-        if x.ext is None and x._canon is not _MISSING and x._canon is not None:
+        if x._canon is not _MISSING and x._canon is not None:
             self._same(x)
             return x._canon.value(coord)
         return self.eval_atoms(x, coord)
 
     def eval_atoms(self, x: WreathElement, coord: Any) -> Any:
-        """x's base at coord from its certificate or atoms, never from its
-        canonical form, so brute-force oracles can check the form by it."""
+        """x's base at coord from its atoms, never from its canonical
+        form, so brute-force oracles can check the form by it."""
         self._same(x)
-        if x.ext is not None:
-            return x.ext.value(coord)
         one = v = self.fiber.identity()
         for a in x.atoms:
             rel = self.coords.mul(coord, self.coords.inv(a.shift))
@@ -821,12 +791,12 @@ class WreathGroup:
 
     def _compute_canonical(self, x: WreathElement):
         """Tier-1 form of x's base, or None when x has a non-finite atom
-        on a tail level and no certificate.  Step and ray forms come from
-        one sort-and-accumulate fold over every atom's breaks, O(B log B)
-        in the total break count B; fiber-step forms are multiplied atom
-        by atom, since their fibers need not be abelian."""
-        if self.carries_ext and not all(a.fn.finite for a in x.atoms):
-            return x.ext
+        on a tail level.  Step and ray forms come from one
+        sort-and-accumulate fold over every atom's breaks, O(B log B) in
+        the total break count B; fiber-step forms are multiplied atom by
+        atom, since their fibers need not be abelian."""
+        if self.tail_kind is not None and not all(a.fn.finite for a in x.atoms):
+            return None
         return self.form.of_atoms(self, x.atoms)
 
     # -- equality and order ---------------------------------------------------
@@ -930,7 +900,7 @@ class WreathGroup:
 
     def fmt(self, x: WreathElement) -> str:
         top_is_identity = self.coords.key(x.top) == self._top_identity_key
-        if not self.carries_ext:
+        if self.tail_kind is None:
             cstr = self.base_canonical(x).fmt()
             return cstr if top_is_identity else f"{self.coords.fmt(x.top)} * {cstr}"
         parts = [] if top_is_identity else [self.coords.fmt(x.top)]

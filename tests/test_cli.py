@@ -423,6 +423,17 @@ def test_verify_window_only_applies_to_orders(capsys, suite):
     assert (out, err) == ("", f"error: verify {suite} takes no --window\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "verbal", "--word", "", "--budget", "1"],
+    ["embed-verbal", "1/2", "--word", ""],
+    ["cmp", "c", "c", "--word", ""],
+])
+def test_an_empty_word_is_a_usage_error(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1 and out == ""
+
+
 def test_embed_outputs_are_golden():
     from pathlib import Path
     golden = json.loads((Path(__file__).parent / "embed_golden.json").read_text())
@@ -431,6 +442,16 @@ def test_embed_outputs_are_golden():
         name, q, *rest = key.split(" ")
         options = {"word": rest[1]} if rest else {}
         assert run_command(Command(name, (q,), options)) == (0, expected), key
+
+
+def test_verify_reports_are_golden():
+    # text and JSON reports of every suite at seed 7 and budget 20; each key
+    # is the command line that prints the value
+    from pathlib import Path
+    golden = json.loads((Path(__file__).parent / "report_golden.json").read_text())
+    assert len(golden) == 8
+    for argv, expected in golden.items():
+        assert run_command(parse_argv(argv.split(" "))) == (0, expected), argv
 
 
 def test_perfbench_tracer_installs_against_src():

@@ -551,9 +551,8 @@ def _same_element(group, fast, generic) -> None:
     assert group.coords.key(fast.top) == group.coords.key(generic.top)
     key = lambda x: tuple((a.fn.key(), group.coords.key(a.shift), a.exp) for a in x.atoms)
     assert key(fast) == key(generic)
-    assert (fast.ext is None) == (generic.ext is None)
-    if fast.ext is not None:
-        assert fast.ext.key() == generic.ext.key()
+    canon = lambda x: group.base_canonical(x) is not None and group.key(x)
+    assert canon(fast) == canon(generic)
     assert group.fmt(fast) == group.fmt(generic)
 
 
@@ -608,7 +607,7 @@ def test_building_a_product_costs_no_mul_per_term(monkeypatch):
 
 def test_certified_raises_on_a_wrong_value():
     raw = alpha_commutator(3)
-    assert W.certified(raw, phi(3)).ext.key() == phi_star(3).ext.key()
+    assert W.key(W.certified(raw, phi(3))) == W.key(phi_star(3)) == W.key(w_point(phi(3)))
     for wrong in (phi(4), QC.identity(), QC.pow(phi(3), 2)):
         with pytest.raises(ConstructionViolation):
             W.certified(raw, wrong)
@@ -638,7 +637,7 @@ def _certified_pool():
 
 def test_powers_of_certified_elements_match_the_mul_fold():
     for group, x in _certified_pool():
-        assert x.ext is not None and x.top == 0
+        assert x.top == 0 and group.key(x) is not None
         for n in range(-5, 6):
             base = x if n >= 0 else group.inv(x)
             generic = functools.reduce(group.mul, [base] * abs(n), group.identity())
@@ -654,3 +653,18 @@ def test_phi_element_powers_its_certificate_without_multiplying_it(monkeypatch):
     el = phi_element(Fraction(5, 1013))
     assert calls == []
     assert QC.equal(el.eval(0), QC.pow(phi(1013), 5))
+
+
+def test_an_embedded_rational_is_one_point_atom():
+    # m/n is held as the point atom of its denominator with exponent m,
+    # not as the 4m tail atoms of its word
+    q = Fraction(200000, 3)
+    el = phi_element(q)
+    assert len(el.atoms) == 1 and el.atoms[0].exp == q.numerator
+    assert QC.equal(el.eval(0), QC.pow(phi(3), q.numerator))
+    assert QC.is_identity(el.eval(1)) and QC.is_identity(el.eval(-1))
+    ctx = get_context("[x1,x2]")
+    el = ctx.embed(q)
+    assert len(el.atoms) == 1 and el.atoms[0].exp == q.numerator
+    assert ctx.TC.equal(el.eval(0), ctx.rho(ctx.QS.pow(ctx.psi(3), q.numerator)))
+    assert ctx.TC.is_identity(el.eval(1)) and ctx.TC.is_identity(el.eval(-1))
