@@ -454,6 +454,17 @@ def test_verify_reports_are_golden():
         assert run_command(parse_argv(argv.split(" "))) == (0, expected), argv
 
 
+def test_element_commands_are_golden():
+    # eval/mul/cmp/normal-form/table at all five levels and both built-in
+    # word families, same-shift products included; each argv is a list
+    # because expressions contain spaces
+    from pathlib import Path
+    golden = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+    assert len(golden) == 46
+    for case in golden:
+        assert run_command(parse_argv(case["argv"])) == (case["status"], case["output"]), case["argv"]
+
+
 def test_perfbench_tracer_installs_against_src():
     # every library name the benchmark's tracer wraps must still exist
     import os
