@@ -25,15 +25,14 @@ from .wreath import (
     Atom,
     BaseFunction,
     FiberSteps,
-    MixedAtomError,
     PointFn,
     RayStepFunction,
     StepFunction,
+    ThresholdFn,
     WreathElement,
     WreathGroup,
     derived_commutator,
     stepfun_canonicalize,
-    tail_symbol,
 )
 from .embed_rationals import (
     GNormalForm,

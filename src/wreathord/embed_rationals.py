@@ -3,8 +3,8 @@
 The ambient group is W = (Q Wr C) Wr Z with C = <c> and Z = <z> infinite
 cyclic.  The base of Q Wr C holds, for each n >= 1, the step functions
 
-    tau_n:  0 below c^0, -1/n from c^0 on
-    phi_n:  1/n at c^0, 0 elsewhere
+    tau_n:  0 below c^0, -1/n from c^0 on   (the threshold atom -1/n)
+    phi_n:  1/n at c^0, 0 elsewhere         (the point atom 1/n)
 
 with [tau_n, c] = phi_n and [tau_m, tau_n] = 1.  The element alpha of
 the base of W takes the value 1 below z^0, c at z^0 and tau_j at z^j for
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from random import Random
 from typing import Iterable
 
@@ -55,61 +55,6 @@ from .wreath import (
 
 QC = WreathGroup("QwrC", IntCoords("c"), RATIONALS, StepFunction)
 W = WreathGroup("W", IntCoords("z"), QC, FiberSteps, tail_kind="alpha")
-
-
-@dataclass(frozen=True)
-class TauFn(BaseFunction):
-    n: int
-    finite = False
-
-    @property
-    def name(self) -> str:
-        return f"tau({self.n})"
-
-    def value(self, rel: int) -> Rational:
-        return Fraction(0) if rel < 0 else Fraction(-1, self.n)
-
-    @cached_property
-    def _step(self) -> StepFunction:
-        return StepFunction.make(Fraction(0), [(0, Fraction(-1, self.n))])
-
-    def step(self) -> StepFunction:
-        return self._step
-
-    def key(self) -> tuple:
-        return ("tau", self.n)
-
-    def fmt(self) -> str:
-        return self.name
-
-
-@dataclass(frozen=True)
-class PhiFn(BaseFunction):
-    n: int
-    finite = True
-
-    @property
-    def name(self) -> str:
-        return f"phi({self.n})"
-
-    def value(self, rel: int) -> Rational:
-        return Fraction(1, self.n) if rel == 0 else Fraction(0)
-
-    def finite_coords(self) -> tuple:
-        return (0,)
-
-    @cached_property
-    def _step(self) -> StepFunction:
-        return StepFunction.make(Fraction(0), [(0, Fraction(1, self.n)), (1, Fraction(0))])
-
-    def step(self) -> StepFunction:
-        return self._step
-
-    def key(self) -> tuple:
-        return ("phi", self.n)
-
-    def fmt(self) -> str:
-        return self.name
 
 
 class AlphaFn(BaseFunction):
@@ -163,7 +108,7 @@ def tau(n: int) -> WreathElement:
     """The element tau_n of the base of Q Wr C."""
     if n < 1:
         raise ValueError("tau(n) needs n >= 1")
-    return QC.atom_element(TauFn(n))
+    return QC.threshold(Fraction(-1, n))
 
 
 @lru_cache(maxsize=None)
@@ -171,7 +116,7 @@ def phi(n: int) -> WreathElement:
     """The element phi_n of the base of Q Wr C."""
     if n < 1:
         raise ValueError("phi(n) needs n >= 1")
-    return QC.atom_element(PhiFn(n))
+    return QC.point(Fraction(1, n))
 
 
 def c_elem(k: int = 1) -> WreathElement:
@@ -358,7 +303,7 @@ def beta_tilde(factors: Iterable[tuple[int, int, int]]) -> StepFunction:
     factors = list(factors)
     if any(i < 1 for _, i, _ in factors):
         raise ValueError("tau indices must be >= 1")
-    return StepFunction.fold((TauFn(i).step(), k, n) for k, i, n in factors)
+    return StepFunction.fold((QC.base_canonical(tau(i)), k, n) for k, i, n in factors)
 
 
 # -- randomized element families (shared by the suites) ------------------
@@ -368,13 +313,13 @@ def random_rational(rng: Random, max_num: int = 100, max_den: int = 100) -> Rati
 
 
 def random_qc_element(rng: Random) -> WreathElement:
-    el = QC.top_element(rng.randint(-3, 3))
+    factors = [QC.top_element(rng.randint(-3, 3))]
     for _ in range(rng.randint(0, 4)):
         n = rng.randint(1, 10)
-        fn = TauFn(n) if rng.random() < 0.5 else PhiFn(n)
+        g = tau(n) if rng.random() < 0.5 else phi(n)
         exp = rng.choice([-2, -1, 1, 2])
-        el = QC.mul(el, QC.atom_element(fn, shift=rng.randint(-8, 8), exp=exp))
-    return el
+        factors.append(QC.atom_element(g.atoms[0].fn, shift=rng.randint(-8, 8), exp=exp))
+    return QC.product(factors)
 
 
 def random_qc_base(rng: Random) -> WreathElement:
@@ -383,14 +328,14 @@ def random_qc_base(rng: Random) -> WreathElement:
 
 
 def random_w_element(rng: Random, max_atoms: int = 3) -> WreathElement:
-    el = W.top_element(rng.randint(-3, 3))
+    factors = [W.top_element(rng.randint(-3, 3))]
     for _ in range(rng.randint(0, max_atoms)):
         if rng.random() < 0.85:
-            g = W.atom_element(_ALPHA_FN, shift=rng.randint(-8, 8), exp=rng.choice([-1, 1]))
+            factors.append(W.atom_element(_ALPHA_FN, shift=rng.randint(-8, 8),
+                                          exp=rng.choice([-1, 1])))
         else:
-            g = w_point(random_qc_element(rng), at=rng.randint(-8, 8))
-        el = W.mul(el, g)
-    return el
+            factors.append(w_point(random_qc_element(rng), at=rng.randint(-8, 8)))
+    return W.product(factors)
 
 
 def random_w_base(rng: Random) -> WreathElement:

@@ -5,12 +5,13 @@ For a word family V the construction stacks three wreath products:
 * ``Q Wr S`` with S the group ``select_S`` reads off the word (Z when
   some variable has a nonzero exponent sum, else the free class-2 group
   of rank 2) carrying a positive verbal witness ``a``.  The base
-  elements ``psi_n`` (1/n at s = 1) and ``chi_n`` (1/n along the ray
-  a^i, i >= 0) satisfy ``psi_n = a^-1 a^(chi_n)``, which puts the
-  embedded rationals inside V(T) for T = <chi_n, witness arguments>.
-* ``T Wr C`` with ``rho_g`` the point copy of g at c^0 and ``pi_g``
-  equal to g from c^0 on; ``[pi_(g^-1), c] = rho_g`` puts the first
-  copy of T inside the derived subgroup of D = <pi_g, c>.
+  elements ``psi_n`` (the point atom 1/n at s = 1) and ``chi_n`` (the
+  threshold atom 1/n along the ray a^i, i >= 0) satisfy
+  ``psi_n = a^-1 a^(chi_n)``, which puts the embedded rationals inside
+  V(T) for T = <chi_n, witness arguments>.
+* ``T Wr C`` with ``rho_g`` the point atom g at c^0 and ``pi_g`` the
+  threshold atom g from c^0 on; ``[pi_(g^-1), c] = rho_g`` puts the
+  first copy of T inside the derived subgroup of D = <pi_g, c>.
 * ``D Wr Z`` with ``omega(z^i) = d_k`` for i = 2^k, where d_0, d_1, ...
   is a deterministic enumeration of D.  Commutators of shifted omegas
   recover every [d_n, d_m] at z^0 and vanish elsewhere, because
@@ -63,13 +64,10 @@ from .nilpotent import (
 )
 from .reporting import FAIL, PASS, Report, run_checks
 from .wreath import (
-    Atom,
     BaseFunction,
     ConstructionViolation,
     FiberSteps,
-    PointFn,
     RayStepFunction,
-    StepFunction,
     WreathElement,
     WreathGroup,
     derived_commutator,
@@ -106,107 +104,16 @@ class SCoords:
     def key(self, a) -> tuple:
         return self.group.key_of(a)
 
-    def sort_key(self, a) -> tuple:
-        return (a.gens, a.comms)
-
     def fmt(self, a) -> str:
         return a.fmt()
 
     def ray_decompose(self, s: MalcevElement) -> tuple[MalcevElement, int]:
         return self.group.ray_decompose(s, self.witness)
 
-    def rep_key(self, rep: MalcevElement) -> tuple:
-        return self.group.key_of(rep)
-
     def witness_power(self, i: int) -> MalcevElement:
         if i not in self._powers:
             self._powers[i] = self.group.pow(self.witness, i)
         return self._powers[i]
-
-
-class ChiFn(BaseFunction):
-    """chi_n: 1/n on the ray {a^i : i >= 0}, 0 elsewhere."""
-
-    finite = False
-
-    def __init__(self, n: int, scoords: SCoords):
-        self.n = n
-        self.scoords = scoords
-        rep0, i0 = scoords.ray_decompose(scoords.identity())
-        self._rep0 = rep0
-        self._rep0_key = scoords.rep_key(rep0)
-        self._i0 = i0
-
-    @property
-    def name(self) -> str:
-        return f"chi({self.n})"
-
-    def value(self, rel: MalcevElement) -> Rational:
-        rep, i = self.scoords.ray_decompose(rel)
-        if self.scoords.rep_key(rep) == self._rep0_key and i >= self._i0:
-            return Fraction(1, self.n)
-        return Fraction(0)
-
-    def rays(self, coords: SCoords) -> RayStepFunction:
-        steps = StepFunction.make(Fraction(0), [(self._i0, Fraction(1, self.n))])
-        return RayStepFunction.make([(self._rep0_key, self._rep0, steps)], coords)
-
-    def key(self) -> tuple:
-        return ("chi", self.n)
-
-    def fmt(self) -> str:
-        return self.name
-
-
-class PsiFn(PointFn):
-    """psi_n: 1/n at s = 1; the same function as a rational point atom."""
-
-    def __init__(self, n: int, scoords: SCoords):
-        super().__init__(Fraction(1, n), RATIONALS, scoords.identity())
-        self.n = n
-
-    def fmt(self) -> str:
-        return f"psi({self.n})"
-
-
-class PiFn(BaseFunction):
-    """pi_g: g at every c^i with i >= 0, identity below."""
-
-    finite = False
-
-    def __init__(self, g: WreathElement, tgroup: WreathGroup):
-        self.g = g
-        self.tgroup = tgroup
-        self._trivial: bool | None = None
-
-    @property
-    def name(self) -> str:
-        return "pi"
-
-    @property
-    def is_trivial(self) -> bool:
-        if self._trivial is None:
-            self._trivial = self.tgroup.is_identity(self.g)
-        return self._trivial
-
-    def value(self, rel: int) -> WreathElement:
-        return self.g if rel >= 0 else self.tgroup.identity()
-
-    def fiber_steps(self, fiber: Any) -> FiberSteps:
-        return FiberSteps.make(fiber, fiber.identity(), [(0, self.g)])
-
-    def merge_with(self, other: BaseFunction, e1: int, e2: int) -> "BaseFunction | None":
-        if isinstance(other, PiFn):
-            g = self.tgroup.mul(self.tgroup.pow(self.g, e1),
-                                self.tgroup.pow(other.g, e2))
-            return PiFn(g, self.tgroup)
-        return None
-
-    def key(self) -> tuple:
-        return ("pi", self.tgroup.key(self.g))
-
-    def fmt(self) -> str:
-        return f"pi({self.tgroup.fmt(self.g)})"
 
 
 class OmegaFn(BaseFunction):
@@ -312,14 +219,14 @@ class VerbalContext:
         if n < 1:
             raise ValueError("chi(n) needs n >= 1")
         if n not in self._chi:
-            self._chi[n] = self.QS.atom_element(ChiFn(n, self.scoords))
+            self._chi[n] = self.QS.threshold(Fraction(1, n))
         return self._chi[n]
 
     def psi(self, n: int) -> WreathElement:
         if n < 1:
             raise ValueError("psi(n) needs n >= 1")
         if n not in self._psi:
-            self._psi[n] = self.QS.atom_element(PsiFn(n, self.scoords))
+            self._psi[n] = self.QS.point(Fraction(1, n))
         return self._psi[n]
 
     def psi_from_witness(self, n: int, a_element: WreathElement | None = None,
@@ -354,7 +261,7 @@ class VerbalContext:
         return self.TC.point(g)
 
     def pi(self, g: WreathElement) -> WreathElement:
-        return self.TC.atom_element(PiFn(g, self.QS))
+        return self.TC.threshold(g)
 
     # -- enumeration of D ---------------------------------------------------
 
@@ -562,10 +469,10 @@ def verify_theorem2(family: Word | str | Any = "[x1,x2]",
         count = max(4, budget // 4)
         for _ in range(count):
             el = ctx.random_d_element(rng)
-            rebuilt = TC.element(
-                el.top,
-                tuple(Atom(PiFn(a.fn.g, QS), a.shift, a.exp) for a in el.atoms),
-            )
+            rebuilt = TC.product(
+                [TC.top_element(el.top)]
+                + [TC.pow(TC.threshold(a.fn.threshold_value, at=a.shift), a.exp)
+                   for a in el.atoms])
             if not TC.equal(el, rebuilt):
                 return FAIL, {}
             if el.atoms:

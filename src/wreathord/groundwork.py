@@ -208,5 +208,10 @@ class IntCoords:
     def sort_key(self, a: int) -> int:
         return a
 
+    def ray_decompose(self, k: int) -> tuple[int, int]:
+        """(representative, index) of k: the whole line is one ray, with
+        representative 0, and k is its k-th point."""
+        return 0, k
+
     def fmt(self, a: int) -> str:
         return f"{self.letter}^{a}"

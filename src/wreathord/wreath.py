@@ -7,6 +7,13 @@ maps; an atom knows its value at any coordinate.  The action
 convention is ``f^b(b0) = f(b0 * b^-1)``, and ``[x, y] = x^-1 y^-1 x y``,
 ``x^y = y^-1 x y``.
 
+Apart from the two tail atoms (alpha and omega), every base function
+has one of two shapes: a point (``PointFn``), one value at the origin
+only, or a threshold (``ThresholdFn``), one value from the origin on
+along its ray.  The paper's phi_n, psi_n and rho_g are points and
+tau_n, chi_n and pi_g thresholds; two atoms of one shape at the same
+shift merge into one.
+
 Equality of two elements with equal tops is decided in two exact tiers:
 
 1. canonical extensional forms, when both elements have one: rational
@@ -43,10 +50,6 @@ from operator import sub
 from typing import Any, Iterable
 
 from .groundwork import Ordering, Rational, Verdict, format_rational
-
-
-class MixedAtomError(ValueError):
-    """tail_symbol got a product mixing different atom kinds."""
 
 
 class ConstructionViolation(Exception):
@@ -134,10 +137,6 @@ class StepFunction:
         idx = bisect_right(self.breaks, i) - 1
         return self.left if idx < 0 else self.values[idx]
 
-    @property
-    def right(self) -> Rational:
-        return self.values[-1] if self.values else self.left
-
     @staticmethod
     def of_atoms(group: "WreathGroup", atoms: Iterable["Atom"]) -> "StepFunction":
         return stepfun_canonicalize(atoms)
@@ -171,12 +170,6 @@ class StepFunction:
             if self.value(b) != other.value(b):
                 return b
         return None
-
-    def compare(self, other: "StepFunction") -> Ordering:
-        b = self.least_difference(other)
-        if b is None:
-            return Ordering.EQUAL
-        return Ordering.of(self.value(b), other.value(b))
 
     def fmt(self) -> str:
         if not self.breaks:
@@ -240,7 +233,7 @@ class RayStepFunction:
 
     def value(self, s: Any) -> Rational:
         rep, i = self.coords.ray_decompose(s)
-        key = self.coords.rep_key(rep)
+        key = self.coords.key(rep)
         for k, _, steps in self.rays:
             if k == key:
                 return steps.value(i)
@@ -264,7 +257,7 @@ class RayStepFunction:
         entries = []
         for _, rep, steps in self.rays:
             rep2, i1 = coords.ray_decompose(coords.mul(rep, s))
-            entries.append((coords.rep_key(rep2), rep2, steps.shift(i1)))
+            entries.append((coords.key(rep2), rep2, steps.shift(i1)))
         return RayStepFunction.make(entries, coords)
 
     def least_difference(self, other: "RayStepFunction") -> Any | None:
@@ -407,19 +400,13 @@ class FiberSteps:
 # atoms
 # ----------------------------------------------------------------------
 
-def _coord_is_origin(rel: Any) -> bool:
-    if isinstance(rel, int):
-        return rel == 0
-    return rel.is_identity
-
-
 class BaseFunction:
     """A named generator function of a wreath base.
 
-    Subclasses report the value at any (unshifted) coordinate;
-    extensional kinds additionally expose their step/ray/fiber-step
-    forms for the tier-1 equality path, and tail kinds their tier-2
-    criterion.
+    Subclasses report the value at any (unshifted) coordinate.  The two
+    extensional shapes, PointFn and ThresholdFn, also expose their
+    step/ray/fiber-step forms for the tier-1 equality path; the tail
+    kinds (AlphaFn, OmegaFn) expose their tier-2 criterion instead.
     """
 
     name = "?"
@@ -465,6 +452,15 @@ class BaseFunction:
         return self.name
 
 
+def _pointwise(fiber: Any, v1: Any, e1: int, v2: Any, e2: int) -> Any:
+    """The fiber value v1^e1 * v2^e2 of two merged atoms."""
+    if e1 != 1:
+        v1 = fiber.pow(v1, e1)
+    if e2 != 1:
+        v2 = fiber.pow(v2, e2)
+    return fiber.mul(v1, v2)
+
+
 class PointFn(BaseFunction):
     """The base function supported at the origin coordinate only."""
 
@@ -478,7 +474,7 @@ class PointFn(BaseFunction):
         self._trivial: bool | None = None
 
     def value(self, rel: Any) -> Any:
-        if _coord_is_origin(rel):
+        if rel == self.origin:
             return self.point_value
         return self.fiber.identity()
 
@@ -491,13 +487,17 @@ class PointFn(BaseFunction):
     def finite_coords(self) -> tuple:
         return () if self.is_trivial else (self.origin,)
 
-    def step(self) -> StepFunction:
+    @cached_property
+    def _step(self) -> StepFunction:
         return StepFunction.make(Fraction(0), [(0, self.point_value), (1, Fraction(0))])
+
+    def step(self) -> StepFunction:
+        return self._step
 
     def rays(self, coords: Any) -> RayStepFunction:
         rep, i = coords.ray_decompose(self.origin)
         steps = StepFunction.make(Fraction(0), [(i, self.point_value), (i + 1, Fraction(0))])
-        return RayStepFunction.make([(coords.rep_key(rep), rep, steps)], coords)
+        return RayStepFunction.make([(coords.key(rep), rep, steps)], coords)
 
     def fiber_steps(self, fiber: Any) -> FiberSteps:
         return FiberSteps.make(
@@ -506,10 +506,7 @@ class PointFn(BaseFunction):
 
     def merge_with(self, other: BaseFunction, e1: int, e2: int) -> "BaseFunction | None":
         if isinstance(other, PointFn) and other.origin == self.origin:
-            v = self.fiber.mul(
-                self.fiber.pow(self.point_value, e1),
-                self.fiber.pow(other.point_value, e2),
-            )
+            v = _pointwise(self.fiber, self.point_value, e1, other.point_value, e2)
             return PointFn(v, self.fiber, self.origin)
         return None
 
@@ -518,6 +515,67 @@ class PointFn(BaseFunction):
 
     def fmt(self) -> str:
         return f"point({self.fiber.fmt(self.point_value)})"
+
+
+class ThresholdFn(BaseFunction):
+    """The base function taking one value from the origin on, along the
+    origin's ray: at ``a^i * rep`` for every i >= i0, where ``a^i0 * rep``
+    is the ray decomposition of the origin (on an integer line every
+    coordinate from 0 on), and the identity elsewhere."""
+
+    name = "threshold"
+
+    def __init__(self, value: Any, fiber: Any, coords: Any):
+        self.threshold_value = value
+        self.fiber = fiber
+        self.coords = coords
+        self._trivial: bool | None = None
+
+    @cached_property
+    def _start(self) -> tuple:
+        """(ray key, ray representative, index) of the origin."""
+        rep, i = self.coords.ray_decompose(self.coords.identity())
+        return self.coords.key(rep), rep, i
+
+    def value(self, rel: Any) -> Any:
+        key, _, i0 = self._start
+        rep, i = self.coords.ray_decompose(rel)
+        if i >= i0 and self.coords.key(rep) == key:
+            return self.threshold_value
+        return self.fiber.identity()
+
+    @property
+    def is_trivial(self) -> bool:
+        if self._trivial is None:
+            self._trivial = self.fiber.is_identity(self.threshold_value)
+        return self._trivial
+
+    @cached_property
+    def _step(self) -> StepFunction:
+        return StepFunction.make(Fraction(0), [(0, self.threshold_value)])
+
+    def step(self) -> StepFunction:
+        return self._step
+
+    def rays(self, coords: Any) -> RayStepFunction:
+        key, rep, i0 = self._start
+        steps = StepFunction.make(Fraction(0), [(i0, self.threshold_value)])
+        return RayStepFunction.make([(key, rep, steps)], coords)
+
+    def fiber_steps(self, fiber: Any) -> FiberSteps:
+        return FiberSteps.make(fiber, fiber.identity(), [(0, self.threshold_value)])
+
+    def merge_with(self, other: BaseFunction, e1: int, e2: int) -> "BaseFunction | None":
+        if isinstance(other, ThresholdFn):
+            v = _pointwise(self.fiber, self.threshold_value, e1, other.threshold_value, e2)
+            return ThresholdFn(v, self.fiber, self.coords)
+        return None
+
+    def key(self) -> tuple:
+        return ("threshold", self.fiber.key(self.threshold_value))
+
+    def fmt(self) -> str:
+        return f"threshold({self.fiber.fmt(self.threshold_value)})"
 
 
 @dataclass(frozen=True)
@@ -619,6 +677,9 @@ class WreathGroup:
     def point(self, value: Any, at: Any = None) -> WreathElement:
         fn = PointFn(value, self.fiber, self.coords.identity())
         return self.atom_element(fn, shift=at)
+
+    def threshold(self, value: Any, at: Any = None) -> WreathElement:
+        return self.atom_element(ThresholdFn(value, self.fiber, self.coords), shift=at)
 
     def from_finite_steps(self, top: Any, steps: FiberSteps) -> WreathElement:
         """Element whose base is the given finite-support form, realized
@@ -916,22 +977,6 @@ class WreathGroup:
 
 def _verdict(witness: Any | None) -> Verdict:
     return Verdict.equal() if witness is None else Verdict.distinct(witness)
-
-
-def tail_symbol(x: WreathElement) -> dict[Any, int]:
-    """Exponents of a single-tail-atom product grouped by shift.
-
-    Grouped exponents all being zero does NOT by itself certify
-    triviality; the tail criterion still evaluates the product at its
-    candidate coordinates.
-    """
-    if not x.atoms:
-        return {}
-    kinds = {a.fn.tail_kind for a in x.atoms}
-    if len(kinds) != 1 or None in kinds:
-        raise MixedAtomError("base atoms must all be shifted powers of one tail atom")
-    nets = net_exponents(x.atoms)
-    return dict(sorted(nets.items(), key=lambda kv: x.group.coords.sort_key(kv[0])))
 
 
 def net_exponents(atoms: Iterable[Atom]) -> dict[Any, int]:

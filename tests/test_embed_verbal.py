@@ -23,25 +23,39 @@ CTX = get_context("[x1,x2]")
 ZTX = get_context("x1^2")
 
 
+def _off_ray(ctx):
+    """x1, x1^3 and x1^-1: off the witness ray through 1 both for [x1,x2]
+    (a = [x1,x2] is central) and for x1^2 (S = Z = <x1>, a = x1^2)."""
+    g = ctx.sgroup.generator(1)
+    return [g, ctx.sgroup.pow(g, 3), ctx.sgroup.inv(g)]
+
+
 def test_chi_values():
-    sc = CTX.scoords
-    chi2 = CTX.chi(2)
-    assert chi2.eval(sc.witness_power(3)) == Fraction(1, 2)
-    assert chi2.eval(sc.witness_power(0)) == Fraction(1, 2)
-    assert chi2.eval(sc.witness_power(-1)) == 0
-    # off the witness ray the value vanishes
-    off_ray = CTX.sgroup.generator(1)
-    assert chi2.eval(off_ray) == 0
-    with pytest.raises(ValueError):
-        CTX.chi(0)
+    for ctx in (CTX, ZTX):
+        sc = ctx.scoords
+        chi2 = ctx.chi(2)
+        assert chi2.eval(sc.witness_power(3)) == Fraction(1, 2)
+        assert chi2.eval(sc.witness_power(0)) == Fraction(1, 2)
+        assert chi2.eval(sc.witness_power(-1)) == 0
+        # off the witness ray the value vanishes
+        for s in _off_ray(ctx):
+            assert chi2.eval(s) == 0
+            assert ctx.QS.eval_atoms(chi2, s) == 0
+        with pytest.raises(ValueError):
+            ctx.chi(0)
 
 
 def test_psi_values():
-    sc = CTX.scoords
-    psi5 = CTX.psi(5)
-    assert psi5.eval(sc.identity()) == Fraction(1, 5)
-    assert psi5.eval(sc.witness_power(1)) == 0
-    assert psi5.eval(CTX.sgroup.generator(2)) == 0
+    for ctx in (CTX, ZTX):
+        sc = ctx.scoords
+        psi5 = ctx.psi(5)
+        assert psi5.eval(sc.identity()) == Fraction(1, 5)
+        assert psi5.eval(sc.witness_power(1)) == 0
+        assert psi5.eval(sc.witness_power(-1)) == 0
+        for s in _off_ray(ctx):
+            assert psi5.eval(s) == 0
+            assert ctx.QS.eval_atoms(psi5, s) == 0
+    assert CTX.psi(5).eval(CTX.sgroup.generator(2)) == 0
 
 
 def test_psi_from_witness_both_families():

@@ -14,13 +14,13 @@ from wreathord.wreath import (
     BaseFunction,
     ConstructionViolation,
     FiberSteps,
-    MixedAtomError,
     PointFn,
     StepFunction,
+    ThresholdFn,
+    WreathElement,
     WreathGroup,
     derived_commutator,
     stepfun_canonicalize,
-    tail_symbol,
 )
 from wreathord.embed_rationals import (
     QC,
@@ -48,7 +48,7 @@ def test_step_function_basics():
     assert f.value(-1) == 0
     assert f.value(0) == Fraction(-1, 2)
     assert f.value(10**9) == Fraction(-1, 2)
-    assert f.right == Fraction(-1, 2)
+    assert f.value(f.breaks[-1]) == Fraction(-1, 2)
     g = f.add(f.neg())
     assert g.is_trivial
     assert f.shift(3).value(2) == 0
@@ -216,23 +216,38 @@ def test_ray_fold_matches_evaluation(data):
 
 def test_tail_symbol():
     comm = alpha_commutator(4)
-    nets = tail_symbol(comm)
-    assert nets == {-4: 0, 0: 0}
     # zero nets, yet distinct from the identity: the window evaluation
     # is mandatory
     assert not W.is_identity(comm)
 
     prod = alpha() * W.conj(alpha(), z_elem(1))
-    assert tail_symbol(prod) == {0: 1, 1: 1}
     assert not W.is_identity(prod)
     assert QC.equal(prod.eval(0), c_elem())
 
     x = W.conj(alpha(), z_elem(-3)).inv() * W.conj(alpha(), z_elem(-3))
-    assert tail_symbol(x) == {}
     assert W.is_identity(x)
 
-    with pytest.raises(MixedAtomError):
-        tail_symbol(alpha() * w_point(c_elem()))
+
+def test_same_shift_thresholds_merge_into_one_atom():
+    # tau, chi and pi are thresholds: two at the same shift are one
+    # threshold atom, with the pointwise value of the unmerged product
+    ctx = get_context("[x1,x2]")
+    sc, x1 = ctx.scoords, ctx.sgroup.generator(1)
+    ray = [sc.witness_power(i) for i in range(-3, 4)]
+    cases = [
+        (QC, tau(2), tau(3), range(-3, 4)),
+        (ctx.QS, ctx.chi(1), ctx.chi(2), ray + [sc.mul(s, x1) for s in ray]),
+        (ctx.TC, ctx.pi(ctx.chi(1)), ctx.pi(ctx.psi(2)), range(-3, 4)),
+    ]
+    for group, x, y, coords in cases:
+        merged = group.mul(x, y)
+        assert len(merged.atoms) == 1 and isinstance(merged.atoms[0].fn, ThresholdFn)
+        unmerged = WreathElement(group, group.coords.identity(), x.atoms + y.atoms)
+        for s in coords:
+            assert group.fiber.equal(group.eval_atoms(merged, s), group.eval_atoms(unmerged, s))
+        assert group.equal(merged, unmerged)
+    assert QC.eval_atoms(QC.mul(tau(2), tau(3)), 0) == Fraction(-5, 6)
+    assert ctx.QS.eval_atoms(ctx.QS.mul(ctx.chi(1), ctx.chi(2)), sc.identity()) == Fraction(3, 2)
 
 
 def test_semidirect_product_law():
