@@ -36,55 +36,36 @@ def _ctx(options) -> ev.VerbalContext:
     return ev.get_context(word)
 
 
-def _coord_of(text: str, level: str, ctx: ev.VerbalContext):
-    try:
-        letter, _, num = text.partition(":")
-        k = int(num)
-    except ValueError:
-        raise ValueError(f"coordinate must look like z:3 or c:-2, got {text!r}")
-    expected = {"qc": "c", "w": "z", "qs": "a", "tc": "c", "dz": "z"}[level]
-    if letter != expected:
-        raise ValueError(f"level uses coordinates {expected}:<int>, got {text!r}")
-    if level == "qs":
-        return ctx.scoords.witness_power(k)
-    return k
-
-
-def _fiber_fmt(element: WreathElement, value) -> str:
-    return element.group.fiber.fmt(value)
-
-
-def _render_eval(element: WreathElement, level: str, ctx: ev.VerbalContext,
-                 at: str | None, window: int) -> str:
+def _render_eval(element: WreathElement, level: str, at: str | None, window: int) -> str:
     group = element.group
+    coords, fiber = group.coords, group.fiber
     lines = [f"level: {level}", f"element: {group.fmt(element)}"]
     if at is not None:
-        coord = _coord_of(at, level, ctx)
-        lines.append(f"value at {group.coords.fmt(coord)}: "
-                     f"{_fiber_fmt(element, element.eval(coord))}")
+        letter, _, num = at.partition(":")
+        try:
+            k = int(num)
+        except ValueError:
+            raise ValueError(f"coordinate must look like z:3 or c:-2, got {at!r}")
+        if letter != coords.letter:
+            raise ValueError(f"level uses coordinates {coords.letter}:<int>, got {at!r}")
+        coord = coords.witness_power(k)
+        lines.append(f"value at {coords.fmt(coord)}: {fiber.fmt(element.eval(coord))}")
         return "\n".join(lines) + "\n"
     if level == "qs":
-        lines.append("values along the witness ray:")
-        shown = 0
-        for i in range(-window, window + 1):
-            coord = ctx.scoords.witness_power(i)
-            v = element.eval(coord)
-            if not group.fiber.is_identity(v):
-                lines.append(f"  a^{i}: {_fiber_fmt(element, v)}")
-                shown += 1
-        if not shown:
-            lines.append(f"  identity at every a^i, |i| <= {window}")
-        return "\n".join(lines) + "\n"
-    shown = 0
-    letter = group.coords.letter
-    lines.append(f"values on [{-window}, {window}]:")
-    for j in range(-window, window + 1):
-        v = element.eval(j)
-        if not group.fiber.is_identity(v):
-            lines.append(f"  {letter}^{j}: {_fiber_fmt(element, v)}")
-            shown += 1
+        head = "values along the witness ray:"
+        empty = f"identity at every a^i, |i| <= {window}"
+    else:
+        head = f"values on [{-window}, {window}]:"
+        empty = "identity at every coordinate in the window"
+    lines.append(head)
+    shown = False
+    for i in range(-window, window + 1):
+        v = element.eval(coords.witness_power(i))
+        if not fiber.is_identity(v):
+            lines.append(f"  {coords.letter}^{i}: {fiber.fmt(v)}")
+            shown = True
     if not shown:
-        lines.append(f"  identity at every coordinate in the window")
+        lines.append(f"  {empty}")
     return "\n".join(lines) + "\n"
 
 
@@ -99,15 +80,12 @@ def run_command(cmd: Command) -> tuple[int, str]:
         if cmd.name in ("eval", "mul"):
             ctx = _ctx(opts)
             trees = [parse_expr(a) for a in cmd.args]
-            levels_elements = [build_element(t, ctx, lv)
-                               for t, lv in zip(trees, joint_levels(trees))]
-            level = levels_elements[0][0]
-            if any(lv != level for lv, _ in levels_elements):
+            levels, elements = zip(*(build_element(t, ctx, lv)
+                                     for t, lv in zip(trees, joint_levels(trees))))
+            if len(set(levels)) > 1:
                 return USAGE_ERROR, "error: expressions live at different levels\n"
-            el = levels_elements[0][1]
-            for _, other in levels_elements[1:]:
-                el = el.group.mul(el, other)
-            return 0, _render_eval(el, level, ctx, opts.get("at"), window)
+            el = elements[0].group.product(elements)
+            return 0, _render_eval(el, levels[0], opts.get("at"), window)
 
         if cmd.name == "cmp":
             ctx = _ctx(opts)
@@ -152,10 +130,10 @@ def run_command(cmd: Command) -> tuple[int, str]:
 
         if cmd.name == "normal-form":
             ctx = _ctx(opts)
-            level, el = build_element(parse_expr(cmd.args[0]), ctx)
-            if level not in ("w", "dz"):
+            _, el = build_element(parse_expr(cmd.args[0]), ctx)
+            gen = el.group.tail_kind
+            if gen is None:
                 return USAGE_ERROR, "error: normal-form applies to alpha/z or omega/z words\n"
-            gen = "alpha" if level == "w" else "omega"
             nf = er.g_normal_form(el)
             parts = [f"z^{nf.k}"]
             parts += [f"({gen}^[z^{s}])^{e}" for s, e in nf.factors]
@@ -180,6 +158,8 @@ def run_command(cmd: Command) -> tuple[int, str]:
             suite = cmd.args[0]
             if "window" in opts and suite != "orders":
                 return USAGE_ERROR, f"error: verify {suite} takes no --window\n"
+            if "word" in opts and suite != "verbal":
+                return USAGE_ERROR, f"error: verify {suite} takes no --word\n"
             seed = opts.get("seed", 0)
             budget = opts.get("budget", 200)
             if suite == "section2":

@@ -327,9 +327,9 @@ def random_qc_base(rng: Random) -> WreathElement:
     return QC.element(0, el.atoms)
 
 
-def random_w_element(rng: Random, max_atoms: int = 3) -> WreathElement:
+def random_w_element(rng: Random) -> WreathElement:
     factors = [W.top_element(rng.randint(-3, 3))]
-    for _ in range(rng.randint(0, max_atoms)):
+    for _ in range(rng.randint(0, 3)):
         if rng.random() < 0.85:
             factors.append(W.atom_element(_ALPHA_FN, shift=rng.randint(-8, 8),
                                           exp=rng.choice([-1, 1])))

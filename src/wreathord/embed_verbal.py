@@ -81,8 +81,10 @@ class SCoords:
 
     Provides the ray decomposition s = a^i * rep used by ray-step
     canonical forms, with the canonical representative independent of
-    the chosen point on the ray.
+    the chosen point on the ray.  The CLI names the ray's points a^i.
     """
+
+    letter = "a"
 
     def __init__(self, sgroup: Nil2Group, witness: MalcevElement):
         self.group = sgroup

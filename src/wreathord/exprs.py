@@ -8,11 +8,13 @@ Grammar (whitespace-insensitive)::
           | "chi(" int ")" | "psi(" int ")" | "pi(" expr ")"
           | "shift(" atom "," int ")"
 
-The level an expression lives at is inferred from its atoms: c/tau/phi
-build elements of Q Wr C, z/alpha of (Q Wr C) Wr Z, chi/psi of Q Wr S,
-pi (with c) of T Wr C, and omega (with z) of D Wr Z.  Incompatible
-mixtures are rejected.  shift(a, k) shifts the atom by the k-th power of
-the level's top generator (the witness a for Q Wr S).
+The level an expression lives at is inferred from its atoms by one
+table, ``LEVELS``: c/tau/phi build elements of Q Wr C (qc), z/alpha of
+(Q Wr C) Wr Z (w), chi/psi of Q Wr S (qs), c/pi of T Wr C (tc) and
+z/omega of D Wr Z (dz).  Incompatible mixtures are rejected.
+``bind_levels`` gives each level's group and atom builders in a word
+family's context.  shift(a, k) shifts the atom by the k-th power of the
+level's top generator (the witness a for Q Wr S).
 """
 
 from __future__ import annotations
@@ -224,15 +226,33 @@ def print_expr(expr: Expr) -> str:
 
 # -- level inference and element binding ---------------------------------
 
-_QC_ATOMS = {"c", "tau", "phi"}
-_W_ATOMS = {"z", "alpha"}
-_QS_ATOMS = {"chi", "psi"}
+# Each level's atoms, and the marker atoms that a mixture error names, in
+# the order that breaks ties: a lone c is qc, a lone z is w, and an
+# expression with no atoms is qc.  Every atom outside qc is a marker.
+LEVELS: dict[str, tuple[frozenset[str], tuple[str, ...]]] = {
+    "qc": (frozenset({"c", "tau", "phi"}), ()),
+    "w": (frozenset({"z", "alpha"}), ("alpha", "z")),
+    "qs": (frozenset({"chi", "psi"}), ("chi", "psi")),
+    "tc": (frozenset({"c", "pi"}), ("pi",)),
+    "dz": (frozenset({"z", "omega"}), ("omega",)),
+}
 
 
-def _atom_names(expr: Expr, out: set[str]) -> None:
-    if isinstance(expr, NameAtom):
-        out.add(expr.name)
-    elif isinstance(expr, IndexedAtom):
+def bind_levels(ctx: "ev.VerbalContext") -> dict:
+    """Each level's group and one builder per atom in a context: a bare
+    atom's builder takes no argument, an indexed atom's its index, and
+    pi's the Q Wr S element it wraps."""
+    return {
+        "qc": (er.QC, {"c": er.c_elem, "tau": er.tau, "phi": er.phi}),
+        "w": (er.W, {"z": er.z_elem, "alpha": er.alpha}),
+        "qs": (ctx.QS, {"chi": ctx.chi, "psi": ctx.psi}),
+        "tc": (ctx.TC, {"c": ctx.c_elem, "pi": ctx.pi}),
+        "dz": (ctx.DZ, {"z": ctx.z_elem, "omega": ctx.omega}),
+    }
+
+
+def _atom_names(expr: Expr, out: set[str]) -> set[str]:
+    if isinstance(expr, (NameAtom, IndexedAtom)):
         out.add(expr.name)
     elif isinstance(expr, PiAtom):
         out.add("pi")
@@ -247,52 +267,27 @@ def _atom_names(expr: Expr, out: set[str]) -> None:
     elif isinstance(expr, (Conj, Comm)):
         _atom_names(expr.x, out)
         _atom_names(expr.y, out)
+    return out
+
+
+def levels_of(expr: Expr) -> tuple[str, ...]:
+    """Every level whose atoms include all of the expression's atoms, in
+    table order; empty for a mixture that no level holds."""
+    names = _atom_names(expr, set())
+    return tuple(level for level, (atoms, _) in LEVELS.items() if names <= atoms)
 
 
 def infer_level(expr: Expr) -> str:
-    """One of qc, w, qs, tc, dz; c and z re-resolve upward when the
-    Section-4 atoms pi/omega are present."""
-    names: set[str] = set()
-    _atom_names(expr, names)
-    if "omega" in names:
-        bad = names - {"omega", "z"}
-        if bad:
-            raise ExprSyntaxError(f"atoms {sorted(bad)} cannot appear beside omega", 0)
-        return "dz"
-    if "pi" in names:
-        bad = names - {"pi", "c"}
-        if bad:
-            raise ExprSyntaxError(f"atoms {sorted(bad)} cannot appear beside pi", 0)
-        return "tc"
-    if names & _QS_ATOMS:
-        bad = names - _QS_ATOMS
-        if bad:
-            raise ExprSyntaxError(f"atoms {sorted(bad)} cannot appear beside chi/psi", 0)
-        return "qs"
-    if names & _W_ATOMS:
-        bad = names - _W_ATOMS
-        if bad:
-            raise ExprSyntaxError(f"atoms {sorted(bad)} cannot appear beside alpha/z", 0)
-        return "w"
-    return "qc"
-
-
-_ALL_LEVELS = ("qc", "w", "qs", "tc", "dz")
-
-
-def _open_levels(expr: Expr) -> tuple[str, ...]:
-    """Every level the expression can be built at: a lone-c expression
-    exists in Q Wr C and T Wr C, a lone-z one in (Q Wr C) Wr Z and D Wr Z,
-    one with no atoms everywhere; any other only at its inferred level."""
-    names: set[str] = set()
-    _atom_names(expr, names)
-    if not names:
-        return _ALL_LEVELS
-    if names == {"c"}:
-        return ("qc", "tc")
-    if names == {"z"}:
-        return ("w", "dz")
-    return (infer_level(expr),)
+    """The first of ``levels_of``.  A mixture is rejected beside the first
+    of the markers omega, pi, chi/psi and alpha/z that it contains."""
+    levels = levels_of(expr)
+    if levels:
+        return levels[0]
+    names = _atom_names(expr, set())
+    for atoms, marker in reversed(LEVELS.values()):
+        if names.intersection(marker):
+            raise ExprSyntaxError(
+                f"atoms {sorted(names - atoms)} cannot appear beside {'/'.join(marker)}", 0)
 
 
 def joint_levels(exprs: list[Expr]) -> list[str]:
@@ -302,7 +297,7 @@ def joint_levels(exprs: list[Expr]) -> list[str]:
     other expression fixes; without a single such level each keeps its
     own ``infer_level``.
     """
-    opens = [_open_levels(e) for e in exprs]
+    opens = [levels_of(e) for e in exprs]
     fixed = {op[0] for op in opens if len(op) == 1}
     if len(fixed) != 1:
         return [infer_level(e) for e in exprs]
@@ -310,71 +305,33 @@ def joint_levels(exprs: list[Expr]) -> list[str]:
     return [target if target in op else infer_level(e) for e, op in zip(exprs, opens)]
 
 
-def _group_for(level: str, ctx: "ev.VerbalContext"):
-    return {
-        "qc": er.QC,
-        "w": er.W,
-        "qs": ctx.QS,
-        "tc": ctx.TC,
-        "dz": ctx.DZ,
-    }[level]
-
-
-def _top_power(level: str, ctx: "ev.VerbalContext", k: int):
-    group = _group_for(level, ctx)
-    if level == "qs":
-        return group.top_element(ctx.scoords.witness_power(k))
-    return group.top_element(k)
-
-
-def _build(expr: Expr, level: str, ctx: "ev.VerbalContext") -> WreathElement:
-    group = _group_for(level, ctx)
-    if isinstance(expr, NameAtom):
-        if expr.name == "c":
-            if level == "qc":
-                return er.c_elem()
-            if level == "tc":
-                return ctx.c_elem()
-        if expr.name == "z":
-            if level == "w":
-                return er.z_elem()
-            if level == "dz":
-                return ctx.z_elem()
-        if expr.name == "alpha" and level == "w":
-            return er.alpha()
-        if expr.name == "omega" and level == "dz":
-            return ctx.omega()
-        raise ExprSyntaxError(f"atom {expr.name!r} is not available at level {level}", 0)
-    if isinstance(expr, IndexedAtom):
-        if expr.name == "tau" and level == "qc":
-            return er.tau(expr.n)
-        if expr.name == "phi" and level == "qc":
-            return er.phi(expr.n)
-        if expr.name == "chi" and level == "qs":
-            return ctx.chi(expr.n)
-        if expr.name == "psi" and level == "qs":
-            return ctx.psi(expr.n)
-        raise ExprSyntaxError(f"atom {expr.name!r} is not available at level {level}", 0)
+def _build(expr: Expr, level: str, levels: dict) -> WreathElement:
+    group, builders = levels[level]
+    if isinstance(expr, (NameAtom, IndexedAtom)):
+        build = builders.get(expr.name)
+        if build is None:
+            raise ExprSyntaxError(f"atom {expr.name!r} is not available at level {level}", 0)
+        return build() if isinstance(expr, NameAtom) else build(expr.n)
     if isinstance(expr, PiAtom):
-        if level != "tc":
+        build = builders.get("pi")
+        if build is None:
             raise ExprSyntaxError("pi(...) only builds T Wr C elements", 0)
-        inner_level = infer_level(expr.arg)
-        if inner_level not in ("qs",):
+        if infer_level(expr.arg) != "qs":
             raise ExprSyntaxError("the argument of pi must be a Q Wr S expression", 0)
-        return ctx.pi(_build(expr.arg, "qs", ctx))
+        return build(_build(expr.arg, "qs", levels))
     if isinstance(expr, ShiftAtom):
-        inner = _build(expr.atom, level, ctx)
-        return group.conj(inner, _top_power(level, ctx, expr.k))
+        top = group.top_element(group.coords.witness_power(expr.k))
+        return group.conj(_build(expr.atom, level, levels), top)
     if isinstance(expr, Mul):
-        return group.product([_build(a, level, ctx) for a in expr.args])
+        return group.product([_build(a, level, levels) for a in expr.args])
     if isinstance(expr, Inv):
-        return group.inv(_build(expr.arg, level, ctx))
+        return group.inv(_build(expr.arg, level, levels))
     if isinstance(expr, Pow):
-        return group.pow(_build(expr.arg, level, ctx), expr.n)
+        return group.pow(_build(expr.arg, level, levels), expr.n)
     if isinstance(expr, Conj):
-        return group.conj(_build(expr.x, level, ctx), _build(expr.y, level, ctx))
+        return group.conj(_build(expr.x, level, levels), _build(expr.y, level, levels))
     if isinstance(expr, Comm):
-        return group.comm(_build(expr.x, level, ctx), _build(expr.y, level, ctx))
+        return group.comm(_build(expr.x, level, levels), _build(expr.y, level, levels))
     raise TypeError(f"not an expression node: {expr!r}")
 
 
@@ -386,4 +343,4 @@ def build_element(expr: Expr, ctx: "ev.VerbalContext | None" = None,
         ctx = ev.get_context("[x1,x2]")
     if level is None:
         level = infer_level(expr)
-    return level, _build(expr, level, ctx)
+    return level, _build(expr, level, bind_levels(ctx))

@@ -205,13 +205,14 @@ class IntCoords:
     def key(self, a: int) -> int:
         return a
 
-    def sort_key(self, a: int) -> int:
-        return a
-
     def ray_decompose(self, k: int) -> tuple[int, int]:
         """(representative, index) of k: the whole line is one ray, with
         representative 0, and k is its k-th point."""
         return 0, k
+
+    def witness_power(self, k: int) -> int:
+        """The k-th point of the one ray: k itself."""
+        return k
 
     def fmt(self, a: int) -> str:
         return f"{self.letter}^{a}"

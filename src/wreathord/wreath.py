@@ -472,6 +472,7 @@ class PointFn(BaseFunction):
         self.fiber = fiber
         self.origin = origin
         self._trivial: bool | None = None
+        self._key: tuple | None = None
 
     def value(self, rel: Any) -> Any:
         if rel == self.origin:
@@ -511,7 +512,9 @@ class PointFn(BaseFunction):
         return None
 
     def key(self) -> tuple:
-        return ("point", self.fiber.key(self.point_value))
+        if self._key is None:
+            self._key = ("point", self.fiber.key(self.point_value))
+        return self._key
 
     def fmt(self) -> str:
         return f"point({self.fiber.fmt(self.point_value)})"
@@ -530,6 +533,7 @@ class ThresholdFn(BaseFunction):
         self.fiber = fiber
         self.coords = coords
         self._trivial: bool | None = None
+        self._key: tuple | None = None
 
     @cached_property
     def _start(self) -> tuple:
@@ -572,7 +576,9 @@ class ThresholdFn(BaseFunction):
         return None
 
     def key(self) -> tuple:
-        return ("threshold", self.fiber.key(self.threshold_value))
+        if self._key is None:
+            self._key = ("threshold", self.fiber.key(self.threshold_value))
+        return self._key
 
     def fmt(self) -> str:
         return f"threshold({self.fiber.fmt(self.threshold_value)})"
@@ -890,7 +896,7 @@ class WreathGroup:
         """Equal, or Distinct at the least candidate coordinate where x is
         not the identity; the caller vouches that the least coordinate
         where x is not the identity, if there is one, is a candidate."""
-        for j in sorted(candidates, key=self.coords.sort_key):
+        for j in sorted(candidates):
             if not self.fiber.is_identity(self.eval(x, j)):
                 return Verdict.distinct(j)
         return Verdict.equal()

@@ -423,6 +423,13 @@ def test_verify_window_only_applies_to_orders(capsys, suite):
     assert (out, err) == ("", f"error: verify {suite} takes no --window\n")
 
 
+@pytest.mark.parametrize("suite", ["section2", "orders"])
+def test_verify_word_only_applies_to_verbal(capsys, suite):
+    assert main(["verify", suite, "--word", "x1^2", "--budget", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: verify {suite} takes no --word\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "verbal", "--word", "", "--budget", "1"],
     ["embed-verbal", "1/2", "--word", ""],
@@ -463,6 +470,82 @@ def test_element_commands_are_golden():
     assert len(golden) == 46
     for case in golden:
         assert run_command(parse_argv(case["argv"])) == (case["status"], case["output"]), case["argv"]
+
+
+# (argv, status, output) triples recorded before the level table named
+# each level's atoms, group and coordinates once: the coordinate errors,
+# the empty integer window, one mixture error per marker atom and the
+# normal-form and pi argument errors must read as they did
+_GOLDEN_LEVEL_PATHS = [
+    (["eval", "tau(2)", "--at", "z:1"], 2, "error: level uses coordinates c:<int>, got 'z:1'\n"),
+    (["eval", "chi(1)", "--at", "c:1"], 2, "error: level uses coordinates a:<int>, got 'c:1'\n"),
+    (["eval", "tau(2)", "--at", "c:x"], 2,
+     "error: coordinate must look like z:3 or c:-2, got 'c:x'\n"),
+    (["eval", "shift(chi(1),2)", "--at", "a:-1"], 0,
+     "level: qs\nelement: {ray(1): {i<2: 0, i>=2: 1}}\nvalue at [x1,x2]^-1: 0\n"),
+    (["eval", "shift(pi(chi(1)),-2)", "--at", "c:-2"], 0,
+     "level: tc\nelement: {i<-2: {0}, i>=-2: {ray(1): {i<0: 0, i>=0: 1}}}\n"
+     "value at c^-2: {ray(1): {i<0: 0, i>=0: 1}}\n"),
+    (["eval", "(comm tau(2) tau(3))"], 0,
+     "level: qc\nelement: {all: 0}\nvalues on [-8, 8]:\n"
+     "  identity at every coordinate in the window\n"),
+    (["eval", "(* c z)"], 2, "error: atoms ['c'] cannot appear beside alpha/z (at position 0)\n"),
+    (["eval", "(* omega alpha)"], 2,
+     "error: atoms ['alpha'] cannot appear beside omega (at position 0)\n"),
+    (["eval", "(* pi(chi(1)) tau(2))"], 2,
+     "error: atoms ['tau'] cannot appear beside pi (at position 0)\n"),
+    (["eval", "(* alpha tau(2))"], 2,
+     "error: atoms ['tau'] cannot appear beside alpha/z (at position 0)\n"),
+    (["eval", "(* chi(1) tau(2))"], 2,
+     "error: atoms ['tau'] cannot appear beside chi/psi (at position 0)\n"),
+    (["eval", "(* pi(chi(1)) chi(1))"], 2,
+     "error: atoms ['chi'] cannot appear beside pi (at position 0)\n"),
+    (["eval", "pi(c)"], 2,
+     "error: the argument of pi must be a Q Wr S expression (at position 0)\n"),
+    (["normal-form", "tau(2)"], 2, "error: normal-form applies to alpha/z or omega/z words\n"),
+]
+
+
+@pytest.mark.parametrize("argv, status, output", _GOLDEN_LEVEL_PATHS)
+def test_level_paths_are_golden(argv, status, output):
+    assert run_command(parse_argv(argv)) == (status, output)
+
+
+@pytest.mark.parametrize("text, level, message", [
+    ("tau(2)", "w", "atom 'tau' is not available at level w (at position 0)"),
+    ("pi(chi(1))", "qs", "pi(...) only builds T Wr C elements (at position 0)"),
+])
+def test_an_atom_built_at_a_foreign_level_is_rejected(text, level, message):
+    from wreathord.embed_verbal import get_context
+    with pytest.raises(ExprSyntaxError) as e:
+        build_element(parse_expr(text), get_context("[x1,x2]"), level)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("word", ["[x1,x2]", "x1^2"])
+def test_level_table_names_the_atoms_its_builders_bind(word):
+    from wreathord.embed_verbal import get_context
+    from wreathord.exprs import LEVELS, bind_levels
+    ctx = get_context(word)
+    bound = bind_levels(ctx)
+    assert list(bound) == list(LEVELS) == ["qc", "w", "qs", "tc", "dz"]
+    texts = {"tau": "tau(1)", "phi": "phi(1)", "chi": "chi(1)", "psi": "psi(1)",
+             "pi": "pi(chi(1))"}
+    for level, (atoms, marker) in LEVELS.items():
+        group, builders = bound[level]
+        assert set(builders) == atoms and set(marker) <= atoms, level
+        for name in atoms:
+            expr = parse_expr(texts.get(name, name))
+            assert build_element(expr, ctx, level)[1].group is group, (level, name)
+
+
+def test_levels_of_lists_every_level_holding_the_atoms():
+    from wreathord.exprs import levels_of
+    assert levels_of(parse_expr("(pow c 2)")) == ("qc", "tc")
+    assert levels_of(parse_expr("shift(z, 3)")) == ("w", "dz")
+    assert levels_of(Mul(())) == ("qc", "w", "qs", "tc", "dz")
+    assert levels_of(parse_expr("(* pi(chi(1)) c)")) == ("tc",)
+    assert levels_of(parse_expr("(* c z)")) == ()
 
 
 def test_perfbench_tracer_installs_against_src():

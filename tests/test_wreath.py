@@ -214,6 +214,40 @@ def test_ray_fold_matches_evaluation(data):
             assert rs.value(s) == ctx.QS.eval_atoms(el, s)
 
 
+def _qs_values(ctx):
+    """Q Wr S elements: a witness-ray top and up to four chi/psi atoms."""
+    sc, sg = ctx.scoords, ctx.sgroup
+    fn = st.one_of(st.integers(1, 4).map(lambda n: ctx.chi(n).atoms[0].fn),
+                   st.integers(1, 4).map(lambda n: ctx.psi(n).atoms[0].fn))
+    shift = st.builds(lambda i, j: sc.mul(sc.witness_power(i), sg.pow(sg.generator(1), j)),
+                      st.integers(-3, 3), st.integers(-2, 2))
+    return st.builds(ctx.QS.element, st.integers(-2, 2).map(sc.witness_power),
+                     st.lists(st.builds(Atom, fn, shift, st.integers(-2, 2)), max_size=4))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_fiber_steps_fold_matches_evaluation(data):
+    # T Wr C: pi and rho atoms of Q Wr S values; W: point atoms of Q Wr C
+    # values.  An atom of a trivial value is no atom at all.
+    if data.draw(st.booleans()):
+        group, makers = W, [W.point]
+        values = st.integers(0, 10**6).map(lambda seed: random_qc_element(Random(seed)))
+    else:
+        ctx = get_context(data.draw(st.sampled_from(["[x1,x2]", "x1^2"])))
+        group, makers, values = ctx.TC, [ctx.pi, ctx.rho], _qs_values(ctx)
+    draws = data.draw(st.lists(st.tuples(st.sampled_from(makers), values,
+                                         st.integers(-4, 4), st.integers(-3, 3)),
+                               max_size=8))
+    atoms = [Atom(a.fn, shift, exp) for make, g, shift, exp in draws for a in make(g).atoms]
+    el = group.element(0, atoms)
+    form = group.base_canonical(el)
+    assert isinstance(form, FiberSteps)
+    for a in atoms:
+        for j in (a.shift - 1, a.shift, a.shift + 1):
+            assert group.fiber.equal(form.value(j), group.eval_atoms(el, j))
+
+
 def test_tail_symbol():
     comm = alpha_commutator(4)
     # zero nets, yet distinct from the identity: the window evaluation
