@@ -32,7 +32,6 @@ from .wreath import (
     WreathElement,
     WreathGroup,
     derived_commutator,
-    stepfun_canonicalize,
 )
 from .embed_rationals import (
     GNormalForm,

@@ -473,7 +473,7 @@ def verify_theorem2(family: Word | str | Any = "[x1,x2]",
             el = ctx.random_d_element(rng)
             rebuilt = TC.product(
                 [TC.top_element(el.top)]
-                + [TC.pow(TC.threshold(a.fn.threshold_value, at=a.shift), a.exp)
+                + [TC.pow(TC.threshold(a.fn.fiber_value, at=a.shift), a.exp)
                    for a in el.atoms])
             if not TC.equal(el, rebuilt):
                 return FAIL, {}

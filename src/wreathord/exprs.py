@@ -20,8 +20,8 @@ level's top generator (the witness a for Q Wr S).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import Iterator, Union
 
 from . import embed_rationals as er
 from . import embed_verbal as ev
@@ -39,20 +39,27 @@ class ExprSyntaxError(ValueError):
         self.expected = expected
 
 
+# An atom node's ``pos`` is its offset in the parsed text, for the level
+# errors; it takes no part in equality and is 0 in a tree built by hand.
+
 @dataclass(frozen=True)
 class NameAtom:
     name: str  # c | z | alpha | omega
+    pos: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
 class IndexedAtom:
     name: str  # tau | phi | chi | psi
     n: int
+    pos: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
 class PiAtom:
     arg: "Expr"
+    pos: int = field(default=0, compare=False)
+    name = "pi"
 
 
 @dataclass(frozen=True)
@@ -163,10 +170,11 @@ class _Parser:
         return out
 
     def parse_atom(self) -> Expr:
+        start = self.pos
         m = self.read_name()
         name = m.group(1)
         if name in _BARE_ATOMS:
-            return NameAtom(name)
+            return NameAtom(name, start)
         if name in _INDEXED_ATOMS:
             at = self.pos + 1
             self.expect("(")
@@ -175,12 +183,12 @@ class _Parser:
                 self.pos = at
                 self.error(f"{name} index must be >= 1")
             self.expect(")")
-            return IndexedAtom(name, n)
+            return IndexedAtom(name, n, start)
         if name == "pi":
             self.expect("(")
             arg = self.parse_expr()
             self.expect(")")
-            return PiAtom(arg)
+            return PiAtom(arg, start)
         if name == "shift":
             self.expect("(")
             atom = self.parse_atom()
@@ -251,43 +259,43 @@ def bind_levels(ctx: "ev.VerbalContext") -> dict:
     }
 
 
-def _atom_names(expr: Expr, out: set[str]) -> set[str]:
-    if isinstance(expr, (NameAtom, IndexedAtom)):
-        out.add(expr.name)
-    elif isinstance(expr, PiAtom):
-        out.add("pi")
-        # the argument lives one level down; validated during binding
+def _atoms(expr: Expr) -> Iterator[Union[NameAtom, IndexedAtom, PiAtom]]:
+    """The atom nodes in text order.  A pi argument lives one level down,
+    so its atoms are not listed; binding validates them."""
+    if isinstance(expr, (NameAtom, IndexedAtom, PiAtom)):
+        yield expr
     elif isinstance(expr, ShiftAtom):
-        _atom_names(expr.atom, out)
+        yield from _atoms(expr.atom)
     elif isinstance(expr, Mul):
         for a in expr.args:
-            _atom_names(a, out)
+            yield from _atoms(a)
     elif isinstance(expr, (Inv, Pow)):
-        _atom_names(expr.arg, out)
+        yield from _atoms(expr.arg)
     elif isinstance(expr, (Conj, Comm)):
-        _atom_names(expr.x, out)
-        _atom_names(expr.y, out)
-    return out
+        yield from _atoms(expr.x)
+        yield from _atoms(expr.y)
 
 
 def levels_of(expr: Expr) -> tuple[str, ...]:
     """Every level whose atoms include all of the expression's atoms, in
     table order; empty for a mixture that no level holds."""
-    names = _atom_names(expr, set())
+    names = {a.name for a in _atoms(expr)}
     return tuple(level for level, (atoms, _) in LEVELS.items() if names <= atoms)
 
 
 def infer_level(expr: Expr) -> str:
     """The first of ``levels_of``.  A mixture is rejected beside the first
-    of the markers omega, pi, chi/psi and alpha/z that it contains."""
+    of the markers omega, pi, chi/psi and alpha/z that it contains, at
+    the first atom that the marker's level does not hold."""
     levels = levels_of(expr)
     if levels:
         return levels[0]
-    names = _atom_names(expr, set())
+    names = {a.name for a in _atoms(expr)}
     for atoms, marker in reversed(LEVELS.values()):
         if names.intersection(marker):
-            raise ExprSyntaxError(
-                f"atoms {sorted(names - atoms)} cannot appear beside {'/'.join(marker)}", 0)
+            first = next(a for a in _atoms(expr) if a.name not in atoms)
+            raise ExprSyntaxError(f"atoms {sorted(names - atoms)} cannot appear beside "
+                                  f"{'/'.join(marker)}", first.pos)
 
 
 def joint_levels(exprs: list[Expr]) -> list[str]:
@@ -310,14 +318,17 @@ def _build(expr: Expr, level: str, levels: dict) -> WreathElement:
     if isinstance(expr, (NameAtom, IndexedAtom)):
         build = builders.get(expr.name)
         if build is None:
-            raise ExprSyntaxError(f"atom {expr.name!r} is not available at level {level}", 0)
+            raise ExprSyntaxError(f"atom {expr.name!r} is not available at level {level}",
+                                  expr.pos)
         return build() if isinstance(expr, NameAtom) else build(expr.n)
     if isinstance(expr, PiAtom):
         build = builders.get("pi")
         if build is None:
-            raise ExprSyntaxError("pi(...) only builds T Wr C elements", 0)
+            raise ExprSyntaxError("pi(...) only builds T Wr C elements", expr.pos)
         if infer_level(expr.arg) != "qs":
-            raise ExprSyntaxError("the argument of pi must be a Q Wr S expression", 0)
+            outside = (a.pos for a in _atoms(expr.arg) if a.name not in LEVELS["qs"][0])
+            raise ExprSyntaxError("the argument of pi must be a Q Wr S expression",
+                                  next(outside, expr.pos))
         return build(_build(expr.arg, "qs", levels))
     if isinstance(expr, ShiftAtom):
         top = group.top_element(group.coords.witness_power(expr.k))

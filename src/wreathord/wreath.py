@@ -11,16 +11,20 @@ Apart from the two tail atoms (alpha and omega), every base function
 has one of two shapes: a point (``PointFn``), one value at the origin
 only, or a threshold (``ThresholdFn``), one value from the origin on
 along its ray.  The paper's phi_n, psi_n and rho_g are points and
-tau_n, chi_n and pi_g thresholds; two atoms of one shape at the same
-shift merge into one.
+tau_n, chi_n and pi_g thresholds.  A shape states its value changes
+along the origin's ray once, and its ray and fiber-step forms are read
+off them; two atoms of one shape at the same shift merge into one.
 
 Equality of two elements with equal tops is decided in two exact tiers:
 
 1. canonical extensional forms, when both elements have one: rational
    step functions over an integer line, ray-step functions over a
-   nilpotent coordinate group, or fiber-valued step forms.  The three
-   form classes share one protocol (``of_atoms``, ``is_trivial``,
-   ``least_difference``, ``key``, ``fmt``), and a level names its class;
+   nilpotent coordinate group, or fiber-valued step forms.  The step
+   and fiber-step forms share one step core, which reads the values'
+   equality from their fiber; a ray-step form is one step fold per
+   ray.  The three form classes share one protocol (``of_atoms``,
+   ``is_trivial``, ``least_difference``, ``key``, ``fmt``), and a level
+   names its class;
 2. an exact tail criterion for products of shifted powers of a single
    tail atom plus finitely supported atoms.  Each tail atom kind names
    finitely many candidate coordinates that are sure to contain the
@@ -46,10 +50,10 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import sub
+from operator import itemgetter, sub
 from typing import Any, Iterable
 
-from .groundwork import Ordering, Rational, Verdict, format_rational
+from .groundwork import RATIONALS, Ordering, Rational, Verdict
 
 
 class ConstructionViolation(Exception):
@@ -60,15 +64,71 @@ class ConstructionViolation(Exception):
 # canonical extensional forms
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StepFunction:
-    """Rational-valued function on an integer line with finitely many
-    value changes.
+class _Steps:
+    """A function on an integer line with finitely many value changes.
 
     ``value(i)`` is ``left`` for ``i < breaks[0]`` and ``values[j]`` for
     ``breaks[j] <= i < breaks[j+1]``; the right tail is the last value.
     Canonical form (adjacent values distinct) makes equality structural.
+    Equality, identity and formatting of the values come from ``fiber``.
     """
+
+    __slots__ = ()
+
+    @staticmethod
+    def _canonical(fiber: Any, left: Any, changes: Iterable[tuple[int, Any]]) -> tuple:
+        """Breaks and values of the function that is ``left`` below every
+        change and takes value ``v`` from each change ``(b, v)`` on; the
+        breaks must be distinct."""
+        running = left
+        breaks: list[int] = []
+        values: list[Any] = []
+        for b, v in sorted(changes, key=itemgetter(0)):
+            if not fiber.equal(v, running):
+                breaks.append(b)
+                values.append(v)
+                running = v
+        return tuple(breaks), tuple(values)
+
+    def value(self, i: int) -> Any:
+        idx = bisect_right(self.breaks, i) - 1
+        return self.left if idx < 0 else self.values[idx]
+
+    @property
+    def is_trivial(self) -> bool:
+        return not self.breaks and self.fiber.is_identity(self.left)
+
+    def least_difference(self, other: "_Steps") -> int | None:
+        """Least integer where the two functions differ, or None."""
+        f = self.fiber
+        if not f.equal(self.left, other.left):
+            raise ValueError("left tails differ: no least difference exists")
+        for b in sorted(set(self.breaks) | set(other.breaks)):
+            if not f.equal(self.value(b), other.value(b)):
+                return b
+        return None
+
+    def fmt(self) -> str:
+        fmt = self.fiber.fmt
+        if not self.breaks:
+            return "{all: %s}" % fmt(self.left)
+        parts = [f"i<{self.breaks[0]}: {fmt(self.left)}"]
+        for j, b in enumerate(self.breaks):
+            v = fmt(self.values[j])
+            if j + 1 < len(self.breaks):
+                parts.append(f"{b}<=i<{self.breaks[j + 1]}: {v}")
+            else:
+                parts.append(f"i>={b}: {v}")
+        return "{" + ", ".join(parts) + "}"
+
+
+@dataclass(frozen=True)
+class StepFunction(_Steps):
+    """Rational step function: the form of ``Q Wr C`` and of each ray
+    of a RayStepFunction.  The rationals are abelian, so a sum of
+    shifted, scaled step functions is one fold."""
+
+    fiber = RATIONALS
 
     left: Rational
     breaks: tuple[int, ...]
@@ -80,22 +140,18 @@ class StepFunction:
 
     @staticmethod
     def make(left: Rational, changes: Iterable[tuple[int, Rational]]) -> "StepFunction":
-        """Step function with the given left tail, taking value ``v`` from
-        each change ``(b, v)`` on; the breaks must be distinct."""
-        running = left
-        breaks: list[int] = []
-        values: list[Rational] = []
-        for b, v in sorted(changes):
-            if v != running:
-                breaks.append(b)
-                values.append(v)
-                running = v
-        return StepFunction(left, tuple(breaks), tuple(values))
+        return StepFunction(left, *_Steps._canonical(RATIONALS, left, changes))
+
+    @staticmethod
+    def of_atoms(group: "WreathGroup", atoms: Iterable["Atom"]) -> "StepFunction":
+        """Canonical form of a product of point and threshold atoms: on
+        an integer line the origin's ray is the line, at index 0."""
+        return StepFunction.fold((a.fn.ray[1], a.shift, a.exp) for a in atoms)
 
     @staticmethod
     def fold(parts: Iterable[tuple["StepFunction", int, int]]) -> "StepFunction":
-        """Canonical form of the sum of ``step.shift(shift).scale(exp)``
-        over the ``(step, shift, exp)`` parts.
+        """Canonical form of the sum of ``step`` shifted by ``shift`` and
+        scaled by ``exp`` over the ``(step, shift, exp)`` parts.
 
         Each break of a part contributes one jump at its shifted
         coordinate; the jumps are summed per coordinate, sorted once and
@@ -133,18 +189,6 @@ class StepFunction:
         """(b, the value from b on minus the value before b) per break b."""
         return tuple(zip(self.breaks, map(sub, self.values, (self.left,) + self.values[:-1])))
 
-    def value(self, i: int) -> Rational:
-        idx = bisect_right(self.breaks, i) - 1
-        return self.left if idx < 0 else self.values[idx]
-
-    @staticmethod
-    def of_atoms(group: "WreathGroup", atoms: Iterable["Atom"]) -> "StepFunction":
-        return stepfun_canonicalize(atoms)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.left == 0 and not self.breaks
-
     def key(self) -> "StepFunction":
         return self
 
@@ -154,34 +198,8 @@ class StepFunction:
     def neg(self) -> "StepFunction":
         return StepFunction(-self.left, self.breaks, tuple(-v for v in self.values))
 
-    def scale(self, n: int) -> "StepFunction":
-        if n == 0:
-            return StepFunction.zero()
-        return StepFunction(self.left * n, self.breaks, tuple(v * n for v in self.values))
-
     def shift(self, k: int) -> "StepFunction":
         return StepFunction(self.left, tuple(b + k for b in self.breaks), self.values)
-
-    def least_difference(self, other: "StepFunction") -> int | None:
-        """Least integer where the two functions differ, or None."""
-        if self.left != other.left:
-            raise ValueError("left tails differ: no least difference exists")
-        for b in sorted(set(self.breaks) | set(other.breaks)):
-            if self.value(b) != other.value(b):
-                return b
-        return None
-
-    def fmt(self) -> str:
-        if not self.breaks:
-            return "{all: %s}" % format_rational(self.left)
-        parts = [f"i<{self.breaks[0]}: {format_rational(self.left)}"]
-        for j, b in enumerate(self.breaks):
-            v = format_rational(self.values[j])
-            if j + 1 < len(self.breaks):
-                parts.append(f"{b}<=i<{self.breaks[j + 1]}: {v}")
-            else:
-                parts.append(f"i>={b}: {v}")
-        return "{" + ", ".join(parts) + "}"
 
 
 @dataclass(frozen=True)
@@ -200,29 +218,39 @@ class RayStepFunction:
     coords: Any = field(compare=False, repr=False)
 
     @staticmethod
-    def make(entries: Iterable[tuple[Any, Any, StepFunction]], coords: Any) -> "RayStepFunction":
-        """Sum of the entries, grouped by ray key: each group is folded
-        once (a lone entry is kept as it is) and zero rays are dropped."""
-        groups: dict[Any, list[tuple[Any, StepFunction]]] = {}
-        for key, rep, steps in entries:
-            groups.setdefault(key, []).append((rep, steps))
+    def _fold(parts: Iterable[tuple], coords: Any) -> "RayStepFunction":
+        """Sum of the parts ``(key, rep, (steps, shift, exp))``, each a
+        StepFunction part on the ray of ``rep``: one StepFunction.fold
+        per ray (a lone unmoved part is kept as it is), rays sorted by
+        key and zero rays dropped."""
+        groups: dict[Any, tuple[Any, list]] = {}
+        for key, rep, part in parts:
+            if key in groups:
+                groups[key][1].append(part)
+            else:
+                groups[key] = (rep, [part])
         rays = []
         for key in sorted(groups):
-            group = groups[key]
-            rep, steps = group[0]
-            if len(group) > 1:
-                steps = StepFunction.fold((s, 0, 1) for _, s in group)
+            rep, ray_parts = groups[key]
+            steps, shift, exp = ray_parts[0]
+            if len(ray_parts) > 1 or shift or exp != 1:
+                steps = StepFunction.fold(ray_parts)
             if not steps.is_trivial:
                 rays.append((key, rep, steps))
         return RayStepFunction(tuple(rays), coords)
 
     @staticmethod
     def of_atoms(group: "WreathGroup", atoms: Iterable["Atom"]) -> "RayStepFunction":
-        """One fold over every atom's translated, scaled ray entries."""
-        entries = []
+        """One fold per ray.  An atom's ray form lies on the ray of its
+        representative rep; shifting the atom by s moves it to rep * s =
+        a^i * rep', index i up the ray of rep'."""
+        coords = group.coords
+        parts = []
         for a in atoms:
-            entries.extend(a.fn.rays(group.coords).translate(a.shift).scale(a.exp).rays)
-        return RayStepFunction.make(entries, group.coords)
+            rep, steps = a.fn.ray
+            rep, i = coords.ray_decompose(coords.mul(rep, a.shift))
+            parts.append((coords.key(rep), rep, (steps, i, a.exp)))
+        return RayStepFunction._fold(parts, coords)
 
     @property
     def is_trivial(self) -> bool:
@@ -240,39 +268,22 @@ class RayStepFunction:
         return Fraction(0)
 
     def add(self, other: "RayStepFunction") -> "RayStepFunction":
-        return RayStepFunction.make(self.rays + other.rays, self.coords)
+        return RayStepFunction._fold(
+            ((k, r, (s, 0, 1)) for k, r, s in self.rays + other.rays), self.coords)
 
     def neg(self) -> "RayStepFunction":
         return RayStepFunction(tuple((k, r, s.neg()) for k, r, s in self.rays), self.coords)
-
-    def scale(self, n: int) -> "RayStepFunction":
-        if n == 0:
-            return RayStepFunction((), self.coords)
-        return RayStepFunction(tuple((k, r, s.scale(n)) for k, r, s in self.rays), self.coords)
-
-    def translate(self, s: Any) -> "RayStepFunction":
-        """Form of this function conjugated by the coordinate ``s``
-        (support moves from ``sigma`` to ``sigma * s``)."""
-        coords = self.coords
-        entries = []
-        for _, rep, steps in self.rays:
-            rep2, i1 = coords.ray_decompose(coords.mul(rep, s))
-            entries.append((coords.key(rep2), rep2, steps.shift(i1)))
-        return RayStepFunction.make(entries, coords)
 
     def least_difference(self, other: "RayStepFunction") -> Any | None:
         diff = self.add(other.neg())
         if diff.is_trivial:
             return None
-        coords = self.coords
-        candidates = []
+        coords, best = self.coords, None
         for _, rep, steps in diff.rays:
             if steps.left != 0:
                 raise ValueError("ray support unbounded below")
-            candidates.append(coords.mul(coords.witness_power(steps.breaks[0]), rep))
-        best = candidates[0]
-        for cand in candidates[1:]:
-            if coords.compare(cand, best) is Ordering.LESS:
+            cand = coords.mul(coords.witness_power(steps.breaks[0]), rep)
+            if best is None or coords.compare(cand, best) is Ordering.LESS:
                 best = cand
         return best
 
@@ -283,10 +294,10 @@ class RayStepFunction:
         return "{" + "; ".join(parts) + "}"
 
 
-class FiberSteps:
-    """Piecewise-constant function on an integer line with values in an
-    arbitrary fiber group; the canonical form for base functions whose
-    atoms are all threshold- or point-shaped."""
+class FiberSteps(_Steps):
+    """A step function with values in an arbitrary fiber group; the
+    form of a base whose atoms are all points and thresholds.  The
+    fiber need not be abelian, so products keep their factors' order."""
 
     __slots__ = ("fiber", "left", "breaks", "values", "_key")
 
@@ -299,19 +310,7 @@ class FiberSteps:
 
     @staticmethod
     def make(fiber, left, changes: Iterable[tuple[int, Any]]) -> "FiberSteps":
-        running = left
-        breaks: list[int] = []
-        values: list[Any] = []
-        for b, v in sorted(changes, key=lambda bv: bv[0]):
-            if not fiber.equal(v, running):
-                breaks.append(b)
-                values.append(v)
-                running = v
-        return FiberSteps(fiber, left, tuple(breaks), tuple(values))
-
-    @staticmethod
-    def identity(fiber) -> "FiberSteps":
-        return FiberSteps(fiber, fiber.identity(), (), ())
+        return FiberSteps(fiber, left, *_Steps._canonical(fiber, left, changes))
 
     @staticmethod
     def of_atoms(group: "WreathGroup", atoms: Iterable["Atom"]) -> "FiberSteps":
@@ -320,19 +319,11 @@ class FiberSteps:
         lone atom keeps its own fiber values (and their cached forms)."""
         fs = None
         for a in atoms:
-            part = a.fn.fiber_steps(group.fiber).shifted(a.shift)
+            part = a.fn.fiber_steps.shifted(a.shift)
             if a.exp != 1:
                 part = part.pow(a.exp)
             fs = part if fs is None else fs.mul(part)
-        return FiberSteps.identity(group.fiber) if fs is None else fs
-
-    def value(self, i: int):
-        idx = bisect_right(self.breaks, i) - 1
-        return self.left if idx < 0 else self.values[idx]
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.breaks and self.fiber.is_identity(self.left)
+        return FiberSteps(group.fiber, group.fiber.identity(), (), ()) if fs is None else fs
 
     def shifted(self, k: int) -> "FiberSteps":
         if k == 0:
@@ -347,24 +338,14 @@ class FiberSteps:
 
     def pow(self, n: int) -> "FiberSteps":
         f = self.fiber
-        return FiberSteps.make(
-            f, f.pow(self.left, n), [(b, f.pow(v, n)) for b, v in zip(self.breaks, self.values)]
-        )
+        changes = [(b, f.pow(v, n)) for b, v in zip(self.breaks, self.values)]
+        return FiberSteps.make(f, f.pow(self.left, n), changes)
 
     def key(self) -> tuple:
         if self._key is None:
             f = self.fiber
             self._key = (f.key(self.left), self.breaks, tuple(f.key(v) for v in self.values))
         return self._key
-
-    def least_difference(self, other: "FiberSteps") -> int | None:
-        f = self.fiber
-        if not f.equal(self.left, other.left):
-            raise ValueError("left tails differ: no least difference exists")
-        for b in sorted(set(self.breaks) | set(other.breaks)):
-            if not f.equal(self.value(b), other.value(b)):
-                return b
-        return None
 
     def finite_support_pairs(self) -> list[tuple[int, Any]]:
         """(coordinate, value) for every coordinate with nontrivial value;
@@ -382,19 +363,6 @@ class FiberSteps:
                 pairs.extend((i, v) for i in range(b, self.breaks[j + 1]))
         return pairs
 
-    def fmt(self) -> str:
-        f = self.fiber
-        if not self.breaks:
-            return "{all: %s}" % f.fmt(self.left)
-        parts = [f"i<{self.breaks[0]}: {f.fmt(self.left)}"]
-        for j, b in enumerate(self.breaks):
-            v = f.fmt(self.values[j])
-            if j + 1 < len(self.breaks):
-                parts.append(f"{b}<=i<{self.breaks[j + 1]}: {v}")
-            else:
-                parts.append(f"i>={b}: {v}")
-        return "{" + ", ".join(parts) + "}"
-
 
 # ----------------------------------------------------------------------
 # atoms
@@ -404,9 +372,9 @@ class BaseFunction:
     """A named generator function of a wreath base.
 
     Subclasses report the value at any (unshifted) coordinate.  The two
-    extensional shapes, PointFn and ThresholdFn, also expose their
-    step/ray/fiber-step forms for the tier-1 equality path; the tail
-    kinds (AlphaFn, OmegaFn) expose their tier-2 criterion instead.
+    extensional shapes, PointFn and ThresholdFn, also expose their ray
+    and fiber-step forms for the tier-1 equality path; the tail kinds
+    (AlphaFn, OmegaFn) expose their tier-2 criterion instead.
     """
 
     name = "?"
@@ -423,13 +391,12 @@ class BaseFunction:
     def finite_coords(self) -> tuple:
         raise TypeError(f"{self.name} does not have finite support")
 
-    def step(self) -> StepFunction:
-        raise TypeError(f"{self.name} has no step form")
-
-    def rays(self, coords: Any) -> RayStepFunction:
+    @property
+    def ray(self) -> tuple[Any, StepFunction]:
         raise TypeError(f"{self.name} has no ray form")
 
-    def fiber_steps(self, fiber: Any) -> FiberSteps:
+    @property
+    def fiber_steps(self) -> FiberSteps:
         raise TypeError(f"{self.name} has no fiber-step form")
 
     def tail_identity(self, group: "WreathGroup", element: "WreathElement",
@@ -441,8 +408,7 @@ class BaseFunction:
 
     def merge_with(self, other: "BaseFunction", e1: int, e2: int) -> "BaseFunction | None":
         """Pointwise product with another function at the same shift, if
-        the two collapse to a single atom (point with point, threshold
-        with threshold); None when no merge applies."""
+        the two collapse to a single atom; None when no merge applies."""
         return None
 
     def key(self) -> tuple:
@@ -452,84 +418,15 @@ class BaseFunction:
         return self.name
 
 
-def _pointwise(fiber: Any, v1: Any, e1: int, v2: Any, e2: int) -> Any:
-    """The fiber value v1^e1 * v2^e2 of two merged atoms."""
-    if e1 != 1:
-        v1 = fiber.pow(v1, e1)
-    if e2 != 1:
-        v2 = fiber.pow(v2, e2)
-    return fiber.mul(v1, v2)
-
-
-class PointFn(BaseFunction):
-    """The base function supported at the origin coordinate only."""
-
-    name = "point"
-    finite = True
-
-    def __init__(self, value: Any, fiber: Any, origin: Any):
-        self.point_value = value
-        self.fiber = fiber
-        self.origin = origin
-        self._trivial: bool | None = None
-        self._key: tuple | None = None
-
-    def value(self, rel: Any) -> Any:
-        if rel == self.origin:
-            return self.point_value
-        return self.fiber.identity()
-
-    @property
-    def is_trivial(self) -> bool:
-        if self._trivial is None:
-            self._trivial = self.fiber.is_identity(self.point_value)
-        return self._trivial
-
-    def finite_coords(self) -> tuple:
-        return () if self.is_trivial else (self.origin,)
-
-    @cached_property
-    def _step(self) -> StepFunction:
-        return StepFunction.make(Fraction(0), [(0, self.point_value), (1, Fraction(0))])
-
-    def step(self) -> StepFunction:
-        return self._step
-
-    def rays(self, coords: Any) -> RayStepFunction:
-        rep, i = coords.ray_decompose(self.origin)
-        steps = StepFunction.make(Fraction(0), [(i, self.point_value), (i + 1, Fraction(0))])
-        return RayStepFunction.make([(coords.key(rep), rep, steps)], coords)
-
-    def fiber_steps(self, fiber: Any) -> FiberSteps:
-        return FiberSteps.make(
-            fiber, fiber.identity(), [(0, self.point_value), (1, fiber.identity())]
-        )
-
-    def merge_with(self, other: BaseFunction, e1: int, e2: int) -> "BaseFunction | None":
-        if isinstance(other, PointFn) and other.origin == self.origin:
-            v = _pointwise(self.fiber, self.point_value, e1, other.point_value, e2)
-            return PointFn(v, self.fiber, self.origin)
-        return None
-
-    def key(self) -> tuple:
-        if self._key is None:
-            self._key = ("point", self.fiber.key(self.point_value))
-        return self._key
-
-    def fmt(self) -> str:
-        return f"point({self.fiber.fmt(self.point_value)})"
-
-
-class ThresholdFn(BaseFunction):
-    """The base function taking one value from the origin on, along the
-    origin's ray: at ``a^i * rep`` for every i >= i0, where ``a^i0 * rep``
-    is the ray decomposition of the origin (on an integer line every
-    coordinate from 0 on), and the identity elsewhere."""
-
-    name = "threshold"
+class _Shape(BaseFunction):
+    """A point or a threshold: ``fiber_value`` near the origin of
+    ``coords`` and the identity elsewhere.  A shape's ``changes(i0)``
+    lists its value changes along the origin's ray, the origin being
+    the ray's i0-th point, and each form of the atom is read off them;
+    two atoms of one shape at the same shift merge into one."""
 
     def __init__(self, value: Any, fiber: Any, coords: Any):
-        self.threshold_value = value
+        self.fiber_value = value
         self.fiber = fiber
         self.coords = coords
         self._trivial: bool | None = None
@@ -541,47 +438,80 @@ class ThresholdFn(BaseFunction):
         rep, i = self.coords.ray_decompose(self.coords.identity())
         return self.coords.key(rep), rep, i
 
-    def value(self, rel: Any) -> Any:
-        key, _, i0 = self._start
-        rep, i = self.coords.ray_decompose(rel)
-        if i >= i0 and self.coords.key(rep) == key:
-            return self.threshold_value
-        return self.fiber.identity()
+    @cached_property
+    def ray(self) -> tuple[Any, StepFunction]:
+        """(representative, StepFunction) of the origin's ray, the only
+        ray where a rational atom is not 0."""
+        _, rep, i0 = self._start
+        return rep, StepFunction.make(self.fiber.identity(), self.changes(i0))
+
+    @cached_property
+    def fiber_steps(self) -> FiberSteps:
+        return FiberSteps.make(self.fiber, self.fiber.identity(), self.changes(0))
 
     @property
     def is_trivial(self) -> bool:
         if self._trivial is None:
-            self._trivial = self.fiber.is_identity(self.threshold_value)
+            self._trivial = self.fiber.is_identity(self.fiber_value)
         return self._trivial
-
-    @cached_property
-    def _step(self) -> StepFunction:
-        return StepFunction.make(Fraction(0), [(0, self.threshold_value)])
-
-    def step(self) -> StepFunction:
-        return self._step
-
-    def rays(self, coords: Any) -> RayStepFunction:
-        key, rep, i0 = self._start
-        steps = StepFunction.make(Fraction(0), [(i0, self.threshold_value)])
-        return RayStepFunction.make([(key, rep, steps)], coords)
-
-    def fiber_steps(self, fiber: Any) -> FiberSteps:
-        return FiberSteps.make(fiber, fiber.identity(), [(0, self.threshold_value)])
-
-    def merge_with(self, other: BaseFunction, e1: int, e2: int) -> "BaseFunction | None":
-        if isinstance(other, ThresholdFn):
-            v = _pointwise(self.fiber, self.threshold_value, e1, other.threshold_value, e2)
-            return ThresholdFn(v, self.fiber, self.coords)
-        return None
 
     def key(self) -> tuple:
         if self._key is None:
-            self._key = ("threshold", self.fiber.key(self.threshold_value))
+            self._key = self.name, self.fiber.key(self.fiber_value)
         return self._key
 
     def fmt(self) -> str:
-        return f"threshold({self.fiber.fmt(self.threshold_value)})"
+        return f"{self.name}({self.fiber.fmt(self.fiber_value)})"
+
+    def merge_with(self, other: BaseFunction, e1: int, e2: int) -> "BaseFunction | None":
+        """The one atom of this shape with value v1^e1 * v2^e2."""
+        if type(other) is not type(self):
+            return None
+        f, v1, v2 = self.fiber, self.fiber_value, other.fiber_value
+        if e1 != 1:
+            v1 = f.pow(v1, e1)
+        if e2 != 1:
+            v2 = f.pow(v2, e2)
+        return type(self)(f.mul(v1, v2), f, self.coords)
+
+
+class PointFn(_Shape):
+    """The base function supported at the origin coordinate only."""
+
+    name = "point"
+    finite = True
+
+    def __init__(self, value: Any, fiber: Any, coords: Any):
+        super().__init__(value, fiber, coords)
+        self.origin = coords.identity()
+
+    def changes(self, i0: int) -> tuple:
+        return (i0, self.fiber_value), (i0 + 1, self.fiber.identity())
+
+    def value(self, rel: Any) -> Any:
+        return self.fiber_value if rel == self.origin else self.fiber.identity()
+
+    def finite_coords(self) -> tuple:
+        return () if self.is_trivial else (self.origin,)
+
+
+class ThresholdFn(_Shape):
+    """The base function taking one value from the origin on, along the
+    origin's ray: at ``a^i * rep`` for every i >= i0, where ``a^i0 * rep``
+    is the ray decomposition of the origin (on an integer line every
+    coordinate from 0 on), and the identity elsewhere."""
+
+    name = "threshold"
+
+    def changes(self, i0: int) -> tuple:
+        return ((i0, self.fiber_value),)
+
+    def value(self, rel: Any) -> Any:
+        key, _, i0 = self._start
+        rep, i = self.coords.ray_decompose(rel)
+        if i >= i0 and self.coords.key(rep) == key:
+            return self.fiber_value
+        return self.fiber.identity()
 
 
 @dataclass(frozen=True)
@@ -681,8 +611,7 @@ class WreathGroup:
         return self.element(self.coords.identity(), (Atom(fn, shift, exp),))
 
     def point(self, value: Any, at: Any = None) -> WreathElement:
-        fn = PointFn(value, self.fiber, self.coords.identity())
-        return self.atom_element(fn, shift=at)
+        return self.atom_element(PointFn(value, self.fiber, self.coords), shift=at)
 
     def threshold(self, value: Any, at: Any = None) -> WreathElement:
         return self.atom_element(ThresholdFn(value, self.fiber, self.coords), shift=at)
@@ -691,7 +620,7 @@ class WreathGroup:
         """Element whose base is the given finite-support form, realized
         as a product of point atoms."""
         atoms = tuple(
-            Atom(PointFn(v, self.fiber, self.coords.identity()), c, 1)
+            Atom(PointFn(v, self.fiber, self.coords), c, 1)
             for c, v in steps.finite_support_pairs()
         )
         return WreathElement(self, top, atoms)
@@ -858,10 +787,7 @@ class WreathGroup:
 
     def _compute_canonical(self, x: WreathElement):
         """Tier-1 form of x's base, or None when x has a non-finite atom
-        on a tail level.  Step and ray forms come from one
-        sort-and-accumulate fold over every atom's breaks, O(B log B) in
-        the total break count B; fiber-step forms are multiplied atom by
-        atom, since their fibers need not be abelian."""
+        on a tail level."""
         if self.tail_kind is not None and not all(a.fn.finite for a in x.atoms):
             return None
         return self.form.of_atoms(self, x.atoms)
@@ -991,13 +917,6 @@ def net_exponents(atoms: Iterable[Atom]) -> dict[Any, int]:
     for a in atoms:
         nets[a.shift] = nets.get(a.shift, 0) + a.exp
     return nets
-
-
-def stepfun_canonicalize(x: WreathElement | Iterable[Atom]) -> StepFunction:
-    """Canonical step form of a formal product of step-shaped atoms, by
-    one sort-and-accumulate fold (O(B log B) in the total break count)."""
-    atoms = x.atoms if isinstance(x, WreathElement) else x
-    return StepFunction.fold((a.fn.step(), a.shift, a.exp) for a in atoms)
 
 
 def derived_commutator(group: Any, elems: list) -> Any:

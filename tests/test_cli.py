@@ -489,19 +489,19 @@ _GOLDEN_LEVEL_PATHS = [
     (["eval", "(comm tau(2) tau(3))"], 0,
      "level: qc\nelement: {all: 0}\nvalues on [-8, 8]:\n"
      "  identity at every coordinate in the window\n"),
-    (["eval", "(* c z)"], 2, "error: atoms ['c'] cannot appear beside alpha/z (at position 0)\n"),
+    (["eval", "(* c z)"], 2, "error: atoms ['c'] cannot appear beside alpha/z (at position 3)\n"),
     (["eval", "(* omega alpha)"], 2,
-     "error: atoms ['alpha'] cannot appear beside omega (at position 0)\n"),
+     "error: atoms ['alpha'] cannot appear beside omega (at position 9)\n"),
     (["eval", "(* pi(chi(1)) tau(2))"], 2,
-     "error: atoms ['tau'] cannot appear beside pi (at position 0)\n"),
+     "error: atoms ['tau'] cannot appear beside pi (at position 14)\n"),
     (["eval", "(* alpha tau(2))"], 2,
-     "error: atoms ['tau'] cannot appear beside alpha/z (at position 0)\n"),
+     "error: atoms ['tau'] cannot appear beside alpha/z (at position 9)\n"),
     (["eval", "(* chi(1) tau(2))"], 2,
-     "error: atoms ['tau'] cannot appear beside chi/psi (at position 0)\n"),
+     "error: atoms ['tau'] cannot appear beside chi/psi (at position 10)\n"),
     (["eval", "(* pi(chi(1)) chi(1))"], 2,
-     "error: atoms ['chi'] cannot appear beside pi (at position 0)\n"),
+     "error: atoms ['chi'] cannot appear beside pi (at position 14)\n"),
     (["eval", "pi(c)"], 2,
-     "error: the argument of pi must be a Q Wr S expression (at position 0)\n"),
+     "error: the argument of pi must be a Q Wr S expression (at position 3)\n"),
     (["normal-form", "tau(2)"], 2, "error: normal-form applies to alpha/z or omega/z words\n"),
 ]
 
@@ -519,6 +519,18 @@ def test_an_atom_built_at_a_foreign_level_is_rejected(text, level, message):
     from wreathord.embed_verbal import get_context
     with pytest.raises(ExprSyntaxError) as e:
         build_element(parse_expr(text), get_context("[x1,x2]"), level)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(*  shift( c ,1) (inv  z))", "atoms ['c'] cannot appear beside alpha/z (at position 11)"),
+    ("pi((* chi(1) c tau(1)))", "atoms ['c', 'tau'] cannot appear beside chi/psi (at position 13)"),
+    ("(* c pi((* tau(1) c)))", "the argument of pi must be a Q Wr S expression (at position 11)"),
+    ("(* c (inv pi(pi(chi(1)))))", "the argument of pi must be a Q Wr S expression (at position 13)"),
+])
+def test_level_errors_point_at_the_offending_atom(text, message):
+    with pytest.raises(ExprSyntaxError) as e:
+        build_element(parse_expr(text))
     assert str(e.value) == message
 
 

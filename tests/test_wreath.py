@@ -20,7 +20,6 @@ from wreathord.wreath import (
     WreathElement,
     WreathGroup,
     derived_commutator,
-    stepfun_canonicalize,
 )
 from wreathord.embed_rationals import (
     QC,
@@ -134,20 +133,20 @@ def test_w_compare_examples():
 
 def test_stepfun_canonicalize():
     prod = tau(2) * tau(3) ** 2
-    sf = stepfun_canonicalize(prod)
+    sf = StepFunction.of_atoms(QC, prod.atoms)
     assert sf.value(-1) == 0
     assert sf.value(0) == Fraction(-7, 6)
     assert sf.value(50) == Fraction(-7, 6)
-    assert stepfun_canonicalize(QC.identity()).is_trivial
-    assert stepfun_canonicalize(tau(4) * tau(4).inv()).is_trivial
+    assert StepFunction.of_atoms(QC, QC.identity().atoms).is_trivial
+    assert StepFunction.of_atoms(QC, (tau(4) * tau(4).inv()).atoms).is_trivial
 
 
 def test_stepfun_canonicalize_random_products():
     rng = Random(11)
     for _ in range(500):
         el = QC.element(0, random_qc_element(rng).atoms)
-        sf = stepfun_canonicalize(el)
-        again = stepfun_canonicalize(el)
+        sf = StepFunction.of_atoms(QC, el.atoms)
+        again = StepFunction.of_atoms(QC, el.atoms)
         assert sf == again
         for j in range(-12, 13):
             assert sf.value(j) == QC.eval_atoms(el, j)
@@ -189,7 +188,7 @@ def test_step_fold_matches_evaluation_and_ignores_order(data):
                 max_size=60))
 def test_beta_tilde_is_the_step_fold(factors):
     atoms = [Atom(tau(i).atoms[0].fn, k, n) for k, i, n in factors]
-    assert beta_tilde(factors) == stepfun_canonicalize(atoms)
+    assert beta_tilde(factors) == StepFunction.of_atoms(QC, atoms)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -212,6 +211,49 @@ def test_ray_fold_matches_evaluation(data):
         for d in (-1, 0, 1):
             s = sc.mul(sc.witness_power(d), a.shift)
             assert rs.value(s) == ctx.QS.eval_atoms(el, s)
+    # canonical: rays sorted by key, each nonzero, with distinct adjacent
+    # values and keyed by a representative at index 0 of its own ray
+    keys = [k for k, _, _ in rs.rays]
+    assert keys == sorted(set(keys))
+    for key, rep, steps in rs.rays:
+        assert not steps.is_trivial
+        assert all(u != v for u, v in zip((steps.left,) + steps.values, steps.values))
+        assert sc.ray_decompose(rep) == (rep, 0) and sc.key(rep) == key
+    shuffled = ctx.QS.element(sc.identity(), data.draw(st.permutations(atoms)))
+    assert ctx.QS.base_canonical(shuffled) == rs
+
+
+def _s_grid(ctx, i_span, jk_span):
+    """The coordinates a^i * x1^j * x_rank^k of S, |i| <= i_span and
+    |j|, |k| <= jk_span."""
+    sc, sg = ctx.scoords, ctx.sgroup
+    x1, xr = sg.generator(1), sg.generator(sg.rank)
+    return [sc.mul(sc.witness_power(i), sc.mul(sg.pow(x1, j), sg.pow(xr, k)))
+            for i in range(-i_span, i_span + 1)
+            for j in range(-jk_span, jk_span + 1) for k in range(-jk_span, jk_span + 1)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_qs_least_difference_matches_a_grid_scan(data):
+    # y holds x's atoms in another order plus up to two more, so Equal
+    # pairs occur; the witness must differ, and every scanned coordinate
+    # below it must not
+    ctx = get_context(data.draw(st.sampled_from(["[x1,x2]", "x1^2"])))
+    QS, sc = ctx.QS, ctx.scoords
+    fn = st.one_of(st.integers(1, 4).map(lambda n: ctx.chi(n).atoms[0].fn),
+                   st.integers(1, 4).map(lambda n: ctx.psi(n).atoms[0].fn))
+    atom = st.builds(Atom, fn, st.sampled_from(_s_grid(ctx, 3, 2)), st.integers(-2, 2))
+    x_atoms = data.draw(st.lists(atom, min_size=1, max_size=5))
+    y_atoms = data.draw(st.permutations(x_atoms)) + data.draw(st.lists(atom, max_size=2))
+    top = sc.witness_power(data.draw(st.integers(-2, 2)))
+    x, y = QS.element(top, x_atoms), QS.element(top, y_atoms)
+    v = QS.min_difference(x, y)
+    if v.is_distinct:
+        assert QS.eval_atoms(x, v.witness) != QS.eval_atoms(y, v.witness)
+    for s in _s_grid(ctx, 6, 3):
+        if v.is_equal or sc.compare(s, v.witness) is Ordering.LESS:
+            assert QS.eval_atoms(x, s) == QS.eval_atoms(y, s), sc.fmt(s)
 
 
 def _qs_values(ctx):
@@ -358,7 +400,7 @@ def test_alpha_tail_witness_past_a_root():
     a = alpha().atoms[0].fn
     fixes = [c_elem(-4), tau(1) ** -4, tau(2) ** -4, c_elem() * tau(3) ** -4]
     x = W.element(0, [Atom(a, 0, 4), Atom(a, 3, -1)]
-                  + [Atom(PointFn(f, QC, 0), j, 1) for j, f in enumerate(fixes)])
+                  + [Atom(PointFn(f, QC, W.coords), j, 1) for j, f in enumerate(fixes)])
     assert all(QC.is_identity(x.eval(j)) for j in range(-3, 5))
     v = W.min_difference(x, W.identity())
     assert v.is_distinct and v.witness == 5
@@ -370,7 +412,7 @@ def test_omega_tail_witness_past_a_cancelled_power():
     # least difference is the next power, z^2, where d_1 = pi(psi_1^-1)
     ctx = get_context("[x1,x2]")
     DZ, TC = ctx.DZ, ctx.TC
-    x = DZ.element(0, [ctx.omega().atoms[0], Atom(PointFn(ctx.c_elem(-1), TC, 0), 1, 1)])
+    x = DZ.element(0, [ctx.omega().atoms[0], Atom(PointFn(ctx.c_elem(-1), TC, DZ.coords), 1, 1)])
     assert TC.is_identity(x.eval(1))
     v = DZ.min_difference(x, DZ.identity())
     assert v.is_distinct and v.witness == 2
@@ -402,7 +444,7 @@ def tail_pairs(draw, group, tail_fn, span, point_values):
     else:
         y_tails = draw(y_list)
     near = st.builds(lambda a, d: a.shift + d, st.sampled_from(x_tails + y_tails), offset)
-    point = st.builds(lambda k, v: Atom(PointFn(v, group.fiber, 0), k, 1),
+    point = st.builds(lambda k, v: Atom(PointFn(v, group.fiber, group.coords), k, 1),
                       st.one_of(coord, near), st.sampled_from(point_values))
     top = draw(tops)
 
