@@ -10,6 +10,7 @@ All numeric input and output is exact.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -235,8 +236,24 @@ def _build_argparser() -> argparse.ArgumentParser:
     return ap
 
 
+# argparse takes "-3/7" for an option; no option of the embed commands
+# starts with "-" and a digit, so such a token is a rational
+_NEGATIVE_RATIONAL = re.compile(r"-\d")
+
+
+def _rationals_last(argv: list[str]) -> list[str]:
+    """argv of embed-q or embed-verbal with a negative rational moved
+    behind "--", where argparse reads it as the positional."""
+    if argv[:1] not in (["embed-q"], ["embed-verbal"]) or "--" in argv:
+        return argv
+    negative = [a for a in argv[1:] if _NEGATIVE_RATIONAL.match(a)]
+    if not negative:
+        return argv
+    return [a for a in argv if a not in negative] + ["--"] + negative
+
+
 def parse_argv(argv: list[str]) -> Command:
-    ns = _build_argparser().parse_args(argv)
+    ns = _build_argparser().parse_args(_rationals_last(argv))
     options = {
         k: v
         for k, v in vars(ns).items()

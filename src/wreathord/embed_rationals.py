@@ -365,8 +365,9 @@ def brute_confirms(x: WreathElement, y: WreathElement, window: int) -> bool:
         return o is top
     v = group.min_difference(x, y)
     hi = window if v.is_equal else min(window, v.witness - 1)
-    for j in range(-window, hi + 1):
-        if not group.fiber.equal(group.eval_atoms(x, j), group.eval_atoms(y, j)):
+    scan = range(-window, hi + 1)
+    for vx, vy in zip(group.atom_values(x, scan), group.atom_values(y, scan)):
+        if not group.fiber.equal(vx, vy):
             return False
     if v.is_equal:
         return o is Ordering.EQUAL

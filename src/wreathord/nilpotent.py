@@ -423,6 +423,20 @@ def _reduce_word(word: Word) -> tuple[Nil2Group, VerbalWitness, str]:
     return group, VerbalWitness(eval_word(w, args, group), ((w, args, 1),)), key
 
 
+def _check_value_equality(group: Any, a: Any, key: str) -> None:
+    """Raise UnsupportedWordSet unless ``mul(a, identity())``, a new
+    element of the same value, equals a and hashes as a does."""
+    same = group.mul(a, group.identity())
+    try:
+        valued = same == a and hash(same) == hash(a)
+    except TypeError:
+        valued = False
+    if not valued:
+        raise UnsupportedWordSet(
+            f"word family {key!r}: S elements must be hashable with value equality"
+            " (mul(a, identity()) must == a, with the same hash)")
+
+
 def select_S(family: Word | str | Any) -> tuple[Any, VerbalWitness, str]:
     """Pick the fiber/top group S for a word set V, a positive witness in
     V(S), and the family key that names the construction.
@@ -446,6 +460,13 @@ def select_S(family: Word | str | Any) -> tuple[Any, VerbalWitness, str]:
     ``family_key``.  A negative witness is replaced by its inverse (the
     presentation reversed with its signs flipped), which also lies in
     V(S), so the order of S never needs inverting.
+
+    S must offer ``identity``, ``mul``, ``inv``, ``pow``, ``compare``,
+    ``is_identity``, ``is_positive``, ``key_of`` and ``ray_decompose``,
+    and its elements must be hashable with value equality: a point atom
+    finds its origin by ``==``, and a ray-step form compares ray
+    representatives.  For a plugin, ``mul(a, identity())`` must equal
+    the witness a with the same hash, or UnsupportedWordSet is raised.
     """
     if isinstance(family, str):
         family = parse_word(family)
@@ -454,6 +475,7 @@ def select_S(family: Word | str | Any) -> tuple[Any, VerbalWitness, str]:
     elif hasattr(family, "select"):
         group, witness = family.select()
         key = getattr(family, "family_key", repr(family))
+        _check_value_equality(group, witness.element, key)
     else:
         raise UnsupportedWordSet(f"unsupported word family: {family!r}")
 

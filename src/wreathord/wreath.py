@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter, sub
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from .groundwork import RATIONALS, Ordering, Rational, Verdict
 
@@ -727,12 +727,17 @@ class WreathGroup:
         return WreathElement(self, ti, atoms)
 
     def pow(self, x: WreathElement, n: int) -> WreathElement:
-        if n and len(x.atoms) == 1 and self.coords.key(x.top) == self._top_identity_key:
-            # with the top trivial the base powers pointwise, so one atom
-            # multiplies its exponent
-            self._same(x)
-            (a,) = x.atoms
-            return WreathElement(self, x.top, (Atom(a.fn, a.shift, a.exp * n),))
+        if n and self.coords.key(x.top) == self._top_identity_key:
+            # with the top trivial the base powers pointwise, so one atom,
+            # or atoms that commute, multiply their exponents and stay reduced
+            if len(x.atoms) == 1:
+                self._same(x)
+                (a,) = x.atoms
+                return WreathElement(self, x.top, (Atom(a.fn, a.shift, a.exp * n),))
+            if self._atoms_commute(x.atoms):
+                self._same(x)
+                return WreathElement(self, x.top, tuple(
+                    [Atom(a.fn, a.shift, a.exp * n) for a in x.atoms]))
         if n < 0:
             return self.pow(self.inv(x), -n)
         out = self.identity()
@@ -744,6 +749,20 @@ class WreathGroup:
             if n:
                 base = self.mul(base, base)
         return out
+
+    def _atoms_commute(self, atoms: tuple[Atom, ...]) -> bool:
+        """Whether pow may multiply the atoms' exponents: never on a tail
+        level (W and DZ print their atoms, so their pow stays the mul
+        fold); otherwise when the fiber is Q, so the base is abelian, or
+        when the atoms are points at pairwise distinct shifts, so their
+        supports are disjoint."""
+        if self.tail_kind is not None:
+            return False
+        if self.fiber is RATIONALS:
+            return True
+        key = self.coords.key
+        return (all(type(a.fn) is PointFn for a in atoms)
+                and len({key(a.shift) for a in atoms}) == len(atoms))
 
     def conj(self, x: WreathElement, y: WreathElement) -> WreathElement:
         if y.atoms:
@@ -769,14 +788,24 @@ class WreathGroup:
     def eval_atoms(self, x: WreathElement, coord: Any) -> Any:
         """x's base at coord from its atoms, never from its canonical
         form, so brute-force oracles can check the form by it."""
+        return next(self.atom_values(x, (coord,)))
+
+    def atom_values(self, x: WreathElement, coords: Iterable[Any]) -> Iterator[Any]:
+        """x's base at each of the coordinates, in order, from its atoms
+        (as ``eval_atoms``); each atom's value function, inverse shift and
+        exponent are looked up once, not once per coordinate."""
         self._same(x)
-        one = v = self.fiber.identity()
-        for a in x.atoms:
-            rel = self.coords.mul(coord, self.coords.inv(a.shift))
-            av = a.fn.value(rel)
-            if av is not one and not self.fiber.is_identity(av):
-                v = self.fiber.mul(v, av if a.exp == 1 else self.fiber.pow(av, a.exp))
-        return v
+        fiber, cmul = self.fiber, self.coords.mul
+        fmul, fpow, is_identity = fiber.mul, fiber.pow, fiber.is_identity
+        one = fiber.identity()
+        plan = [(a.fn.value, self.coords.inv(a.shift), a.exp) for a in x.atoms]
+        for coord in coords:
+            v = one
+            for value, back, exp in plan:
+                av = value(cmul(coord, back))
+                if av is not one and not is_identity(av):
+                    v = fmul(v, av if exp == 1 else fpow(av, exp))
+            yield v
 
     # -- canonical forms ----------------------------------------------------
 
@@ -862,6 +891,8 @@ class WreathGroup:
         return self.min_difference(x, y).is_equal
 
     def is_identity(self, x: WreathElement) -> bool:
+        if x is self._identity:
+            return True
         self._same(x)
         if self.coords.key(x.top) != self._top_identity_key:
             return False

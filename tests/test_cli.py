@@ -374,6 +374,29 @@ def test_parse_argv():
                           {"word": "x1^2", "seed": 3, "budget": 200, "json": True})
 
 
+@pytest.mark.parametrize("argv, after_dashes", [
+    (["embed-q", "-3/7"], ["embed-q", "--", "-3/7"]),
+    (["embed-q", "-3"], ["embed-q", "--", "-3"]),
+    (["embed-verbal", "-1/2", "--word", "x1^2"], ["embed-verbal", "--word", "x1^2", "--", "-1/2"]),
+    (["embed-verbal", "--word", "[x1,x2]", "-5/3"], ["embed-verbal", "--word", "[x1,x2]", "--", "-5/3"]),
+])
+def test_a_negative_rational_is_a_rational_not_an_option(capsys, argv, after_dashes):
+    assert main(after_dashes) == 0
+    expected = capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr() == expected
+    assert expected.out.startswith(f"rational: {after_dashes[-1]}\n")
+
+
+def test_other_options_and_negative_positionals_are_unchanged():
+    assert parse_argv(["table", "3", "-2"]).args == ("3", "-2")
+    assert parse_argv(["embed-verbal", "-1/2", "--word", "x1^2"]) == Command(
+        "embed-verbal", ("-1/2",), {"word": "x1^2"})
+    assert parse_argv(["embed-q", "--", "-3/7"]) == Command("embed-q", ("-3/7",), {})
+    assert parse_argv(["eval", "(pow c -2)", "--at", "c:-1"]) == Command(
+        "eval", ("(pow c -2)",), {"at": "c:-1"})
+
+
 def test_python_dash_m_runs_the_cli():
     import os
     import subprocess

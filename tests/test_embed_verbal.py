@@ -182,6 +182,41 @@ def test_verify_theorem2_small_budget_both_families():
         assert report.all_pass, [c for c in report.checks if c.status != "pass"]
 
 
+@pytest.mark.parametrize("ctx", [CTX, ZTX], ids=["[x1,x2]", "x1^2"])
+def test_the_omega_commutator_oracle_scans_its_whole_window(monkeypatch, ctx):
+    # every coordinate of [-2^(max+2), 2^(max+2)] is evaluated from the
+    # atoms of the raw commutator, for each pair n != m <= 8
+    from collections import defaultdict
+    from wreathord.wreath import WreathGroup
+
+    def signature(x):
+        return tuple((a.fn.key(), a.shift, a.exp) for a in x.atoms)
+
+    seen = defaultdict(set)
+    atom_values = WreathGroup.atom_values
+
+    def recording(self, x, coords):
+        coords = list(coords)
+        for c, v in zip(coords, atom_values(self, x, coords)):
+            if self is ctx.DZ:
+                seen[signature(x)].add(c)
+            yield v
+
+    monkeypatch.setattr(WreathGroup, "atom_values", recording)
+    report = verify_theorem2(ctx.family_key, seed=0, budget=4)
+    assert report.check("omega-commutators").status == "pass"
+    DZ, total = ctx.DZ, 0
+    for n in range(9):
+        for m in range(9):
+            if n != m:
+                raw = DZ.comm(DZ.conj(ctx.omega(), ctx.z_elem(-(1 << n))),
+                              DZ.conj(ctx.omega(), ctx.z_elem(-(1 << m))))
+                hi = 1 << (max(n, m) + 2)
+                assert seen[signature(raw)] >= set(range(-hi, hi + 1))
+                total += 2 * hi + 1
+    assert total == 57448
+
+
 def test_unsupported_word_family():
     # the message quotes the word as typed, not its expanded letters
     with pytest.raises(UnsupportedWordSet, match=r"word '\[\[x1,x2\],x3\]' lies in gamma_3"):

@@ -269,6 +269,45 @@ def test_select_plugin_object():
     assert verify_witness(witness, group).all_pass
 
 
+class _Box:
+    """An S element with identity equality: each product is a new box."""
+
+    def __init__(self, e):
+        self.e = e
+
+
+class _UnhashableBox(_Box):
+    def __eq__(self, other):
+        return self.e == other.e
+
+    __hash__ = None
+
+
+@pytest.mark.parametrize("box", [_Box, _UnhashableBox])
+def test_select_rejects_a_plugin_without_value_equality(box):
+    from wreathord.nilpotent import VerbalWitness
+
+    class Boxed:
+        g = Nil2Group(1)
+
+        def identity(self):
+            return box(self.g.identity())
+
+        def mul(self, x, y):
+            return box(self.g.mul(x.e, y.e))
+
+    class Plugin:
+        family_key = "boxed"
+
+        def select(self):
+            group = Boxed()
+            a = box(group.g.generator(1))
+            return group, VerbalWitness(a, ((Word.power(1, 1), (a,), 1),))
+
+    with pytest.raises(UnsupportedWordSet, match="'boxed'.*hashable with value equality"):
+        select_S(Plugin())
+
+
 def test_verify_witness_pass_and_corrupted():
     group, witness, _ = select_S("[x1,x2]")
     assert verify_witness(witness, group).all_pass

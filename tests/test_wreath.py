@@ -759,3 +759,154 @@ def test_an_embedded_rational_is_one_point_atom():
     assert len(el.atoms) == 1 and el.atoms[0].exp == q.numerator
     assert ctx.TC.equal(el.eval(0), ctx.rho(ctx.QS.pow(ctx.psi(3), q.numerator)))
     assert ctx.TC.is_identity(el.eval(1)) and ctx.TC.is_identity(el.eval(-1))
+
+
+# -- powers of commuting atoms: exponents multiply, atoms stay as many ---------
+
+def _trivial_top_element(level: str, data):
+    """(group, element with a trivial top and 2-6 drawn atoms, whether its
+    atoms commute pointwise) at QC, QS or TC, or a multi-point omega
+    commutator value at TC."""
+    if level == "qc":
+        fn = st.builds(lambda n, point: (phi(n) if point else tau(n)).atoms[0].fn,
+                       st.integers(1, 10), st.booleans())
+        group, shift = QC, st.integers(-8, 8)
+    else:
+        ctx = get_context(data.draw(st.sampled_from(["[x1,x2]", "x1^2"])))
+        if level == "omega":
+            # [d_n, d_m] has two points for these pairs, and one for most
+            n, m = data.draw(st.sampled_from([(1, 6), (3, 6), (5, 6), (6, 1), (6, 7), (8, 6)]))
+            x = ctx.omega_commutator(n, m).atoms[0].fn.fiber_value
+            assert len(x.atoms) == 2
+            return ctx.TC, x, True
+        if level == "qs":
+            sc, sg = ctx.scoords, ctx.sgroup
+            fn = st.builds(lambda n, point: (ctx.psi(n) if point else ctx.chi(n)).atoms[0].fn,
+                           st.integers(1, 4), st.booleans())
+            group = ctx.QS
+            shift = st.builds(lambda i, j: sc.mul(sc.witness_power(i), sg.pow(sg.generator(1), j)),
+                              st.integers(-3, 3), st.integers(-2, 2))
+        else:
+            group = ctx.TC
+            makers = [ctx.rho] if data.draw(st.booleans()) else [ctx.rho, ctx.pi]
+            shifts = data.draw(st.lists(st.integers(-3, 3), min_size=2, max_size=5, unique=True))
+            if data.draw(st.booleans()):
+                # the first atom's shift again, after another shift
+                shifts.append(shifts[0])
+            rng = Random(data.draw(st.integers(0, 10**9)))
+            atoms = []
+            for s in shifts:
+                g = ctx.QS.identity()
+                while ctx.QS.is_identity(g):
+                    g = ctx.random_t_element(rng, max_len=3)
+                atoms.append(Atom(rng.choice(makers)(g).atoms[0].fn, s, rng.choice([-2, -1, 1, 2])))
+            x = group.element(0, atoms)
+            commute = (all(isinstance(a.fn, PointFn) for a in x.atoms)
+                       and len({a.shift for a in x.atoms}) == len(x.atoms))
+            return group, x, commute
+    atoms = data.draw(st.lists(st.builds(Atom, fn, shift, st.sampled_from([-2, -1, 1, 2])),
+                               min_size=2, max_size=6))
+    return group, group.element(group.coords.identity(), atoms), True
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["qc", "qs", "tc", "tc", "omega"]), st.data())
+def test_powers_of_commuting_atoms_match_the_mul_fold(level, data):
+    group, x, commute = _trivial_top_element(level, data)
+    for n in range(-6, 7):
+        base = x if n >= 0 else group.inv(x)
+        fold = functools.reduce(group.mul, [base] * abs(n), group.identity())
+        power = group.pow(x, n)
+        assert group.key(power) == group.key(fold)
+        assert group.fmt(power) == group.fmt(fold)
+        if commute and n:
+            assert len(power.atoms) == len(x.atoms)
+    assert group.pow(x, 0) is group.identity()
+
+
+def test_a_big_power_of_commuting_atoms_costs_no_mul(monkeypatch):
+    ctx = get_context("[x1,x2]")
+    x = QC.product([tau(2), QC.conj(phi(3), c_elem(2)), QC.conj(tau(5), c_elem(-1)),
+                    QC.conj(phi(7), c_elem(4))])
+    v = ctx.omega_commutator(1, 6).atoms[0].fn.fiber_value
+    assert len(x.atoms) == 4 and len(v.atoms) == 2
+    calls = []
+    mul = WreathGroup.mul
+    monkeypatch.setattr(WreathGroup, "mul", lambda self, a, b: calls.append(1) or mul(self, a, b))
+    n = 10**6
+    qc_power, tc_power = QC.pow(x, n), ctx.TC.pow(v, n)
+    assert calls == []
+    for j in range(-4, 6):
+        assert QC.eval(qc_power, j) == n * QC.eval(x, j)
+        assert ctx.QS.equal(ctx.TC.eval(tc_power, j), ctx.QS.pow(ctx.TC.eval(v, j), n))
+
+
+# -- batch atom evaluation ---------------------------------------------------------
+
+def _s_coordinates(ctx):
+    """a^i * x1^j * x_rank^k, off the witness ray: where the witness is
+    not central, coord * shift^-1 and shift^-1 * coord differ there."""
+    sc, sg = ctx.scoords, ctx.sgroup
+    first, last = sg.generator(1), sg.generator(sg.rank)
+    return [sc.mul(sc.mul(sc.witness_power(i), sg.pow(first, j)), sg.pow(last, k))
+            for i in range(-2, 3) for j in range(-2, 3) for k in range(-2, 3)]
+
+
+class _FirstGenerator:
+    """S the free class-2 group of rank 2 with the witness x1, which is
+    not central: there coord * shift^-1 and shift^-1 * coord can lie on
+    different rays, as they cannot for the built-in S groups."""
+
+    family_key = "x1 in N(2,2)"
+
+    def select(self):
+        from wreathord.nilpotent import Nil2Group, VerbalWitness, Word
+
+        group = Nil2Group(2)
+        x1 = group.generator(1)
+        return group, VerbalWitness(x1, ((Word.power(1, 1), (x1,), 1),))
+
+
+_FIRST_GENERATOR = _FirstGenerator()
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["qc", "w", "qs", "tc", "dz"]), st.integers(0, 10**9),
+       st.sampled_from(["[x1,x2]", "x1^2", _FIRST_GENERATOR]))
+def test_atom_values_agree_with_eval_atoms_and_the_form(level, seed, word):
+    rng = Random(seed)
+    ctx = get_context(word)
+    coords = list(range(-10, 11))
+    if level == "qc":
+        group, x = QC, random_qc_element(rng)
+    elif level == "w":
+        group = W
+        x = W.mul(random_w_element(rng), w_point(random_qc_element(rng), at=rng.randint(-3, 3)))
+        if rng.random() < 0.5:
+            x = W.element(0, [a for a in x.atoms if a.fn.finite])
+    elif level == "qs":
+        group, coords = ctx.QS, _s_coordinates(ctx)
+        sc, sg = ctx.scoords, ctx.sgroup
+        atoms = [Atom((ctx.psi(n) if rng.random() < 0.5 else ctx.chi(n)).atoms[0].fn,
+                      sc.mul(sc.witness_power(rng.randint(-2, 2)),
+                             sg.pow(sg.generator(sg.rank), rng.randint(-2, 2))),
+                      rng.choice([-2, -1, 1, 2]))
+                 for n in (rng.randint(1, 4) for _ in range(rng.randint(1, 5)))]
+        x = ctx.QS.element(sc.witness_power(rng.randint(-1, 1)), atoms)
+    elif level == "tc":
+        group, x = ctx.TC, ctx.random_d_element(rng, max_len=4)
+    else:
+        group = ctx.DZ
+        point = group.point(ctx.random_d_element(rng, max_len=2), at=rng.randint(-3, 3))
+        if rng.random() < 0.5:
+            x = group.mul(ctx.omega_commutator(rng.randint(0, 3), rng.randint(4, 6)), point)
+        else:
+            x = group.mul(g_word_element(random_g_word(rng, max_len=4, gen="omega"),
+                                         ctx.omega()), point)
+    form = group.base_canonical(x)
+    values = list(group.atom_values(x, coords))
+    assert len(values) == len(coords)
+    for c, v in zip(coords, values):
+        assert group.fiber.equal(v, group.eval_atoms(x, c))
+        if form is not None:
+            assert group.fiber.equal(v, form.value(c))
