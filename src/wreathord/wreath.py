@@ -12,8 +12,9 @@ has one of two shapes: a point (``PointFn``), one value at the origin
 only, or a threshold (``ThresholdFn``), one value from the origin on
 along its ray.  The paper's phi_n, psi_n and rho_g are points and
 tau_n, chi_n and pi_g thresholds.  A shape states its value changes
-along the origin's ray once, and its ray and fiber-step forms are read
-off them; two atoms of one shape at the same shift merge into one.
+along the origin's ray once; its ray form is read off them, a product's
+fiber-step form off the product's values where some atom's value
+changes, and two atoms of one shape at the same shift merge into one.
 
 Equality of two elements with equal tops is decided in two exact tiers:
 
@@ -314,32 +315,19 @@ class FiberSteps(_Steps):
 
     @staticmethod
     def of_atoms(group: "WreathGroup", atoms: Iterable["Atom"]) -> "FiberSteps":
-        """Product of the atoms' forms, multiplied one by one, since the
-        fiber need not be abelian.  It starts from the first form, so a
-        lone atom keeps its own fiber values (and their cached forms)."""
-        fs = None
-        for a in atoms:
-            part = a.fn.fiber_steps.shifted(a.shift)
-            if a.exp != 1:
-                part = part.pow(a.exp)
-            fs = part if fs is None else fs.mul(part)
-        return FiberSteps(group.fiber, group.fiber.identity(), (), ()) if fs is None else fs
-
-    def shifted(self, k: int) -> "FiberSteps":
-        if k == 0:
-            return self
-        return FiberSteps(self.fiber, self.left, tuple(b + k for b in self.breaks), self.values)
+        """Form of a product of point and threshold atoms: no factor
+        changes between two coordinates where some atom's value changes,
+        so the product's value is read off the atoms at those only."""
+        atoms = tuple(atoms)
+        breaks = sorted({b + a.shift for a in atoms for b, _ in a.fn.changes(0)})
+        one = group.fiber.identity()
+        return FiberSteps.make(group.fiber, one, zip(breaks, group._values(atoms, breaks)))
 
     def mul(self, other: "FiberSteps") -> "FiberSteps":
         f = self.fiber
         merged = sorted(set(self.breaks) | set(other.breaks))
         changes = [(b, f.mul(self.value(b), other.value(b))) for b in merged]
         return FiberSteps.make(f, f.mul(self.left, other.left), changes)
-
-    def pow(self, n: int) -> "FiberSteps":
-        f = self.fiber
-        changes = [(b, f.pow(v, n)) for b, v in zip(self.breaks, self.values)]
-        return FiberSteps.make(f, f.pow(self.left, n), changes)
 
     def key(self) -> tuple:
         if self._key is None:
@@ -372,8 +360,8 @@ class BaseFunction:
     """A named generator function of a wreath base.
 
     Subclasses report the value at any (unshifted) coordinate.  The two
-    extensional shapes, PointFn and ThresholdFn, also expose their ray
-    and fiber-step forms for the tier-1 equality path; the tail kinds
+    extensional shapes, PointFn and ThresholdFn, also state their value
+    changes and ray form for the tier-1 equality path; the tail kinds
     (AlphaFn, OmegaFn) expose their tier-2 criterion instead.
     """
 
@@ -395,8 +383,9 @@ class BaseFunction:
     def ray(self) -> tuple[Any, StepFunction]:
         raise TypeError(f"{self.name} has no ray form")
 
-    @property
-    def fiber_steps(self) -> FiberSteps:
+    def changes(self, i0: int) -> tuple:
+        """(ray index, value from there on) at each value change along
+        the origin's ray, the origin being its i0-th point."""
         raise TypeError(f"{self.name} has no fiber-step form")
 
     def tail_identity(self, group: "WreathGroup", element: "WreathElement",
@@ -422,8 +411,9 @@ class _Shape(BaseFunction):
     """A point or a threshold: ``fiber_value`` near the origin of
     ``coords`` and the identity elsewhere.  A shape's ``changes(i0)``
     lists its value changes along the origin's ray, the origin being
-    the ray's i0-th point, and each form of the atom is read off them;
-    two atoms of one shape at the same shift merge into one."""
+    the ray's i0-th point: the atom's ray form is read off them, and a
+    fiber-step form evaluates its product where they fall; two atoms of
+    one shape at the same shift merge into one."""
 
     def __init__(self, value: Any, fiber: Any, coords: Any):
         self.fiber_value = value
@@ -444,10 +434,6 @@ class _Shape(BaseFunction):
         ray where a rational atom is not 0."""
         _, rep, i0 = self._start
         return rep, StepFunction.make(self.fiber.identity(), self.changes(i0))
-
-    @cached_property
-    def fiber_steps(self) -> FiberSteps:
-        return FiberSteps.make(self.fiber, self.fiber.identity(), self.changes(0))
 
     @property
     def is_trivial(self) -> bool:
@@ -788,23 +774,33 @@ class WreathGroup:
     def eval_atoms(self, x: WreathElement, coord: Any) -> Any:
         """x's base at coord from its atoms, never from its canonical
         form, so brute-force oracles can check the form by it."""
-        return next(self.atom_values(x, (coord,)))
+        self._same(x)
+        return next(self._values(x.atoms, (coord,)))
 
     def atom_values(self, x: WreathElement, coords: Iterable[Any]) -> Iterator[Any]:
         """x's base at each of the coordinates, in order, from its atoms
-        (as ``eval_atoms``); each atom's value function, inverse shift and
-        exponent are looked up once, not once per coordinate."""
+        (as ``eval_atoms``)."""
         self._same(x)
+        return self._values(x.atoms, coords)
+
+    def _values(self, atoms: tuple[Atom, ...], coords: Iterable[Any]) -> Iterator[Any]:
+        """The product of the atoms at each of the coordinates, in order;
+        each atom's value function, inverse shift and exponent are looked
+        up once, not once per coordinate.  A product starts from its first
+        non-identity factor itself, so a lone atom's value (and its cached
+        form) is returned as it is."""
         fiber, cmul = self.fiber, self.coords.mul
         fmul, fpow, is_identity = fiber.mul, fiber.pow, fiber.is_identity
         one = fiber.identity()
-        plan = [(a.fn.value, self.coords.inv(a.shift), a.exp) for a in x.atoms]
+        plan = [(a.fn.value, self.coords.inv(a.shift), a.exp) for a in atoms]
         for coord in coords:
             v = one
             for value, back, exp in plan:
                 av = value(cmul(coord, back))
                 if av is not one and not is_identity(av):
-                    v = fmul(v, av if exp == 1 else fpow(av, exp))
+                    if exp != 1:
+                        av = fpow(av, exp)
+                    v = av if v is one else fmul(v, av)
             yield v
 
     # -- canonical forms ----------------------------------------------------
@@ -849,10 +845,12 @@ class WreathGroup:
 
     def least_nonidentity(self, x: WreathElement, candidates: Iterable[Any]) -> Verdict:
         """Equal, or Distinct at the least candidate coordinate where x is
-        not the identity; the caller vouches that the least coordinate
-        where x is not the identity, if there is one, is a candidate."""
-        for j in sorted(candidates):
-            if not self.fiber.is_identity(self.eval(x, j)):
+        not the identity, read from x's atoms in one pass over the sorted
+        candidates; the caller vouches that the least coordinate where x
+        is not the identity, if there is one, is a candidate."""
+        candidates = sorted(candidates)
+        for j, v in zip(candidates, self.atom_values(x, candidates)):
+            if not self.fiber.is_identity(v):
                 return Verdict.distinct(j)
         return Verdict.equal()
 

@@ -4,10 +4,11 @@ library's equality tiers, plus small random element builders."""
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from random import Random
 
 from wreathord.groundwork import Ordering
-from wreathord.wreath import WreathElement
+from wreathord.wreath import FiberSteps, WreathElement
 
 
 def brute_least_difference(x: WreathElement, y: WreathElement,
@@ -44,6 +45,19 @@ def confirm_verdict(x: WreathElement, y: WreathElement, verdict,
     return not group.fiber.equal(
         group.eval_atoms(x, verdict.witness), group.eval_atoms(y, verdict.witness)
     )
+
+
+def atom_by_atom_form(group, atoms) -> FiberSteps:
+    """The fiber-step form of a product of point and threshold atoms as
+    the product of each atom's own form, multiplied one by one with
+    ``FiberSteps.mul``: a reference apart from the evaluation loop that
+    ``FiberSteps.of_atoms`` shares with ``eval_atoms``."""
+    fiber = group.fiber
+    one = fiber.identity()
+    parts = (FiberSteps.make(fiber, one, [(b + a.shift, fiber.pow(v, a.exp))
+                                          for b, v in a.fn.changes(0)])
+             for a in atoms)
+    return reduce(FiberSteps.mul, parts, FiberSteps.make(fiber, one, ()))
 
 
 def random_rational(rng: Random, max_num: int = 100, max_den: int = 100) -> Fraction:

@@ -5,7 +5,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import brute_compare, confirm_verdict
+from helpers import atom_by_atom_form, brute_compare, confirm_verdict
 
 from wreathord.embed_verbal import get_context
 from wreathord.groundwork import RATIONALS, IntCoords, Ordering
@@ -15,6 +15,7 @@ from wreathord.wreath import (
     ConstructionViolation,
     FiberSteps,
     PointFn,
+    RayStepFunction,
     StepFunction,
     ThresholdFn,
     WreathElement,
@@ -285,9 +286,48 @@ def test_fiber_steps_fold_matches_evaluation(data):
     el = group.element(0, atoms)
     form = group.base_canonical(el)
     assert isinstance(form, FiberSteps)
+    # the form is read off the atoms' values, so it is also checked
+    # against the product of the atoms' own forms
+    reference = atom_by_atom_form(group, atoms)
+    assert form.key() == reference.key()
+    assert form.fmt() == reference.fmt()
     for a in atoms:
         for j in (a.shift - 1, a.shift, a.shift + 1):
             assert group.fiber.equal(form.value(j), group.eval_atoms(el, j))
+
+
+def _refolds_to_key_a_pi_product(monkeypatch, ctx, k: int, seed: int) -> int:
+    """Atoms passed to RayStepFunction.of_atoms while keying a T Wr C
+    product of k pi(t)^±1 atoms over 20 random t, shifts in [-5k, 5k]."""
+    rng = Random(seed)
+    fns = []
+    while len(fns) < 20:
+        fns.extend(a.fn for a in ctx.pi(ctx.random_t_element(rng)).atoms)
+    atoms = [Atom(rng.choice(fns), rng.randint(-5 * k, 5 * k), rng.choice([-1, 1]))
+             for _ in range(k)]
+    el = ctx.TC.element(0, atoms)
+    refolded = []
+    of_atoms = RayStepFunction.of_atoms
+
+    def counting(group, atoms):
+        atoms = tuple(atoms)
+        refolded.append(len(atoms))
+        return of_atoms(group, atoms)
+
+    with monkeypatch.context() as m:
+        m.setattr(RayStepFunction, "of_atoms", staticmethod(counting))
+        ctx.TC.key(el)
+    return sum(refolded)
+
+
+def test_a_fiber_step_form_refolds_atoms_subcubically(monkeypatch):
+    # a running product of the atoms' own forms refolds about 9x the
+    # atoms per doubling of k at this seed, so the bound tells it apart
+    # from reading one product per break
+    ctx = get_context("[x1,x2]")
+    small = _refolds_to_key_a_pi_product(monkeypatch, ctx, 40, seed=5)
+    large = _refolds_to_key_a_pi_product(monkeypatch, ctx, 80, seed=5)
+    assert large <= 6 * small, (small, large)
 
 
 def test_tail_symbol():
@@ -608,6 +648,10 @@ def test_level_without_exact_route_raises_type_error():
     x = steps.element(0, [Atom(_Opaque(), 0, 1)])
     with pytest.raises(TypeError, match="opaque"):
         steps.equal(x, steps.identity())
+    fiber_steps = WreathGroup("opaque-fiber-steps", IntCoords("c"), RATIONALS, FiberSteps)
+    v = fiber_steps.element(0, [Atom(_Opaque(), 0, 1)])
+    with pytest.raises(TypeError, match="opaque"):
+        fiber_steps.equal(v, fiber_steps.identity())
     tail = WreathGroup("opaque-tail", IntCoords("z"), QC, FiberSteps, tail_kind="alpha")
     y = tail.element(0, [alpha().atoms[0], Atom(_Opaque(), 1, 1)])
     with pytest.raises(TypeError, match="opaque"):
@@ -739,8 +783,8 @@ def test_powers_of_certified_elements_match_the_mul_fold():
 def test_phi_element_powers_its_certificate_without_multiplying_it(monkeypatch):
     phi_star(1013)
     calls = []
-    mul = FiberSteps.mul
-    monkeypatch.setattr(FiberSteps, "mul", lambda self, other: calls.append(1) or mul(self, other))
+    mul = WreathGroup.mul
+    monkeypatch.setattr(WreathGroup, "mul", lambda self, x, y: calls.append(1) or mul(self, x, y))
     el = phi_element(Fraction(5, 1013))
     assert calls == []
     assert QC.equal(el.eval(0), QC.pow(phi(1013), 5))
