@@ -33,8 +33,7 @@ class Command:
 
 
 def _ctx(options) -> ev.VerbalContext:
-    word = options.get("word", "[x1,x2]")
-    return ev.get_context(word)
+    return ev.get_context(options.get("word", ev.DEFAULT_WORD))
 
 
 def _render_eval(element: WreathElement, level: str, at: str | None, window: int) -> str:
@@ -166,8 +165,8 @@ def run_command(cmd: Command) -> tuple[int, str]:
             if suite == "section2":
                 report = er.verify_section2(seed=seed, budget=budget)
             elif suite == "verbal":
-                word = opts.get("word", "[x1,x2]")
-                report = ev.verify_theorem2(word, seed=seed, budget=budget)
+                report = ev.verify_theorem2(opts.get("word", ev.DEFAULT_WORD),
+                                            seed=seed, budget=budget)
             elif suite == "orders":
                 report = er.verify_order_laws(seed=seed, budget=budget,
                                               window=opts.get("window", 64))

@@ -81,11 +81,10 @@ class AlphaFn(BaseFunction):
         # r roots, and the least non-identity coordinate of the interval,
         # if any, is among its first r integers that are not finite-atom
         # coordinates.  Those, the shifts and the finite-atom coordinates
-        # hold the least difference; zero nets add no integers.
+        # hold the least difference; zero nets add no integers.  A finite
+        # atom is a point, so its coordinate is its shift.
         nets = net_exponents(tails)
-        finite = set()
-        for a in finites:
-            finite.update(c + a.shift for c in a.fn.finite_coords())
+        finite = {a.shift for a in finites}
         candidates = finite | set(nets)
         shifts = sorted(nets)
         active = 0
@@ -405,8 +404,7 @@ def verify_theorem1(seed: int = 0, budget: int = 200) -> Report:
     def homomorphism(rng, budget):
         for _ in range(budget):
             p, q = random_rational(rng), random_rational(rng)
-            v = W.equal_verdict(W.mul(phi_element(p), phi_element(q)), phi_element(p + q))
-            if not v.is_equal:
+            if not W.equal(W.mul(phi_element(p), phi_element(q)), phi_element(p + q)):
                 return FAIL, {"p": format_rational(p), "q": format_rational(q)}
         return PASS, {"pairs": budget}
 
@@ -435,7 +433,7 @@ def verify_theorem1(seed: int = 0, budget: int = 200) -> Report:
         for _ in range(max(1, budget // 2)):
             word = random_g_word(rng, max_len=30)
             el = g_word_element(word)
-            nf = g_normal_form(word)
+            nf = g_normal_form(el)
             rebuilt = normal_form_element(nf)
             if not W.equal(el, rebuilt):
                 return FAIL, {"word": word.fmt()}

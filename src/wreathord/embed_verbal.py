@@ -107,7 +107,7 @@ class SCoords:
         return self.group.key_of(a)
 
     def fmt(self, a) -> str:
-        return a.fmt()
+        return self.group.fmt(a)
 
     def ray_decompose(self, s: MalcevElement) -> tuple[MalcevElement, int]:
         return self.group.ray_decompose(s, self.witness)
@@ -150,11 +150,10 @@ class OmegaFn(BaseFunction):
         # d_(2n-1) = pi(psi_n^-1) is nontrivial in the torsion-free D.
         # (A power added for one shift that another shift reaches too is
         # a collision, already a candidate, so adding as we go is safe.)
+        # A finite atom is a point, so its coordinate is its shift.
         fiber = group.fiber
         nets = net_exponents(tails)
-        candidates: set[int] = set()
-        for a in finites:
-            candidates.update(c + a.shift for c in a.fn.finite_coords())
+        candidates = {a.shift for a in finites}
         shifts = sorted(nets)
         for i, k1 in enumerate(shifts):
             for k2 in shifts[i + 1:]:
@@ -395,12 +394,15 @@ class VerbalContext:
         return out
 
 
+DEFAULT_WORD = "[x1,x2]"
+
+
 @lru_cache(maxsize=None)
 def _context_cache(family: Any) -> VerbalContext:
     return VerbalContext(family)
 
 
-def get_context(family: Word | str | Any = "[x1,x2]") -> VerbalContext:
+def get_context(family: Word | str | Any = DEFAULT_WORD) -> VerbalContext:
     """The context of a word set, shared by every caller that names the
     same freely reduced word up to renaming its variables."""
     if isinstance(family, str):
@@ -415,7 +417,7 @@ def get_context(family: Word | str | Any = "[x1,x2]") -> VerbalContext:
 
 # -- the verbal-embedding suite ---------------------------------------------
 
-def verify_theorem2(family: Word | str | Any = "[x1,x2]",
+def verify_theorem2(family: Word | str | Any = DEFAULT_WORD,
                     seed: int = 0, budget: int = 200) -> Report:
     """Checks of the verbal embedding for one word family: the witness,
     psi_n = a^-1 a^(chi_n) with its replayable certificate, order
@@ -512,8 +514,7 @@ def verify_theorem2(family: Word | str | Any = "[x1,x2]",
         for _ in range(count):
             p = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
             q = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
-            v = DZ.equal_verdict(DZ.mul(ctx.embed(p), ctx.embed(q)), ctx.embed(p + q))
-            if not v.is_equal:
+            if not DZ.equal(DZ.mul(ctx.embed(p), ctx.embed(q)), ctx.embed(p + q)):
                 return FAIL, {"p": format_rational(p), "q": format_rational(q)}
         return PASS, {"pairs": count}
 

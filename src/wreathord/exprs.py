@@ -351,7 +351,7 @@ def build_element(expr: Expr, ctx: "ev.VerbalContext | None" = None,
     """Infer the level (unless given), bind atoms, and evaluate the
     expression tree."""
     if ctx is None:
-        ctx = ev.get_context("[x1,x2]")
+        ctx = ev.get_context()
     if level is None:
         level = infer_level(expr)
     return level, _build(expr, level, bind_levels(ctx))

@@ -10,8 +10,8 @@ Comparisons come in two flavours:
 * ``Ordering`` -- the outcome of an exact three-way comparison
   (trichotomy holds: exactly one of Less / Equal / Greater).
 * ``Verdict`` -- the outcome of an exact equality test: ``Equal``, or
-  ``Distinct(witness)``; for wreath elements the witness is the least
-  coordinate where the two differ, or ``"top"``.
+  ``Distinct(witness)``; for wreath elements with equal tops the
+  witness is the least coordinate where the two differ.
 """
 
 from __future__ import annotations
@@ -59,9 +59,8 @@ class Ordering(Enum):
 class Verdict:
     """Exact equality outcome: Equal / Distinct.
 
-    ``Distinct`` carries a witness: for wreath elements either the least
-    coordinate at which their base functions differ, or the string
-    ``"top"`` when they already differ in their top components; for two
+    ``Distinct`` carries a witness: for wreath elements with equal tops
+    the least coordinate at which their base functions differ; for two
     rationals, their difference.
     """
 
@@ -104,7 +103,7 @@ class OrderedGroup(Protocol):
 
     def inv(self, x: Any) -> Any: ...
 
-    def equal_verdict(self, x: Any, y: Any) -> Verdict: ...
+    def equal(self, x: Any, y: Any) -> bool: ...
 
     def compare(self, x: Any, y: Any) -> Ordering: ...
 

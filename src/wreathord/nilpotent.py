@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from .groundwork import Ordering, Verdict
+from .groundwork import Ordering
 from .reporting import FAIL, PASS, Report, run_checks
 
 
@@ -81,7 +81,7 @@ class Word:
         return Word(tuple((number[v], e) for v, e in self.letters), self.text)
 
     def inv(self) -> "Word":
-        return Word(tuple((v, -e) for v, e in reversed(self.letters)))
+        return Word(tuple(_inverse(self.letters)))
 
     def __mul__(self, other: "Word") -> "Word":
         return Word(self.letters + other.letters)
@@ -114,7 +114,19 @@ class Word:
         return self.fmt()
 
 
+_INT = re.compile(r"-?\d+")
+_INDEX = re.compile(r"\d+")
+
+
+def _inverse(letters: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    return [(v, -e) for v, e in reversed(letters)]
+
+
 class _WordParser:
+    """Recursive descent over letter lists, matching patterns in place at
+    ``pos``: linear in the text, and ``parse_word`` validates each letter
+    once, in its one Word."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
@@ -137,64 +149,61 @@ class _WordParser:
 
     def parse_int(self) -> int:
         self.skip_ws()
-        m = re.match(r"-?\d+", self.text[self.pos:])
+        m = _INT.match(self.text, self.pos)
         if m is None:
             raise self.error("expected an integer")
-        self.pos += m.end()
+        self.pos = m.end()
         return int(m.group(0))
 
-    def parse_word(self) -> Word:
-        w = self.parse_factor()
+    def parse_word(self) -> list[tuple[int, int]]:
+        letters = self.parse_factor()
         while self.peek() == "*":
             self.pos += 1
-            w = w * self.parse_factor()
-        return w
+            letters += self.parse_factor()
+        return letters
 
-    def parse_factor(self) -> Word:
-        w = self.parse_atom()
+    def parse_factor(self) -> list[tuple[int, int]]:
+        letters = self.parse_atom()
         if self.peek() == "^":
             self.pos += 1
             n = self.parse_int()
-            if n >= 0:
-                w = Word(w.letters * n)
-            else:
-                w = Word(w.inv().letters * (-n))
-        return w
+            letters = letters * n if n >= 0 else _inverse(letters) * -n
+        return letters
 
-    def parse_atom(self) -> Word:
+    def parse_atom(self) -> list[tuple[int, int]]:
         ch = self.peek()
         if ch == "(":
             self.pos += 1
-            w = self.parse_word()
+            letters = self.parse_word()
             self.expect(")")
-            return w
+            return letters
         if ch == "[":
             self.pos += 1
             u = self.parse_word()
             self.expect(",")
             v = self.parse_word()
             self.expect("]")
-            return Word.commutator(u, v)
+            return _inverse(u) + _inverse(v) + u + v
         if ch == "x":
             self.pos += 1
-            m = re.match(r"\d+", self.text[self.pos:])
+            m = _INDEX.match(self.text, self.pos)
             if m is None:
                 raise self.error("expected a variable index after 'x'")
-            self.pos += m.end()
+            self.pos = m.end()
             var = int(m.group(0))
             if var < 1:
                 raise self.error("variable indices start at 1")
-            return Word(((var, 1),))
+            return [(var, 1)]
         raise self.error("expected a variable, '[' or '('")
 
 
 def parse_word(text: str) -> Word:
     p = _WordParser(text)
-    w = p.parse_word()
+    letters = p.parse_word()
     p.skip_ws()
     if p.pos != len(text):
         raise p.error("trailing input")
-    return Word(w.letters, text)
+    return Word(tuple(letters), text)
 
 
 @dataclass(frozen=True)
@@ -315,17 +324,6 @@ class Nil2Group:
         self._check(x, y)
         return x == y
 
-    def equal_verdict(self, x: MalcevElement, y: MalcevElement) -> Verdict:
-        if self.equal(x, y):
-            return Verdict.equal()
-        for i, (a, b) in enumerate(zip(x.gens, y.gens)):
-            if a != b:
-                return Verdict.distinct(f"x{i + 1}")
-        for (p, q), a, b in zip(self._pairs, x.comms, y.comms):
-            if a != b:
-                return Verdict.distinct(f"[x{p + 1},x{q + 1}]")
-        raise AssertionError("unreachable")
-
     def compare(self, x: MalcevElement, y: MalcevElement) -> Ordering:
         self._check(x, y)
         return Ordering.of((x.gens, x.comms), (y.gens, y.comms))
@@ -423,18 +421,28 @@ def _reduce_word(word: Word) -> tuple[Nil2Group, VerbalWitness, str]:
     return group, VerbalWitness(eval_word(w, args, group), ((w, args, 1),)), key
 
 
-def _check_value_equality(group: Any, a: Any, key: str) -> None:
-    """Raise UnsupportedWordSet unless ``mul(a, identity())``, a new
-    element of the same value, equals a and hashes as a does."""
-    same = group.mul(a, group.identity())
-    try:
-        valued = same == a and hash(same) == hash(a)
-    except TypeError:
-        valued = False
-    if not valued:
-        raise UnsupportedWordSet(
-            f"word family {key!r}: S elements must be hashable with value equality"
-            " (mul(a, identity()) must == a, with the same hash)")
+S_OPERATIONS = ("identity", "mul", "inv", "pow", "equal", "compare", "is_identity",
+                "is_positive", "key_of", "fmt", "ray_decompose", "nilpotency_class")
+
+
+def _check_contract(group: Any, a: Any, key: str) -> None:
+    """Raise UnsupportedWordSet naming each breach of the S contract:
+    the operations of ``S_OPERATIONS`` that S lacks, and elements without
+    value equality (``mul(a, identity())``, a new element of the same
+    value, must equal a and hash as a does)."""
+    missing = [op for op in S_OPERATIONS if not hasattr(group, op)]
+    breaches = [f"S lacks {', '.join(missing)}"] if missing else []
+    if "identity" not in missing and "mul" not in missing:
+        same = group.mul(a, group.identity())
+        try:
+            valued = same == a and hash(same) == hash(a)
+        except TypeError:
+            valued = False
+        if not valued:
+            breaches.append("S elements must be hashable with value equality"
+                            " (mul(a, identity()) must == a, with the same hash)")
+    if breaches:
+        raise UnsupportedWordSet(f"word family {key!r}: " + "; ".join(breaches))
 
 
 def select_S(family: Word | str | Any) -> tuple[Any, VerbalWitness, str]:
@@ -461,12 +469,15 @@ def select_S(family: Word | str | Any) -> tuple[Any, VerbalWitness, str]:
     presentation reversed with its signs flipped), which also lies in
     V(S), so the order of S never needs inverting.
 
-    S must offer ``identity``, ``mul``, ``inv``, ``pow``, ``compare``,
-    ``is_identity``, ``is_positive``, ``key_of`` and ``ray_decompose``,
-    and its elements must be hashable with value equality: a point atom
-    finds its origin by ``==``, and a ray-step form compares ray
-    representatives.  For a plugin, ``mul(a, identity())`` must equal
-    the witness a with the same hash, or UnsupportedWordSet is raised.
+    S must offer every operation of ``S_OPERATIONS``: ``identity``,
+    ``mul``, ``inv``, ``pow``, ``equal``, ``compare``, ``is_identity``,
+    ``is_positive``, ``key_of``, ``fmt``, ``ray_decompose(s, a)`` and
+    the attribute ``nilpotency_class``.  Its elements must be hashable
+    with value equality: a point atom finds its origin by ``==``, and a
+    ray-step form compares ray representatives.  For a plugin S that
+    lacks an operation, or whose ``mul(a, identity())`` is not equal to
+    the witness a with the same hash, UnsupportedWordSet is raised,
+    naming each breach.
     """
     if isinstance(family, str):
         family = parse_word(family)
@@ -475,7 +486,7 @@ def select_S(family: Word | str | Any) -> tuple[Any, VerbalWitness, str]:
     elif hasattr(family, "select"):
         group, witness = family.select()
         key = getattr(family, "family_key", repr(family))
-        _check_value_equality(group, witness.element, key)
+        _check_contract(group, witness.element, key)
     else:
         raise UnsupportedWordSet(f"unsupported word family: {family!r}")
 

@@ -20,12 +20,14 @@ Equality of two elements with equal tops is decided in two exact tiers:
 
 1. canonical extensional forms, when both elements have one: rational
    step functions over an integer line, ray-step functions over a
-   nilpotent coordinate group, or fiber-valued step forms.  The step
-   and fiber-step forms share one step core, which reads the values'
-   equality from their fiber; a ray-step form is one step fold per
-   ray.  The three form classes share one protocol (``of_atoms``,
-   ``is_trivial``, ``least_difference``, ``key``, ``fmt``), and a level
-   names its class;
+   nilpotent coordinate group, or fiber-valued step forms.  Every base
+   function here has well-ordered support, so a form is the identity
+   below its first break and keeps only its changes; that is what
+   gives two forms a least difference.  The step and fiber-step forms
+   share one step core, which reads the values' equality from their
+   fiber; a ray-step form is one step fold per ray.  The three form
+   classes share one protocol (``of_atoms``, ``is_trivial``,
+   ``least_difference``, ``key``, ``fmt``), and a level names its class;
 2. an exact tail criterion for products of shifted powers of a single
    tail atom plus finitely supported atoms.  Each tail atom kind names
    finitely many candidate coordinates that are sure to contain the
@@ -66,22 +68,22 @@ class ConstructionViolation(Exception):
 # ----------------------------------------------------------------------
 
 class _Steps:
-    """A function on an integer line with finitely many value changes.
-
-    ``value(i)`` is ``left`` for ``i < breaks[0]`` and ``values[j]`` for
-    ``breaks[j] <= i < breaks[j+1]``; the right tail is the last value.
-    Canonical form (adjacent values distinct) makes equality structural.
-    Equality, identity and formatting of the values come from ``fiber``.
+    """A function on an integer line that is the fiber's identity below
+    its first break and changes value finitely often: ``value(i)`` is
+    ``values[j]`` for ``breaks[j] <= i < breaks[j+1]``, and the right
+    tail is the last value.  Canonical form (adjacent values distinct,
+    the first not the identity) makes equality structural.  Equality,
+    identity and formatting of the values come from ``fiber``.
     """
 
     __slots__ = ()
 
     @staticmethod
-    def _canonical(fiber: Any, left: Any, changes: Iterable[tuple[int, Any]]) -> tuple:
-        """Breaks and values of the function that is ``left`` below every
-        change and takes value ``v`` from each change ``(b, v)`` on; the
-        breaks must be distinct."""
-        running = left
+    def _canonical(fiber: Any, changes: Iterable[tuple[int, Any]]) -> tuple:
+        """Breaks and values of the function that is the identity below
+        every change and takes value ``v`` from each change ``(b, v)``
+        on; the breaks must be distinct."""
+        running = fiber.identity()
         breaks: list[int] = []
         values: list[Any] = []
         for b, v in sorted(changes, key=itemgetter(0)):
@@ -93,17 +95,15 @@ class _Steps:
 
     def value(self, i: int) -> Any:
         idx = bisect_right(self.breaks, i) - 1
-        return self.left if idx < 0 else self.values[idx]
+        return self.fiber.identity() if idx < 0 else self.values[idx]
 
     @property
     def is_trivial(self) -> bool:
-        return not self.breaks and self.fiber.is_identity(self.left)
+        return not self.breaks
 
     def least_difference(self, other: "_Steps") -> int | None:
         """Least integer where the two functions differ, or None."""
         f = self.fiber
-        if not f.equal(self.left, other.left):
-            raise ValueError("left tails differ: no least difference exists")
         for b in sorted(set(self.breaks) | set(other.breaks)):
             if not f.equal(self.value(b), other.value(b)):
                 return b
@@ -111,9 +111,10 @@ class _Steps:
 
     def fmt(self) -> str:
         fmt = self.fiber.fmt
+        one = fmt(self.fiber.identity())
         if not self.breaks:
-            return "{all: %s}" % fmt(self.left)
-        parts = [f"i<{self.breaks[0]}: {fmt(self.left)}"]
+            return "{all: %s}" % one
+        parts = [f"i<{self.breaks[0]}: {one}"]
         for j, b in enumerate(self.breaks):
             v = fmt(self.values[j])
             if j + 1 < len(self.breaks):
@@ -131,17 +132,12 @@ class StepFunction(_Steps):
 
     fiber = RATIONALS
 
-    left: Rational
     breaks: tuple[int, ...]
     values: tuple[Rational, ...]
 
     @staticmethod
-    def zero() -> "StepFunction":
-        return StepFunction(Fraction(0), (), ())
-
-    @staticmethod
-    def make(left: Rational, changes: Iterable[tuple[int, Rational]]) -> "StepFunction":
-        return StepFunction(left, *_Steps._canonical(RATIONALS, left, changes))
+    def make(changes: Iterable[tuple[int, Rational]]) -> "StepFunction":
+        return StepFunction(*_Steps._canonical(RATIONALS, changes))
 
     @staticmethod
     def of_atoms(group: "WreathGroup", atoms: Iterable["Atom"]) -> "StepFunction":
@@ -159,13 +155,10 @@ class StepFunction(_Steps):
         prefix-accumulated, so the cost is O(B log B) in the total break
         count B rather than one merge per part.
         """
-        left = Fraction(0)
         jumps: dict[int, Rational] = {}
         for step, shift, exp in parts:
             if not exp:
                 continue
-            if step.left:
-                left += step.left * exp
             for b, d in step.jumps:
                 c = b + shift
                 if exp != 1:
@@ -174,7 +167,7 @@ class StepFunction(_Steps):
                     jumps[c] += d
                 else:
                     jumps[c] = d
-        running = left
+        running = Fraction(0)
         breaks: list[int] = []
         values: list[Rational] = []
         for b in sorted(jumps):
@@ -183,24 +176,18 @@ class StepFunction(_Steps):
                 running += d
                 breaks.append(b)
                 values.append(running)
-        return StepFunction(left, tuple(breaks), tuple(values))
+        return StepFunction(tuple(breaks), tuple(values))
 
     @cached_property
     def jumps(self) -> tuple[tuple[int, Rational], ...]:
         """(b, the value from b on minus the value before b) per break b."""
-        return tuple(zip(self.breaks, map(sub, self.values, (self.left,) + self.values[:-1])))
+        return tuple(zip(self.breaks, map(sub, self.values, (0,) + self.values[:-1])))
 
     def key(self) -> "StepFunction":
         return self
 
     def add(self, other: "StepFunction") -> "StepFunction":
         return StepFunction.fold(((self, 0, 1), (other, 0, 1)))
-
-    def neg(self) -> "StepFunction":
-        return StepFunction(-self.left, self.breaks, tuple(-v for v in self.values))
-
-    def shift(self, k: int) -> "StepFunction":
-        return StepFunction(self.left, tuple(b + k for b in self.breaks), self.values)
 
 
 @dataclass(frozen=True)
@@ -210,9 +197,9 @@ class RayStepFunction:
 
     Each ray is keyed by the canonical coset representative of ``g``
     under left translation by the witness ``a``; the function along the
-    ray is a StepFunction in the ray index ``i``.  Value off every
-    stored ray is 0.  ``coords`` is the coordinate group S; it takes no
-    part in equality.
+    ray is a StepFunction in the ray index ``i``, 0 below its first
+    break.  Value off every stored ray is 0.  ``coords`` is the
+    coordinate group S; it takes no part in equality.
     """
 
     rays: tuple[tuple[Any, Any, StepFunction], ...]
@@ -272,17 +259,14 @@ class RayStepFunction:
         return RayStepFunction._fold(
             ((k, r, (s, 0, 1)) for k, r, s in self.rays + other.rays), self.coords)
 
-    def neg(self) -> "RayStepFunction":
-        return RayStepFunction(tuple((k, r, s.neg()) for k, r, s in self.rays), self.coords)
-
     def least_difference(self, other: "RayStepFunction") -> Any | None:
-        diff = self.add(other.neg())
-        if diff.is_trivial:
-            return None
+        """Least point of S where the two functions differ, or None: the
+        least first break over the rays of their difference."""
+        diff = RayStepFunction._fold(
+            [(k, r, (s, 0, 1)) for k, r, s in self.rays]
+            + [(k, r, (s, 0, -1)) for k, r, s in other.rays], self.coords)
         coords, best = self.coords, None
         for _, rep, steps in diff.rays:
-            if steps.left != 0:
-                raise ValueError("ray support unbounded below")
             cand = coords.mul(coords.witness_power(steps.breaks[0]), rep)
             if best is None or coords.compare(cand, best) is Ordering.LESS:
                 best = cand
@@ -296,22 +280,22 @@ class RayStepFunction:
 
 
 class FiberSteps(_Steps):
-    """A step function with values in an arbitrary fiber group; the
-    form of a base whose atoms are all points and thresholds.  The
-    fiber need not be abelian, so products keep their factors' order."""
+    """A step function with values in an arbitrary fiber group, the
+    identity below its first break; the form of a base whose atoms are
+    all points and thresholds.  The fiber need not be abelian, so
+    products keep their factors' order."""
 
-    __slots__ = ("fiber", "left", "breaks", "values", "_key")
+    __slots__ = ("fiber", "breaks", "values", "_key")
 
-    def __init__(self, fiber, left, breaks: tuple[int, ...], values: tuple):
+    def __init__(self, fiber, breaks: tuple[int, ...], values: tuple):
         self.fiber = fiber
-        self.left = left
         self.breaks = breaks
         self.values = values
         self._key = None
 
     @staticmethod
-    def make(fiber, left, changes: Iterable[tuple[int, Any]]) -> "FiberSteps":
-        return FiberSteps(fiber, left, *_Steps._canonical(fiber, left, changes))
+    def make(fiber, changes: Iterable[tuple[int, Any]]) -> "FiberSteps":
+        return FiberSteps(fiber, *_Steps._canonical(fiber, changes))
 
     @staticmethod
     def of_atoms(group: "WreathGroup", atoms: Iterable["Atom"]) -> "FiberSteps":
@@ -320,28 +304,22 @@ class FiberSteps(_Steps):
         so the product's value is read off the atoms at those only."""
         atoms = tuple(atoms)
         breaks = sorted({b + a.shift for a in atoms for b, _ in a.fn.changes(0)})
-        one = group.fiber.identity()
-        return FiberSteps.make(group.fiber, one, zip(breaks, group._values(atoms, breaks)))
+        return FiberSteps.make(group.fiber, zip(breaks, group._values(atoms, breaks)))
 
     def mul(self, other: "FiberSteps") -> "FiberSteps":
         f = self.fiber
         merged = sorted(set(self.breaks) | set(other.breaks))
-        changes = [(b, f.mul(self.value(b), other.value(b))) for b in merged]
-        return FiberSteps.make(f, f.mul(self.left, other.left), changes)
+        return FiberSteps.make(f, [(b, f.mul(self.value(b), other.value(b))) for b in merged])
 
     def key(self) -> tuple:
         if self._key is None:
-            f = self.fiber
-            self._key = (f.key(self.left), self.breaks, tuple(f.key(v) for v in self.values))
+            self._key = (self.breaks, tuple(self.fiber.key(v) for v in self.values))
         return self._key
 
     def finite_support_pairs(self) -> list[tuple[int, Any]]:
         """(coordinate, value) for every coordinate with nontrivial value;
-        only valid when both tails are the identity and segments are of
-        finite width."""
+        only valid when the right tail is the identity."""
         f = self.fiber
-        if not f.is_identity(self.left):
-            raise ValueError("left tail is not the identity")
         if self.values and not f.is_identity(self.values[-1]):
             raise ValueError("right tail is not the identity")
         pairs = []
@@ -375,9 +353,6 @@ class BaseFunction:
     @property
     def is_trivial(self) -> bool:
         return False
-
-    def finite_coords(self) -> tuple:
-        raise TypeError(f"{self.name} does not have finite support")
 
     @property
     def ray(self) -> tuple[Any, StepFunction]:
@@ -433,7 +408,7 @@ class _Shape(BaseFunction):
         """(representative, StepFunction) of the origin's ray, the only
         ray where a rational atom is not 0."""
         _, rep, i0 = self._start
-        return rep, StepFunction.make(self.fiber.identity(), self.changes(i0))
+        return rep, StepFunction.make(self.changes(i0))
 
     @property
     def is_trivial(self) -> bool:
@@ -476,9 +451,6 @@ class PointFn(_Shape):
 
     def value(self, rel: Any) -> Any:
         return self.fiber_value if rel == self.origin else self.fiber.identity()
-
-    def finite_coords(self) -> tuple:
-        return () if self.is_trivial else (self.origin,)
 
 
 class ThresholdFn(_Shape):
@@ -869,12 +841,6 @@ class WreathGroup:
                 kinds = ", ".join(sorted({b.fn.name for b in d.atoms}))
                 raise TypeError(f"{self.name} has no exact equality route for {kinds}")
         return tails[0].fn.tail_identity(self, d, tails, finites)
-
-    def equal_verdict(self, x: WreathElement, y: WreathElement) -> Verdict:
-        self._same(x, y)
-        if self.coords.key(x.top) != self.coords.key(y.top):
-            return Verdict.distinct("top")
-        return self.min_difference(x, y)
 
     def equal(self, x: WreathElement, y: WreathElement) -> bool:
         self._same(x, y)

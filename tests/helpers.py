@@ -1,11 +1,10 @@
 """Shared test oracles: brute-force evaluation scans independent of the
-library's equality tiers, plus small random element builders."""
+library's equality tiers, and a fiber-step form built apart from the
+library's evaluation loop."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
-from random import Random
 
 from wreathord.groundwork import Ordering
 from wreathord.wreath import FiberSteps, WreathElement
@@ -40,8 +39,6 @@ def confirm_verdict(x: WreathElement, y: WreathElement, verdict,
     group = x.group
     if verdict.is_equal:
         return brute_least_difference(x, y, window) is None
-    if verdict.witness == "top":
-        return group.coords.key(x.top) != group.coords.key(y.top)
     return not group.fiber.equal(
         group.eval_atoms(x, verdict.witness), group.eval_atoms(y, verdict.witness)
     )
@@ -53,12 +50,7 @@ def atom_by_atom_form(group, atoms) -> FiberSteps:
     ``FiberSteps.mul``: a reference apart from the evaluation loop that
     ``FiberSteps.of_atoms`` shares with ``eval_atoms``."""
     fiber = group.fiber
-    one = fiber.identity()
-    parts = (FiberSteps.make(fiber, one, [(b + a.shift, fiber.pow(v, a.exp))
-                                          for b, v in a.fn.changes(0)])
+    parts = (FiberSteps.make(fiber, [(b + a.shift, fiber.pow(v, a.exp))
+                                     for b, v in a.fn.changes(0)])
              for a in atoms)
-    return reduce(FiberSteps.mul, parts, FiberSteps.make(fiber, one, ()))
-
-
-def random_rational(rng: Random, max_num: int = 100, max_den: int = 100) -> Fraction:
-    return Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
+    return reduce(FiberSteps.mul, parts, FiberSteps.make(fiber, ()))

@@ -3,8 +3,6 @@ from random import Random
 
 import pytest
 
-from helpers import random_rational
-
 from wreathord.groundwork import Ordering
 from wreathord.embed_rationals import (
     GNormalForm,
@@ -23,6 +21,7 @@ from wreathord.embed_rationals import (
     phi,
     phi_element,
     random_g_word,
+    random_rational,
     subnormal_chain,
     tau,
     verify_order_laws,

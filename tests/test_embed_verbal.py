@@ -8,7 +8,7 @@ import pytest
 
 from wreathord.embed_rationals import g_word_element
 from wreathord.groundwork import Ordering
-from wreathord.nilpotent import UnsupportedWordSet
+from wreathord.nilpotent import UnsupportedWordSet, VerbalWitness, Word, select_S
 from wreathord.embed_verbal import (
     ConstructionViolation,
     VerbalContext,
@@ -221,6 +221,81 @@ def test_unsupported_word_family():
     # the message quotes the word as typed, not its expanded letters
     with pytest.raises(UnsupportedWordSet, match=r"word '\[\[x1,x2\],x3\]' lies in gamma_3"):
         get_context("[[x1,x2],x3]")
+
+
+class _ListedS:
+    """S = Z with plain int elements, offering only identity, mul, inv,
+    pow, compare, is_identity, is_positive, key_of and ray_decompose."""
+
+    def identity(self):
+        return 0
+
+    def mul(self, x, y):
+        return x + y
+
+    def inv(self, x):
+        return -x
+
+    def pow(self, x, n):
+        return x * n
+
+    def compare(self, x, y):
+        return Ordering.of(x, y)
+
+    def is_identity(self, x):
+        return x == 0
+
+    def is_positive(self, x):
+        return x > 0
+
+    def key_of(self, x):
+        return x
+
+    def ray_decompose(self, s, a):
+        i = s // a
+        return s - i * a, i
+
+
+class _IntegerS(_ListedS):
+    """The same S with equal, fmt and nilpotency_class as well: the whole
+    S contract.  An int has no fmt method of its own."""
+
+    nilpotency_class = 1
+
+    def equal(self, x, y):
+        return x == y
+
+    def fmt(self, x):
+        return f"t^{x}"
+
+
+class _Squares:
+    """The word x1^2 with the witness t^2 in a given integer S."""
+
+    family_key = "x1^2 in Z"
+
+    def __init__(self, group):
+        self.group = group
+
+    def select(self):
+        return self.group, VerbalWitness(2, ((Word.power(1, 2), (1,), 1),))
+
+
+def test_a_plugin_S_without_the_whole_contract_is_rejected():
+    with pytest.raises(UnsupportedWordSet,
+                       match=r"^word family 'x1\^2 in Z': S lacks equal, fmt, nilpotency_class$"):
+        select_S(_Squares(_ListedS()))
+
+
+def test_a_plugin_S_with_the_whole_contract_passes_the_verbal_suite():
+    plugin = _Squares(_IntegerS())
+    report = verify_theorem2(plugin, seed=7, budget=16)
+    assert len(report.checks) == 12
+    assert report.all_pass, [c for c in report.checks if c.status != "pass"]
+    # the coordinate group names S's elements through S's own fmt
+    ctx = get_context(plugin)
+    assert (ctx.QS.fmt(ctx.QS.mul(ctx.a_elem(), ctx.psi(1)))
+            == "t^2 * {ray(t^0): {i<0: 0, 0<=i<1: 1, i>=1: 0}}")
 
 
 def test_renamings_of_a_word_share_one_context():

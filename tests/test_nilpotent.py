@@ -178,6 +178,27 @@ def test_word_parsing():
         parse_word("y1")
 
 
+def test_parsing_validates_each_letter_once(monkeypatch):
+    # growth pin: parsing a text of n factors validates O(n) letters, not
+    # a new Word holding every letter so far at each "*"
+    validated = []
+    check = Word.__post_init__
+
+    def counting(self):
+        validated.append(len(self.letters))
+        check(self)
+
+    monkeypatch.setattr(Word, "__post_init__", counting)
+
+    def letters_validated(n):
+        validated.clear()
+        parse_word("*".join(f"x{k % 3 + 1}^{k % 2 + 1}" for k in range(n)))
+        return sum(validated)
+
+    small, large = letters_validated(300), letters_validated(600)
+    assert large <= 2.5 * small, (small, large)
+
+
 def test_select_power_word():
     group, witness, key = select_S("x1^3")
     assert key == "x1^3"

@@ -44,16 +44,17 @@ from wreathord.embed_rationals import (
 
 
 def test_step_function_basics():
-    f = StepFunction.make(Fraction(0), [(0, Fraction(-1, 2))])
+    f = StepFunction.make([(0, Fraction(-1, 2))])
     assert f.value(-1) == 0
     assert f.value(0) == Fraction(-1, 2)
     assert f.value(10**9) == Fraction(-1, 2)
     assert f.value(f.breaks[-1]) == Fraction(-1, 2)
-    g = f.add(f.neg())
+    g = f.add(StepFunction.fold([(f, 0, -1)]))
     assert g.is_trivial
-    assert f.shift(3).value(2) == 0
-    assert f.shift(3).value(3) == Fraction(-1, 2)
-    assert f.least_difference(StepFunction.zero()) == 0
+    shifted = StepFunction.fold([(f, 3, 1)])
+    assert shifted.value(2) == 0
+    assert shifted.value(3) == Fraction(-1, 2)
+    assert f.least_difference(StepFunction.make([])) == 0
 
 
 def test_w_mul_pointwise_example():
@@ -178,8 +179,9 @@ def test_step_fold_matches_evaluation_and_ignores_order(data):
         coords.update((b - 1, b))
     for j in coords:
         assert sf.value(j) == QC.eval_atoms(el, j), j
-    # canonical: adjacent values differ, so the form is the function
-    assert all(u != v for u, v in zip((sf.left,) + sf.values, sf.values))
+    # canonical: adjacent values differ (the first from 0), so the form
+    # is the function
+    assert all(u != v for u, v in zip((0,) + sf.values, sf.values))
     shuffled = QC.element(0, data.draw(st.permutations(atoms)))
     assert QC.base_canonical(shuffled) == sf
 
@@ -218,7 +220,7 @@ def test_ray_fold_matches_evaluation(data):
     assert keys == sorted(set(keys))
     for key, rep, steps in rs.rays:
         assert not steps.is_trivial
-        assert all(u != v for u, v in zip((steps.left,) + steps.values, steps.values))
+        assert all(u != v for u, v in zip((0,) + steps.values, steps.values))
         assert sc.ray_decompose(rep) == (rep, 0) and sc.key(rep) == key
     shuffled = ctx.QS.element(sc.identity(), data.draw(st.permutations(atoms)))
     assert ctx.QS.base_canonical(shuffled) == rs
