@@ -46,6 +46,7 @@ from .wreath import (
     Atom,
     BaseFunction,
     FiberSteps,
+    PointFn,
     StepFunction,
     WreathElement,
     WreathGroup,
@@ -312,13 +313,15 @@ def random_rational(rng: Random, max_num: int = 100, max_den: int = 100) -> Rati
 
 
 def random_qc_element(rng: Random) -> WreathElement:
-    factors = [QC.top_element(rng.randint(-3, 3))]
+    top, atoms = rng.randint(-3, 3), []
     for _ in range(rng.randint(0, 4)):
         n = rng.randint(1, 10)
         g = tau(n) if rng.random() < 0.5 else phi(n)
         exp = rng.choice([-2, -1, 1, 2])
-        factors.append(QC.atom_element(g.atoms[0].fn, shift=rng.randint(-8, 8), exp=exp))
-    return QC.product(factors)
+        atoms.append(Atom(g.atoms[0].fn, rng.randint(-8, 8), exp))
+    # c^top times the atoms, reduced once: the product of the top and the
+    # single-atom elements, whose tops are 0 and so shift nothing
+    return QC.element(top, atoms)
 
 
 def random_qc_base(rng: Random) -> WreathElement:
@@ -327,14 +330,14 @@ def random_qc_base(rng: Random) -> WreathElement:
 
 
 def random_w_element(rng: Random) -> WreathElement:
-    factors = [W.top_element(rng.randint(-3, 3))]
+    top, atoms = rng.randint(-3, 3), []
     for _ in range(rng.randint(0, 3)):
         if rng.random() < 0.85:
-            factors.append(W.atom_element(_ALPHA_FN, shift=rng.randint(-8, 8),
-                                          exp=rng.choice([-1, 1])))
+            atoms.append(Atom(_ALPHA_FN, rng.randint(-8, 8), rng.choice([-1, 1])))
         else:
-            factors.append(w_point(random_qc_element(rng), at=rng.randint(-8, 8)))
-    return W.product(factors)
+            g = random_qc_element(rng)
+            atoms.append(Atom(PointFn(g, QC, W.coords), rng.randint(-8, 8), 1))
+    return W.element(top, atoms)
 
 
 def random_w_base(rng: Random) -> WreathElement:

@@ -214,12 +214,6 @@ class MalcevElement:
     gens: tuple[int, ...]
     comms: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.gens) != self.rank:
-            raise ValueError("generator coordinate count must equal rank")
-        if len(self.comms) != self.rank * (self.rank - 1) // 2:
-            raise ValueError("commutator coordinate count mismatch")
-
     @property
     def is_identity(self) -> bool:
         return not any(self.gens) and not any(self.comms)
@@ -270,8 +264,15 @@ class Nil2Group:
         return MalcevElement(self.rank, gens, (0,) * len(self._pairs))
 
     def element(self, gens: Sequence[int], comms: Sequence[int] = ()) -> MalcevElement:
-        comms = tuple(comms) or (0,) * len(self._pairs)
-        return MalcevElement(self.rank, tuple(gens), comms)
+        """The element with the given coordinates; the one constructor that
+        takes them from the caller, so the one that checks their counts
+        (mul, inv and pow build the right rank by construction)."""
+        gens, comms = tuple(gens), tuple(comms) or (0,) * len(self._pairs)
+        if len(gens) != self.rank:
+            raise ValueError("generator coordinate count must equal rank")
+        if len(comms) != len(self._pairs):
+            raise ValueError("commutator coordinate count mismatch")
+        return MalcevElement(self.rank, gens, comms)
 
     def _check(self, *xs: MalcevElement):
         for x in xs:

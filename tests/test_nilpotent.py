@@ -153,6 +153,17 @@ def test_class_two_law():
         assert G2.comm(G2.comm(g, h), u) == G2.identity()
 
 
+def test_element_checks_coordinate_counts():
+    G3 = Nil2Group(3)
+    assert G3.element((1, 2, 3)) == G3.element((1, 2, 3), (0, 0, 0))
+    for gens, comms in (((1, 2), ()), ((1, 2, 3, 4), ()), ((1, 2, 3), (1, 2)),
+                        ((1, 2, 3), (1, 2, 3, 4))):
+        with pytest.raises(ValueError):
+            G3.element(gens, comms)
+    with pytest.raises(ValueError):
+        G2.element((1,), (1,))
+
+
 def test_pow_matches_repeated_multiplication():
     rng = Random(81)
     for _ in range(100):

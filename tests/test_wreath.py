@@ -186,6 +186,47 @@ def test_step_fold_matches_evaluation_and_ignores_order(data):
     assert QC.base_canonical(shuffled) == sf
 
 
+def _assert_fold_is_the_sum(parts):
+    """StepFunction.fold against a plain-Fraction sum at every coordinate
+    of the parts' span; the result is canonical, with no zero jump and
+    adjacent values distinct."""
+    sf = StepFunction.fold(parts)
+    cs = [b + shift for step, shift, _ in parts for b in step.breaks] or [0]
+    for c in range(min(cs) - 1, max(cs) + 2):
+        assert sf.value(c) == sum(e * step.value(c - k) for step, k, e in parts), c
+    assert all(n for _, n, _ in sf.jumps)
+    assert all(u != v for u, v in zip((0,) + sf.values, sf.values))
+    assert all(type(v) is Fraction for v in sf.values)
+
+
+# denominators up to 500, among them the pairwise coprime 499, 497 = 7 * 71,
+# 495 = 3^2 * 5 * 11, 494 = 2 * 13 * 19 and 491
+_FOLD_VALUES = st.builds(Fraction, st.integers(-500, 500),
+                         st.sampled_from([1, 2, 3, 6, 491, 494, 495, 497, 499])
+                         | st.integers(1, 500))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.dictionaries(st.integers(-6, 6), _FOLD_VALUES, max_size=4),
+                          st.integers(-3, 3), st.integers(-3, 3)), max_size=8),
+       st.lists(st.integers(0, 7), max_size=3))
+def test_step_fold_matches_a_fraction_sum(raw, cancelled):
+    # narrow shift and break ranges make shifted breaks collide; exponents
+    # include 0; a part repeated with its exponent negated cancels to 0
+    parts = [(StepFunction.make(changes.items()), k, e) for changes, k, e in raw]
+    parts += [(parts[i][0], parts[i][1], -parts[i][2]) for i in cancelled if i < len(parts)]
+    _assert_fold_is_the_sum(parts)
+
+
+def test_a_300_part_step_fold_matches_a_fraction_sum():
+    rng = Random(300)
+    steps = [StepFunction.make((b, Fraction(rng.randint(-500, 500), rng.randint(1, 500)))
+                               for b in rng.sample(range(-20, 20), rng.randint(1, 4)))
+             for _ in range(40)]
+    parts = [(rng.choice(steps), rng.randint(-30, 30), rng.randint(-3, 3)) for _ in range(300)]
+    _assert_fold_is_the_sum(parts)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.tuples(st.integers(-20, 20), st.integers(1, 6), st.integers(-3, 3)),
                 max_size=60))
@@ -717,6 +758,38 @@ def test_one_pass_products_match_the_mul_route(level, seed, count, k, n):
     base = one if n >= 0 else group.inv(one)
     generic = functools.reduce(group.mul, [base] * abs(n), group.identity())
     _same_element(group, group.pow(one, n), generic)
+
+
+def test_atoms_are_slotted_values():
+    fn = tau(3).atoms[0].fn
+    a = Atom(fn, 2, -1)
+    assert a == Atom(fn, 2, -1) and hash(a) == hash(Atom(fn, 2, -1))
+    assert a != Atom(fn, 2, 1) and a != Atom(fn, 3, -1) and a != Atom(phi(3).atoms[0].fn, 2, -1)
+    assert a != (fn, 2, -1)
+    assert len({a, Atom(fn, 2, -1)}) == 1
+    assert not hasattr(a, "__dict__")
+    assert repr(a) == f"Atom(fn={fn!r}, shift=2, exp=-1)"
+
+
+def test_mul_with_an_atomless_side_matches_the_product():
+    rng = Random(17)
+    for group, sample in ((QC, random_qc_element), (W, random_w_element)):
+        for _ in range(100):
+            x, t = sample(rng), group.top_element(rng.randint(-4, 4))
+            for pair in ((t, x), (x, t), (group.identity(), x), (x, group.identity())):
+                _same_element(group, group.mul(*pair), group.product(pair))
+            assert group.mul(t, x).atoms is x.atoms
+
+
+def test_mul_across_groups_raises():
+    pairs = [(tau(2), alpha()), (c_elem(), z_elem()), (QC.identity(), alpha()),
+             (tau(2), W.identity()), (c_elem(), W.identity())]
+    for x, y in pairs:
+        for group in (QC, W):
+            with pytest.raises(ValueError):
+                group.mul(x, y)
+            with pytest.raises(ValueError):
+                group.mul(y, x)
 
 
 def test_building_a_product_costs_no_mul_per_term(monkeypatch):
