@@ -467,14 +467,9 @@ def verify_theorem1(seed: int = 0, budget: int = 200) -> Report:
     def delta2_witness(rng, budget):
         g1, g2 = alpha(), z_elem()
         g3, g4 = W.conj(alpha(), z_elem(-1)), z_elem()
-        el = derived_commutator(W, [g1, g2, g3, g4])
-        if not W.is_identity(el):
-            return PASS, {"witness": "[[alpha,z],[alpha^(z^-1),z]]"}
-        for _ in range(200):
-            elems = [g_word_element(random_g_word(rng, max_len=4)) for _ in range(4)]
-            if not W.is_identity(derived_commutator(W, elems)):
-                return PASS, {"witness": "random tuple", "note": "default tuple was trivial"}
-        return FAIL, {"note": "no delta2 witness found"}
+        if W.is_identity(derived_commutator(W, [g1, g2, g3, g4])):
+            return FAIL, {"note": "no delta2 witness found"}
+        return PASS, {"witness": "[[alpha,z],[alpha^(z^-1),z]]"}
 
     checks = [
         ("relations-tau-c", relations_tau_c),

@@ -58,7 +58,7 @@ from .nilpotent import (
     Nil2Group,
     VerbalWitness,
     Word,
-    parse_word,
+    normalize_family,
     select_S,
     verify_witness,
 )
@@ -73,7 +73,8 @@ from .wreath import (
     derived_commutator,
     net_exponents,
 )
-from .embed_rationals import GWord, commutator_word, g_word_element, random_g_word
+from .embed_rationals import (GWord, commutator_word, g_word_element, random_g_word,
+                              random_rational)
 
 
 class SCoords:
@@ -89,7 +90,6 @@ class SCoords:
     def __init__(self, sgroup: Nil2Group, witness: MalcevElement):
         self.group = sgroup
         self.witness = witness
-        self._powers: dict[int, MalcevElement] = {}
 
     def identity(self) -> MalcevElement:
         return self.group.identity()
@@ -113,9 +113,7 @@ class SCoords:
         return self.group.ray_decompose(s, self.witness)
 
     def witness_power(self, i: int) -> MalcevElement:
-        if i not in self._powers:
-            self._powers[i] = self.group.pow(self.witness, i)
-        return self._powers[i]
+        return self.group.pow(self.witness, i)
 
 
 class OmegaFn(BaseFunction):
@@ -405,10 +403,7 @@ def _context_cache(family: Any) -> VerbalContext:
 def get_context(family: Word | str | Any = DEFAULT_WORD) -> VerbalContext:
     """The context of a word set, shared by every caller that names the
     same freely reduced word up to renaming its variables."""
-    if isinstance(family, str):
-        family = parse_word(family)
-    if isinstance(family, Word):
-        family = family.reduced().renumbered()
+    family = normalize_family(family)
     try:
         return _context_cache(family)
     except TypeError:
@@ -451,8 +446,8 @@ def verify_theorem2(family: Word | str | Any = DEFAULT_WORD,
 
     def q_to_t_order(rng, budget):
         for _ in range(budget):
-            p = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
-            q = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
+            p = random_rational(rng, 50, 50)
+            q = random_rational(rng, 50, 50)
             if p == q:
                 continue
             img_p = QS.pow(ctx.psi(p.denominator), p.numerator)
@@ -512,8 +507,8 @@ def verify_theorem2(family: Word | str | Any = DEFAULT_WORD,
     def embed_hom(rng, budget):
         count = max(4, budget // 2)
         for _ in range(count):
-            p = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
-            q = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
+            p = random_rational(rng, 50, 50)
+            q = random_rational(rng, 50, 50)
             if not DZ.equal(DZ.mul(ctx.embed(p), ctx.embed(q)), ctx.embed(p + q)):
                 return FAIL, {"p": format_rational(p), "q": format_rational(q)}
         return PASS, {"pairs": count}
@@ -522,7 +517,7 @@ def verify_theorem2(family: Word | str | Any = DEFAULT_WORD,
         if not DZ.is_identity(ctx.embed(Fraction(0))):
             return FAIL, {"p": "0"}
         for _ in range(max(4, budget // 2)):
-            p = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
+            p = random_rational(rng, 50, 50)
             if p == 0:
                 continue
             if DZ.is_identity(ctx.embed(p)):
@@ -532,8 +527,8 @@ def verify_theorem2(family: Word | str | Any = DEFAULT_WORD,
     def embed_order(rng, budget):
         count = max(4, budget // 2)
         for _ in range(count):
-            p = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
-            q = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
+            p = random_rational(rng, 50, 50)
+            q = random_rational(rng, 50, 50)
             if p == q:
                 continue
             if (DZ.compare(ctx.embed(p), ctx.embed(q)) is Ordering.LESS) != (p < q):

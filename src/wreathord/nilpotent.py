@@ -46,10 +46,11 @@ class WordSyntaxError(ValueError):
 
 @dataclass(frozen=True)
 class Word:
-    """Element of the free group on x1, x2, ... as a letter sequence.
+    """Element of the free group on x1, x2, ... as exponent runs.
 
-    Letters are (variable index >= 1, exponent +1 or -1).  ``text``, the
-    parsed text kept for messages, takes no part in equality.
+    A run is (variable index >= 1, nonzero exponent): ``x1^3*x2^-1`` is
+    ((1, 3), (2, -1)).  ``text``, the parsed text kept for messages,
+    takes no part in equality.
     """
 
     letters: tuple[tuple[int, int], ...]
@@ -57,21 +58,23 @@ class Word:
 
     def __post_init__(self):
         for var, exp in self.letters:
-            if var < 1 or exp not in (1, -1):
-                raise ValueError(f"bad letter ({var}, {exp})")
+            if var < 1 or not exp:
+                raise ValueError(f"bad run ({var}, {exp})")
 
     @property
     def arity(self) -> int:
         return max((var for var, _ in self.letters), default=0)
 
     def reduced(self) -> "Word":
-        """Freely reduced form: no adjacent x_i^{+1} x_i^{-1} pairs."""
+        """Freely reduced form: runs of one variable merged on a stack, and
+        cancelled runs dropped, so that their neighbours merge in turn."""
         out: list[tuple[int, int]] = []
-        for letter in self.letters:
-            if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
-                out.pop()
-            else:
-                out.append(letter)
+        for var, exp in self.letters:
+            if out and out[-1][0] == var:
+                exp += out.pop()[1]
+                if not exp:
+                    continue
+            out.append((var, exp))
         return Word(tuple(out), self.text)
 
     def renumbered(self) -> "Word":
@@ -88,27 +91,14 @@ class Word:
 
     @staticmethod
     def power(var: int, n: int) -> "Word":
-        sign = 1 if n >= 0 else -1
-        return Word(tuple((var, sign) for _ in range(abs(n))))
+        return Word(((var, n),) if n else ())
 
     @staticmethod
     def commutator(u: "Word", v: "Word") -> "Word":
         return u.inv() * v.inv() * u * v
 
     def fmt(self) -> str:
-        if not self.letters:
-            return "1"
-        parts = []
-        i = 0
-        while i < len(self.letters):
-            var, exp = self.letters[i]
-            n = exp
-            while i + 1 < len(self.letters) and self.letters[i + 1] == (var, exp):
-                n += exp
-                i += 1
-            parts.append(f"x{var}" if n == 1 else f"x{var}^{n}")
-            i += 1
-        return "*".join(parts)
+        return "*".join(f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in self.letters) or "1"
 
     def __str__(self) -> str:
         return self.fmt()
@@ -118,13 +108,13 @@ _INT = re.compile(r"-?\d+")
 _INDEX = re.compile(r"\d+")
 
 
-def _inverse(letters: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-    return [(v, -e) for v, e in reversed(letters)]
+def _inverse(runs: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    return [(v, -e) for v, e in reversed(runs)]
 
 
 class _WordParser:
-    """Recursive descent over letter lists, matching patterns in place at
-    ``pos``: linear in the text, and ``parse_word`` validates each letter
+    """Recursive descent over run lists, matching patterns in place at
+    ``pos``: linear in the text, and ``parse_word`` validates each run
     once, in its one Word."""
 
     def __init__(self, text: str):
@@ -156,27 +146,31 @@ class _WordParser:
         return int(m.group(0))
 
     def parse_word(self) -> list[tuple[int, int]]:
-        letters = self.parse_factor()
+        runs = self.parse_factor()
         while self.peek() == "*":
             self.pos += 1
-            letters += self.parse_factor()
-        return letters
+            runs += self.parse_factor()
+        return runs
 
     def parse_factor(self) -> list[tuple[int, int]]:
-        letters = self.parse_atom()
+        runs = self.parse_atom()
         if self.peek() == "^":
             self.pos += 1
             n = self.parse_int()
-            letters = letters * n if n >= 0 else _inverse(letters) * -n
-        return letters
+            if len(runs) == 1:
+                (var, e), = runs
+                runs = [(var, e * n)] if n else []
+            else:
+                runs = runs * n if n >= 0 else _inverse(runs) * -n
+        return runs
 
     def parse_atom(self) -> list[tuple[int, int]]:
         ch = self.peek()
         if ch == "(":
             self.pos += 1
-            letters = self.parse_word()
+            runs = self.parse_word()
             self.expect(")")
-            return letters
+            return runs
         if ch == "[":
             self.pos += 1
             u = self.parse_word()
@@ -198,12 +192,14 @@ class _WordParser:
 
 
 def parse_word(text: str) -> Word:
+    """The word of ``text``: a power of one run multiplies its exponent,
+    a power of a compound factor repeats the factor's runs."""
     p = _WordParser(text)
-    letters = p.parse_word()
+    runs = p.parse_word()
     p.skip_ws()
     if p.pos != len(text):
         raise p.error("trailing input")
-    return Word(tuple(letters), text)
+    return Word(tuple(runs), text)
 
 
 @dataclass(frozen=True)
@@ -358,8 +354,9 @@ class Nil2Group:
 def eval_word(w: Word, args: Sequence[Any], group: Any = None) -> Any:
     """Image of the substitution w(args...) computed with the group's ops.
 
-    Works for any group object exposing identity/mul/inv; when the
-    arguments are Mal'cev elements the group is inferred from their rank.
+    Works for any group object exposing identity/mul/inv/pow, with one
+    ``pow`` per run of exponent other than +-1; when the arguments are
+    Mal'cev elements the group is inferred from their rank.
     """
     if group is None:
         if not args or not isinstance(args[0], MalcevElement):
@@ -370,7 +367,8 @@ def eval_word(w: Word, args: Sequence[Any], group: Any = None) -> Any:
     out = group.identity()
     for var, exp in w.letters:
         g = args[var - 1]
-        out = group.mul(out, g if exp == 1 else group.inv(g))
+        out = group.mul(out, g if exp == 1 else group.inv(g) if exp == -1
+                        else group.pow(g, exp))
     return out
 
 
@@ -393,10 +391,18 @@ class VerbalWitness:
         return out
 
 
-def _reduce_word(word: Word) -> tuple[Nil2Group, VerbalWitness, str]:
-    """S, a witness and the family key read off one word (see select_S)."""
-    # V is closed under renaming variables, so only the occurring ones count
-    w = word.reduced().renumbered()
+def normalize_family(family: Word | str | Any) -> Word | Any:
+    """A word, or its text, freely reduced with its occurring variables
+    renamed x1..xk (V is closed under renaming them); a plugin as is."""
+    if isinstance(family, str):
+        family = parse_word(family)
+    if isinstance(family, Word):
+        family = family.reduced().renumbered()
+    return family
+
+
+def _reduce_word(w: Word) -> tuple[Nil2Group, VerbalWitness, str]:
+    """S, a witness and the family key of a normalized word (see select_S)."""
     if not w.letters:
         raise ValueError("the trivial word has no verbal embedding")
     k = w.arity
@@ -416,7 +422,7 @@ def _reduce_word(word: Word) -> tuple[Nil2Group, VerbalWitness, str]:
         key = "[x1,x2]" if abs(f) == 1 else f"[x1,x2]^{abs(f)}"
     else:
         raise UnsupportedWordSet(
-            f"word {word.text or word.fmt()!r} lies in gamma_3(F): every group of class <= 2"
+            f"word {w.text or w.fmt()!r} lies in gamma_3(F): every group of class <= 2"
             " satisfies it, so S needs class >= 3; supply a plugin with select()")
     args = tuple(images.get(j, group.identity()) for j in range(k))
     return group, VerbalWitness(eval_word(w, args, group), ((w, args, 1),)), key
@@ -480,8 +486,7 @@ def select_S(family: Word | str | Any) -> tuple[Any, VerbalWitness, str]:
     the witness a with the same hash, UnsupportedWordSet is raised,
     naming each breach.
     """
-    if isinstance(family, str):
-        family = parse_word(family)
+    family = normalize_family(family)
     if isinstance(family, Word):
         group, witness, key = _reduce_word(family)
     elif hasattr(family, "select"):

@@ -1,7 +1,7 @@
 """Shared test oracles: brute-force evaluation scans independent of the
 library's equality tiers, a fiber-step form built apart from the
-library's evaluation loop, and the suite samplers built factor by
-factor."""
+library's evaluation loop, the suite samplers built factor by factor,
+and words expanded into unit letters."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ from functools import reduce
 
 from wreathord.embed_rationals import QC, W, alpha, phi, tau, w_point
 from wreathord.groundwork import Ordering
+from wreathord.nilpotent import Word
 from wreathord.wreath import FiberSteps, WreathElement
 
 
@@ -82,3 +83,20 @@ def product_w_element(rng):
         else:
             factors.append(w_point(product_qc_element(rng), at=rng.randint(-8, 8)))
     return W.product(factors)
+
+
+def unit_letters(word: Word) -> tuple[tuple[int, int], ...]:
+    """The word's runs spelt out letter by letter: (var, e) becomes |e|
+    letters (var, +-1), a word whose runs all have exponent +-1."""
+    return tuple((v, 1 if e > 0 else -1) for v, e in word.letters for _ in range(abs(e)))
+
+
+def free_reduction(letters) -> tuple[tuple[int, int], ...]:
+    """Letter-by-letter free reduction: cancel each x^e x^-e pair."""
+    out = []
+    for var, exp in letters:
+        if out and out[-1] == (var, -exp):
+            out.pop()
+        else:
+            out.append((var, exp))
+    return tuple(out)

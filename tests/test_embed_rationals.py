@@ -8,6 +8,7 @@ from helpers import product_qc_element, product_w_element
 
 from wreathord import embed_rationals
 from wreathord.groundwork import Ordering
+from wreathord.reporting import FAIL
 from wreathord.wreath import WreathGroup
 from wreathord.embed_rationals import (
     GNormalForm,
@@ -164,6 +165,13 @@ def test_verify_theorem1_small_budget():
     names = {c.name for c in report.checks}
     assert "relations-tau-c" in names
     assert "delta2-witness" in names
+
+
+def test_delta2_witness_fails_when_its_tuple_is_trivial(monkeypatch):
+    # the check has no fallback: a trivial default tuple is a FAIL
+    monkeypatch.setattr(embed_rationals, "derived_commutator", lambda group, elems: W.identity())
+    record = verify_theorem1(seed=3, budget=4).check("delta2-witness")
+    assert (record.status, record.details) == (FAIL, {"note": "no delta2 witness found"})
 
 
 def test_subnormal_chain_report():

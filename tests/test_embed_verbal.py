@@ -5,10 +5,13 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import unit_letters
 from wreathord.embed_rationals import g_word_element
 from wreathord.groundwork import Ordering
-from wreathord.nilpotent import UnsupportedWordSet, VerbalWitness, Word, select_S
+from wreathord.nilpotent import UnsupportedWordSet, VerbalWitness, Word, eval_word, select_S
+from wreathord.wreath import WreathGroup
 from wreathord.embed_verbal import (
     ConstructionViolation,
     VerbalContext,
@@ -308,6 +311,34 @@ def test_renamings_of_a_word_share_one_context():
     # x1^-2 has the same S but a different witness presentation
     inverse = get_context("x1^-2")
     assert inverse is not ZTX and inverse is get_context("x7^-2")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(-50, 50).filter(bool)), max_size=4),
+       st.integers(0, 10 ** 6))
+def test_eval_word_of_runs_matches_unit_letters_in_QS(runs, seed):
+    rng = Random(seed)
+    args = [CTX.random_t_element(rng) for _ in range(3)]
+    word = Word(tuple(runs))
+    assert CTX.QS.equal(eval_word(word, args, CTX.QS),
+                        eval_word(Word(unit_letters(word)), args, CTX.QS))
+
+
+def test_replaying_a_power_word_certificate_costs_its_runs(monkeypatch):
+    # growth pin: the certificate of psi_3 for x1^n replays each run with
+    # one pow, so Q Wr S makes O(log n) products, not two per letter
+    calls = []
+    mul = WreathGroup.mul
+    monkeypatch.setattr(WreathGroup, "mul", lambda self, x, y: calls.append(1) or mul(self, x, y))
+    counts = []
+    for n in (1000, 10 ** 6):
+        ctx = get_context(f"x1^{n}")
+        cert = ctx.psi_from_witness(3)
+        calls.clear()
+        replayed = cert.replay(ctx.QS)
+        counts.append(len(calls))
+        assert ctx.QS.equal(replayed, ctx.psi(3))
+    assert counts[1] <= 2 * counts[0], counts
 
 
 def _rank_sequence(seq):

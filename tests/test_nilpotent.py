@@ -5,12 +5,14 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import free_reduction, unit_letters
 from wreathord.groundwork import Ordering
 from wreathord.nilpotent import (
     Nil2Group,
     UnsupportedWordSet,
     Word,
     eval_word,
+    normalize_family,
     parse_word,
     select_S,
     verify_witness,
@@ -176,10 +178,10 @@ def test_pow_matches_repeated_multiplication():
 
 
 def test_word_parsing():
-    assert parse_word("x1^3").letters == ((1, 1),) * 3
+    assert parse_word("x1^3").letters == ((1, 3),)
     assert parse_word("[x1,x2]").letters == ((1, -1), (2, -1), (1, 1), (2, 1))
     w = parse_word("x1^2*x2^-1")
-    assert w.letters == ((1, 1), (1, 1), (2, -1))
+    assert w.letters == ((1, 2), (2, -1))
     assert parse_word("(x1*x2)^2").letters == ((1, 1), (2, 1)) * 2
     with pytest.raises(ValueError):
         parse_word("x1^")
@@ -187,6 +189,60 @@ def test_word_parsing():
         parse_word("[x1,x2")
     with pytest.raises(ValueError):
         parse_word("y1")
+
+
+_RUN = st.tuples(st.integers(1, 3), st.integers(-50, 50).filter(bool))
+_RUNS = st.lists(_RUN, max_size=6)
+_NIL2 = st.builds(lambda a, b, f: G2.element((a, b), (f,)),
+                  st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
+
+
+@st.composite
+def run_words(draw):
+    """Run words u * m * u^-1 in x1..x3: when m is empty or cancels, the
+    reduction cascades through all of u; runs of u may also split one
+    variable's exponent, so neighbouring runs merge."""
+    u, m = draw(_RUNS), draw(st.lists(_RUN, max_size=3))
+    if draw(st.booleans()):
+        m = [(v, -e) for v, e in reversed(m)] + m
+    return Word(tuple(u + m + [(v, -e) for v, e in reversed(u)] + draw(_RUNS)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(run_words())
+def test_reduced_runs_match_letter_by_letter_reduction(word):
+    reduced = word.reduced()
+    assert unit_letters(reduced) == free_reduction(unit_letters(word))
+    # each variable's run is whole: no two neighbours share a variable
+    assert all(a[0] != b[0] for a, b in zip(reduced.letters, reduced.letters[1:]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_RUNS, st.lists(_NIL2, min_size=3, max_size=3))
+def test_eval_word_of_runs_matches_unit_letters_in_nil2(runs, args):
+    word = Word(tuple(runs))
+    assert eval_word(word, args, G2) == eval_word(Word(unit_letters(word)), args, G2)
+
+
+def test_normalize_family_reduces_renumbers_and_passes_plugins_through():
+    assert normalize_family("x5*x2*x2^-1*x5") == Word(((1, 2),))
+    assert normalize_family(Word(((3, 1), (7, -2), (7, 2)))) == Word(((1, 1),))
+    plugin = object()
+    assert normalize_family(plugin) is plugin
+
+
+def test_a_power_word_selects_S_in_products_per_run(monkeypatch):
+    # growth pin: x1^n is one run, so reading S off it makes the same
+    # number of Nil2Group products at any n, not one per letter
+    calls = []
+    mul = Nil2Group.mul
+    monkeypatch.setattr(Nil2Group, "mul", lambda self, x, y: calls.append(1) or mul(self, x, y))
+    counts = []
+    for n in (1000, 10 ** 6):
+        calls.clear()
+        select_S(f"x1^{n}")
+        counts.append(len(calls))
+    assert counts[1] <= 2 * counts[0], counts
 
 
 def test_parsing_validates_each_letter_once(monkeypatch):
