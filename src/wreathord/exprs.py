@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Union
 
 from . import embed_rationals as er
 from . import embed_verbal as ev
-from .wreath import WreathElement
+from .wreath import Atom, WreathElement
 
 
 class ExprSyntaxError(ValueError):
@@ -101,15 +101,33 @@ Expr = Union[NameAtom, IndexedAtom, PiAtom, ShiftAtom, Mul, Inv, Pow, Conj, Comm
 _BARE_ATOMS = ("alpha", "omega", "c", "z")
 _INDEXED_ATOMS = ("tau", "phi", "chi", "psi")
 _OPS = ("*", "inv", "pow", "conj", "comm")
+# one token per match
 _NAME = re.compile(r"([\w*]+)\s*")
 _INT = re.compile(r"(-?\d+)\s*")
 _PUNCT = {ch: re.compile(re.escape(ch) + r"\s*") for ch in "(),"}
+# a production's fixed run of tokens in one match
+_OPEN = re.compile(r"\(\s*([\w*]+)\s*")
+_ATOM = re.compile(r"(?:(tau|phi|chi|psi)\s*\(\s*(-?\d+)\s*\)|(shift|pi)\s*\(|([\w*]+))\s*")
+_SHIFT_TAIL = re.compile(r",\s*(-?\d+)\s*\)\s*")
+_POW_TAIL = re.compile(r"(-?\d+)\s*\)\s*")
+
+
+def _int(m: re.Match, group: int) -> int:
+    try:
+        return int(m.group(group))
+    except ValueError:  # more digits than Python converts
+        raise ExprSyntaxError("integer literal is too long", m.start(group)) from None
 
 
 class _Parser:
-    """Recursive descent with one precompiled-regex match per token; each
-    token match also consumes the whitespace after it, so ``pos`` always
-    rests on the next token."""
+    """Recursive descent in which each production reads its fixed run of
+    tokens in one precompiled match: "(" and the operator, an indexed
+    atom's name, "(", index and ")", "shift(" or "pi(", a shift's ","
+    int ")" and a power's int ")".  Every match also consumes the
+    whitespace after it, so ``pos`` always rests on the next token.
+    Where a production's match fails, it is read again token by token
+    from where it started, one match per token, and that read names the
+    error and its position."""
 
     def __init__(self, text: str):
         self.text = text
@@ -142,13 +160,18 @@ class _Parser:
             self.pos += self.peek() == "-"
             self.error("expected an integer", expected="integer")
         self.pos = m.end()
-        return int(m.group(1))
+        return _int(m, 1)
 
     def parse_expr(self) -> Expr:
-        if self.peek() != "(":
+        text = self.text
+        if not text.startswith("(", self.pos):
             return self.parse_atom()
-        self.expect("(")
-        m = self.read_name()
+        m = _OPEN.match(text, self.pos)
+        if m is None:
+            self.expect("(")
+            m = self.read_name()
+        else:
+            self.pos = m.end()
         op = m.group(1)
         if op not in _OPS:
             self.pos = m.end(1)
@@ -161,7 +184,13 @@ class _Parser:
         elif op == "inv":
             out = Inv(self.parse_expr())
         elif op == "pow":
-            out = Pow(self.parse_expr(), self.read_int())
+            arg = self.parse_expr()
+            m = _POW_TAIL.match(text, self.pos)
+            if m is None:  # token by token, to name the error
+                out = Pow(arg, self.read_int())
+            else:
+                self.pos = m.end()
+                return Pow(arg, _int(m, 1))
         elif op == "conj":
             out = Conj(self.parse_expr(), self.parse_expr())
         else:
@@ -170,6 +199,34 @@ class _Parser:
         return out
 
     def parse_atom(self) -> Expr:
+        start = self.pos
+        m = _ATOM.match(self.text, start)
+        if m is None:
+            return self.read_atom()
+        kind = m.lastindex
+        if kind == 2:  # name "(" index ")"
+            n = _int(m, 2)
+            if n < 1:
+                return self.read_atom()
+            self.pos = m.end()
+            return IndexedAtom(m.group(1), n, start)
+        if kind == 3:  # "shift(" or "pi("
+            self.pos = m.end()
+            if m.group(3) == "pi":
+                return self.pi_tail(start)
+            atom = self.parse_atom()
+            m = _SHIFT_TAIL.match(self.text, self.pos)
+            if m is None:
+                return self.shift_tail(atom)
+            self.pos = m.end()
+            return ShiftAtom(atom, _int(m, 1))
+        if m.group(4) in _BARE_ATOMS:
+            self.pos = m.end()
+            return NameAtom(m.group(4), start)
+        return self.read_atom()
+
+    def read_atom(self) -> Expr:
+        """An atom read token by token from ``pos``."""
         start = self.pos
         m = self.read_name()
         name = m.group(1)
@@ -186,25 +243,35 @@ class _Parser:
             return IndexedAtom(name, n, start)
         if name == "pi":
             self.expect("(")
-            arg = self.parse_expr()
-            self.expect(")")
-            return PiAtom(arg, start)
+            return self.pi_tail(start)
         if name == "shift":
             self.expect("(")
-            atom = self.parse_atom()
-            self.expect(",")
-            k = self.read_int()
-            self.expect(")")
-            return ShiftAtom(atom, k)
+            return self.shift_tail(self.parse_atom())
         self.pos = m.end(1)
         self.error(f"unknown atom {name!r}",
                    expected="one of " + ", ".join(_BARE_ATOMS + _INDEXED_ATOMS + ("pi", "shift")))
 
+    def pi_tail(self, start: int) -> PiAtom:
+        arg = self.parse_expr()
+        self.expect(")")
+        return PiAtom(arg, start)
+
+    def shift_tail(self, atom: Expr) -> ShiftAtom:
+        self.expect(",")
+        k = self.read_int()
+        self.expect(")")
+        return ShiftAtom(atom, k)
+
 
 def parse_expr(text: str) -> Expr:
-    """Parse an element expression; linear in the length of the text."""
+    """Parse an element expression; linear in the length of the text.  A
+    nesting deeper than the interpreter's recursion limit allows is a
+    syntax error at the position where the descent stopped."""
     p = _Parser(text)
-    expr = p.parse_expr()
+    try:
+        expr = p.parse_expr()
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply", p.pos) from None
     if p.pos != len(text):
         p.error("trailing input after the expression")
     return expr
@@ -259,41 +326,50 @@ def bind_levels(ctx: "ev.VerbalContext") -> dict:
     }
 
 
-def _atoms(expr: Expr) -> Iterator[Union[NameAtom, IndexedAtom, PiAtom]]:
-    """The atom nodes in text order.  A pi argument lives one level down,
-    so its atoms are not listed; binding validates them."""
-    if isinstance(expr, (NameAtom, IndexedAtom, PiAtom)):
-        yield expr
-    elif isinstance(expr, ShiftAtom):
-        yield from _atoms(expr.atom)
-    elif isinstance(expr, Mul):
-        for a in expr.args:
-            yield from _atoms(a)
-    elif isinstance(expr, (Inv, Pow)):
-        yield from _atoms(expr.arg)
-    elif isinstance(expr, (Conj, Comm)):
-        yield from _atoms(expr.x)
-        yield from _atoms(expr.y)
+def _atoms(expr: Expr) -> list[Union[NameAtom, IndexedAtom, PiAtom]]:
+    """The atom nodes in text order, in one walk of the tree.  A pi
+    argument lives one level down, so its atoms are not listed; binding
+    validates them."""
+    out = []
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        t = type(e)
+        if t is NameAtom or t is IndexedAtom or t is PiAtom:
+            out.append(e)
+        elif t is ShiftAtom:
+            stack.append(e.atom)
+        elif t is Mul:
+            stack.extend(reversed(e.args))
+        elif t is Inv or t is Pow:
+            stack.append(e.arg)
+        elif t is Conj or t is Comm:
+            stack += e.y, e.x
+    return out
+
+
+def _holding(names: set[str]) -> tuple[str, ...]:
+    return tuple(level for level, (atoms, _) in LEVELS.items() if names <= atoms)
 
 
 def levels_of(expr: Expr) -> tuple[str, ...]:
     """Every level whose atoms include all of the expression's atoms, in
     table order; empty for a mixture that no level holds."""
-    names = {a.name for a in _atoms(expr)}
-    return tuple(level for level, (atoms, _) in LEVELS.items() if names <= atoms)
+    return _holding({a.name for a in _atoms(expr)})
 
 
 def infer_level(expr: Expr) -> str:
     """The first of ``levels_of``.  A mixture is rejected beside the first
     of the markers omega, pi, chi/psi and alpha/z that it contains, at
     the first atom that the marker's level does not hold."""
-    levels = levels_of(expr)
+    found = _atoms(expr)
+    names = {a.name for a in found}
+    levels = _holding(names)
     if levels:
         return levels[0]
-    names = {a.name for a in _atoms(expr)}
     for atoms, marker in reversed(LEVELS.values()):
         if names.intersection(marker):
-            first = next(a for a in _atoms(expr) if a.name not in atoms)
+            first = next(a for a in found if a.name not in atoms)
             raise ExprSyntaxError(f"atoms {sorted(names - atoms)} cannot appear beside "
                                   f"{'/'.join(marker)}", first.pos)
 
@@ -313,37 +389,97 @@ def joint_levels(exprs: list[Expr]) -> list[str]:
     return [target if target in op else infer_level(e) for e, op in zip(exprs, opens)]
 
 
-def _build(expr: Expr, level: str, levels: dict) -> WreathElement:
-    group, builders = levels[level]
-    if isinstance(expr, (NameAtom, IndexedAtom)):
-        build = builders.get(expr.name)
-        if build is None:
-            raise ExprSyntaxError(f"atom {expr.name!r} is not available at level {level}",
-                                  expr.pos)
-        return build() if isinstance(expr, NameAtom) else build(expr.n)
-    if isinstance(expr, PiAtom):
-        build = builders.get("pi")
+class _Builder:
+    """Evaluates expression trees at one level, reading each node's type
+    once.  An atom, a shift of an atom-shaped factor and a power of one
+    are each built as one Atom, and a product reduces each run of such
+    factors once, as one element; any other factor is an element, and a
+    product multiplies its runs and elements with ``product``.  Each level
+    of nesting takes one frame of ``factor``."""
+
+    def __init__(self, level: str, levels: dict):
+        self.level = level
+        self.levels = levels
+        self.group, self.builders = levels[level]
+        self.one = self.group.coords.identity()
+        self.one_key = self.group.coords.key(self.one)
+
+    def build(self, expr: Expr) -> WreathElement:
+        return self.element(self.factor(expr))
+
+    def element(self, f: "WreathElement | Atom") -> WreathElement:
+        return f if type(f) is WreathElement else self.group.element(self.one, (f,))
+
+    def atom(self, f: "WreathElement | Atom") -> Atom | None:
+        """f's one atom, for an Atom or an element of one atom with a trivial top."""
+        if type(f) is Atom:
+            return f
+        if len(f.atoms) == 1 and self.group.coords.key(f.top) == self.one_key:
+            return f.atoms[0]
+        return None
+
+    def factor(self, expr: Expr) -> "WreathElement | Atom":
+        """The node's value: an Atom where the node is atom-shaped, else an
+        element."""
+        t = type(expr)
+        group = self.group
+        if t is Pow:
+            f = self.factor(expr.arg)
+            a = self.atom(f)
+            if a is None:
+                return group.pow(f, expr.n)
+            return Atom(a.fn, a.shift, a.exp * expr.n)
+        if t is ShiftAtom:
+            f = self.factor(expr.atom)
+            k = group.coords.witness_power(expr.k)
+            a = self.atom(f)
+            if a is None:
+                return group.conj(f, group.top_element(k))
+            # conjugating by a top alone moves the atom's shift by it
+            return Atom(a.fn, group.coords.mul(a.shift, k), a.exp)
+        if t is IndexedAtom or t is NameAtom:
+            build = self.builders.get(expr.name)
+            if build is None:
+                raise ExprSyntaxError(f"atom {expr.name!r} is not available at level "
+                                      f"{self.level}", expr.pos)
+            return build() if t is NameAtom else build(expr.n)
+        if t is Mul:
+            parts: list[WreathElement] = []
+            run: list[Atom] = []
+            for arg in expr.args:
+                f = self.factor(arg)
+                a = self.atom(f)
+                if a is not None:
+                    run.append(a)
+                    continue
+                if run:
+                    parts.append(group.element(self.one, run))
+                    run = []
+                parts.append(f)
+            if run:
+                parts.append(group.element(self.one, run))
+            return parts[0] if len(parts) == 1 else group.product(parts)
+        if t is Inv:
+            return group.inv(self.element(self.factor(expr.arg)))
+        if t is Conj:
+            return group.conj(self.element(self.factor(expr.x)),
+                              self.element(self.factor(expr.y)))
+        if t is Comm:
+            return group.comm(self.element(self.factor(expr.x)),
+                              self.element(self.factor(expr.y)))
+        if t is PiAtom:
+            return self.pi(expr)
+        raise TypeError(f"not an expression node: {expr!r}")
+
+    def pi(self, expr: PiAtom) -> WreathElement:
+        build = self.builders.get("pi")
         if build is None:
             raise ExprSyntaxError("pi(...) only builds T Wr C elements", expr.pos)
         if infer_level(expr.arg) != "qs":
             outside = (a.pos for a in _atoms(expr.arg) if a.name not in LEVELS["qs"][0])
             raise ExprSyntaxError("the argument of pi must be a Q Wr S expression",
                                   next(outside, expr.pos))
-        return build(_build(expr.arg, "qs", levels))
-    if isinstance(expr, ShiftAtom):
-        top = group.top_element(group.coords.witness_power(expr.k))
-        return group.conj(_build(expr.atom, level, levels), top)
-    if isinstance(expr, Mul):
-        return group.product([_build(a, level, levels) for a in expr.args])
-    if isinstance(expr, Inv):
-        return group.inv(_build(expr.arg, level, levels))
-    if isinstance(expr, Pow):
-        return group.pow(_build(expr.arg, level, levels), expr.n)
-    if isinstance(expr, Conj):
-        return group.conj(_build(expr.x, level, levels), _build(expr.y, level, levels))
-    if isinstance(expr, Comm):
-        return group.comm(_build(expr.x, level, levels), _build(expr.y, level, levels))
-    raise TypeError(f"not an expression node: {expr!r}")
+        return build(_Builder("qs", self.levels).build(expr.arg))
 
 
 def build_element(expr: Expr, ctx: "ev.VerbalContext | None" = None,
@@ -354,4 +490,9 @@ def build_element(expr: Expr, ctx: "ev.VerbalContext | None" = None,
         ctx = ev.get_context()
     if level is None:
         level = infer_level(expr)
-    return level, _build(expr, level, bind_levels(ctx))
+    builder = _Builder(level, bind_levels(ctx))
+    # factor, not build: a frame fewer, so every nesting that parses still builds
+    try:
+        return level, builder.element(builder.factor(expr))
+    except RecursionError:
+        raise ValueError("expression nested too deeply to build") from None

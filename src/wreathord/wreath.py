@@ -103,12 +103,15 @@ class _Steps:
         return not self.breaks
 
     def least_difference(self, other: "_Steps") -> int | None:
-        """Least integer where the two functions differ, or None."""
-        f = self.fiber
-        for b in sorted(set(self.breaks) | set(other.breaks)):
-            if not f.equal(self.value(b), other.value(b)):
-                return b
-        return None
+        """Least integer where the two functions differ, or None: one walk
+        along both break lists.  Both forms are canonical, so they agree
+        below the first place where their (break, value) lists differ,
+        and differ at the lesser of the two breaks there."""
+        equal = self.fiber.equal
+        for b, v, c, w in zip(self.breaks, self.values, other.breaks, other.values):
+            if b != c or not equal(v, w):
+                return min(b, c)
+        return _first_unmatched(self.breaks, other.breaks)
 
     def fmt(self) -> str:
         fmt = self.fiber.fmt
@@ -125,16 +128,83 @@ class _Steps:
         return "{" + ", ".join(parts) + "}"
 
 
-@dataclass(frozen=True)
+def _first_unmatched(xs: tuple, ys: tuple) -> Any | None:
+    """The first break of the longer list past the shorter one's end."""
+    rest = xs[len(ys):] or ys[len(xs):]
+    return rest[0] if rest else None
+
+
+def _add_over_lcm(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
+    """n1/d1 + n2/d2 as a numerator over lcm(d1, d2), for positive
+    denominators: one gcd, g = gcd(d1, d2), gives n1(d2/g) + n2(d1/g) over
+    d1(d2/g) (Knuth, TAOCP vol. 2, 4.5.1, without the step that reduces
+    the sum).  A small d2 makes that gcd small, however large d1 is."""
+    g = gcd(d1, d2)
+    return n1 * (d2 // g) + n2 * (d1 // g), d1 // g * d2
+
+
 class StepFunction(_Steps):
     """Rational step function: the form of ``Q Wr C`` and of each ray
-    of a RayStepFunction.  The rationals are abelian, so a sum of
-    shifted, scaled step functions is one fold."""
+    of a RayStepFunction, kept as its ``jumps``: (b, numerator,
+    denominator) in lowest terms of the value from b on minus the value
+    before b, per break b.  The rationals are abelian, so a sum of
+    shifted, scaled step functions is one fold of their jumps.  The
+    jumps are as canonical as the values: equality and hashing read
+    them, and two forms first differ where their jumps first do.  So a
+    fold builds no Fraction; the values are summed from the jumps when
+    first asked for, and one value alone when only it is."""
 
+    __slots__ = ("breaks", "jumps", "_values")
     fiber = RATIONALS
 
-    breaks: tuple[int, ...]
-    values: tuple[Rational, ...]
+    def __init__(self, breaks: Iterable[int], values: Iterable[Rational]):
+        self.breaks = breaks = tuple(breaks)
+        values = tuple(values)
+        # the first jump is the first value itself
+        self.jumps = tuple((b, d.numerator, d.denominator) for b, d in
+                           zip(breaks, values[:1] + tuple(map(sub, values[1:], values))))
+        self._values = values
+
+    @staticmethod
+    def _of_jumps(jumps: tuple[tuple[int, int, int], ...]) -> "StepFunction":
+        f = StepFunction.__new__(StepFunction)
+        f.breaks = tuple(b for b, _, _ in jumps)
+        f.jumps = jumps
+        f._values = None
+        return f
+
+    @property
+    def values(self) -> tuple[Rational, ...]:
+        if self._values is None:
+            values = []
+            n, d = 0, 1
+            for _, jn, jd in self.jumps:
+                n, d = _add_over_lcm(n, d, jn, jd)
+                values.append(Fraction(n, d))
+            self._values = tuple(values)
+        return self._values
+
+    def value(self, i: int) -> Rational:
+        idx = bisect_right(self.breaks, i)
+        if not idx:
+            return Fraction(0)
+        if self._values is not None:
+            return self._values[idx - 1]
+        n, d = 0, 1
+        for _, jn, jd in self.jumps[:idx]:
+            n, d = _add_over_lcm(n, d, jn, jd)
+        return Fraction(n, d)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not StepFunction:
+            return NotImplemented
+        return self.jumps == other.jumps
+
+    def __hash__(self) -> int:
+        return hash(self.jumps)
+
+    def __repr__(self) -> str:
+        return f"StepFunction(breaks={self.breaks!r}, values={self.values!r})"
 
     @staticmethod
     def make(changes: Iterable[tuple[int, Rational]]) -> "StepFunction":
@@ -151,13 +221,14 @@ class StepFunction(_Steps):
         """Canonical form of the sum of ``step`` shifted by ``shift`` and
         scaled by ``exp`` over the ``(step, shift, exp)`` parts.
 
-        Each break of a part contributes one jump at its shifted
-        coordinate; the jumps are summed per coordinate, sorted once and
-        prefix-accumulated, so the cost is O(B log B) in the total break
-        count B rather than one merge per part.  The sums are kept as
-        gcd-reduced numerator/denominator ints, and one Fraction is built
-        per break of the result, which is canonical: no zero jump, so
-        adjacent values are distinct.
+        Each jump of a part is added at its shifted coordinate, and the
+        nonzero sums, sorted once and put in lowest terms, are the jumps
+        of the result: O(B log B) in the total break count B rather than
+        one merge per part.  A sum is kept as a numerator over the lcm of
+        its jumps' denominators (``_add_over_lcm``), so every gcd here is
+        as small as the jumps' denominators, and no running value is
+        built.  The result is canonical: no zero jump, so adjacent values
+        are distinct.
         """
         sums: dict[int, tuple[int, int]] = {}
         for step, shift, exp in parts:
@@ -167,30 +238,22 @@ class StepFunction(_Steps):
                 c = b + shift
                 n *= exp
                 if c in sums:
-                    n0, d0 = sums[c]
-                    n, d = n0 * d + n * d0, d0 * d
-                    g = gcd(n, d)
-                    n, d = n // g, d // g
+                    n, d = _add_over_lcm(*sums[c], n, d)
                 sums[c] = n, d
-        rn, rd = 0, 1
-        breaks: list[int] = []
-        values: list[Rational] = []
-        for b in sorted(sums):
-            n, d = sums[b]
+        jumps = []
+        for b, (n, d) in sorted(sums.items()):
             if n:
-                rn, rd = rn * d + n * rd, rd * d
-                g = gcd(rn, rd)
-                rn, rd = rn // g, rd // g
-                breaks.append(b)
-                values.append(Fraction(rn, rd))
-        return StepFunction(tuple(breaks), tuple(values))
+                g = gcd(n, d)
+                jumps.append((b, n // g, d // g))
+        return StepFunction._of_jumps(tuple(jumps))
 
-    @cached_property
-    def jumps(self) -> tuple[tuple[int, int, int], ...]:
-        """(b, numerator, denominator) of the value from b on minus the
-        value before b, per break b."""
-        return tuple((b, d.numerator, d.denominator) for b, d in
-                     zip(self.breaks, map(sub, self.values, (0,) + self.values[:-1])))
+    def least_difference(self, other: "StepFunction") -> int | None:
+        """Least integer where the two functions differ, or None: the
+        first break where their jump lists differ, as for the values."""
+        for p, q in zip(self.jumps, other.jumps):
+            if p != q:
+                return min(p[0], q[0])
+        return _first_unmatched(self.breaks, other.breaks)
 
     def key(self) -> "StepFunction":
         return self

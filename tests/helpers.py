@@ -1,13 +1,18 @@
 """Shared test oracles: brute-force evaluation scans independent of the
 library's equality tiers, a fiber-step form built apart from the
 library's evaluation loop, the suite samplers built factor by factor,
-and words expanded into unit letters."""
+words expanded into unit letters, a token-by-token expression parser, and
+a least difference read by bisection."""
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from functools import reduce
 
 from wreathord.embed_rationals import QC, W, alpha, phi, tau, w_point
+from wreathord.exprs import (Comm, Conj, ExprSyntaxError, IndexedAtom, Inv, Mul, NameAtom,
+                             PiAtom, Pow, ShiftAtom)
 from wreathord.groundwork import Ordering
 from wreathord.nilpotent import Word
 from wreathord.wreath import FiberSteps, WreathElement
@@ -100,3 +105,134 @@ def free_reduction(letters) -> tuple[tuple[int, int], ...]:
         else:
             out.append((var, exp))
     return tuple(out)
+
+
+# -- a reference parser: one regex match per token ----------------------------
+
+_BARE_ATOMS = ("alpha", "omega", "c", "z")
+_INDEXED_ATOMS = ("tau", "phi", "chi", "psi")
+_OPS = ("*", "inv", "pow", "conj", "comm")
+_NAME = re.compile(r"([\w*]+)\s*")
+_INT = re.compile(r"(-?\d+)\s*")
+_PUNCT = {ch: re.compile(re.escape(ch) + r"\s*") for ch in "(),"}
+
+
+class _TokenParser:
+    """Recursive descent with one precompiled-regex match per token; each
+    token match also consumes the whitespace after it, so ``pos`` always
+    rests on the next token."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = len(text) - len(text.lstrip())
+
+    def error(self, message: str, expected: str | None = None):
+        raise ExprSyntaxError(message, self.pos, expected)
+
+    def peek(self) -> str:
+        return self.text[self.pos:self.pos + 1]
+
+    def expect(self, ch: str):
+        m = _PUNCT[ch].match(self.text, self.pos)
+        if m is None:
+            self.error(f"unexpected {self.peek()!r}", expected=repr(ch))
+        self.pos = m.end()
+
+    def read_name(self) -> re.Match:
+        m = _NAME.match(self.text, self.pos)
+        if m is None:
+            self.error("expected a name", expected="atom or operator")
+        self.pos = m.end()
+        return m
+
+    def read_int(self) -> int:
+        m = _INT.match(self.text, self.pos)
+        if m is None:
+            self.pos += self.peek() == "-"
+            self.error("expected an integer", expected="integer")
+        self.pos = m.end()
+        return int(m.group(1))
+
+    def parse_expr(self):
+        if self.peek() != "(":
+            return self.parse_atom()
+        self.expect("(")
+        m = self.read_name()
+        op = m.group(1)
+        if op not in _OPS:
+            self.pos = m.end(1)
+            self.error(f"unknown operator {op!r}", expected="one of " + ", ".join(_OPS))
+        if op == "*":
+            args = [self.parse_expr()]
+            while self.peek() != ")":
+                args.append(self.parse_expr())
+            out = Mul(tuple(args))
+        elif op == "inv":
+            out = Inv(self.parse_expr())
+        elif op == "pow":
+            out = Pow(self.parse_expr(), self.read_int())
+        elif op == "conj":
+            out = Conj(self.parse_expr(), self.parse_expr())
+        else:
+            out = Comm(self.parse_expr(), self.parse_expr())
+        self.expect(")")
+        return out
+
+    def parse_atom(self):
+        start = self.pos
+        m = self.read_name()
+        name = m.group(1)
+        if name in _BARE_ATOMS:
+            return NameAtom(name, start)
+        if name in _INDEXED_ATOMS:
+            at = self.pos + 1
+            self.expect("(")
+            n = self.read_int()
+            if n < 1:
+                self.pos = at
+                self.error(f"{name} index must be >= 1")
+            self.expect(")")
+            return IndexedAtom(name, n, start)
+        if name == "pi":
+            self.expect("(")
+            arg = self.parse_expr()
+            self.expect(")")
+            return PiAtom(arg, start)
+        if name == "shift":
+            self.expect("(")
+            atom = self.parse_atom()
+            self.expect(",")
+            k = self.read_int()
+            self.expect(")")
+            return ShiftAtom(atom, k)
+        self.pos = m.end(1)
+        self.error(f"unknown atom {name!r}",
+                   expected="one of " + ", ".join(_BARE_ATOMS + _INDEXED_ATOMS + ("pi", "shift")))
+
+
+def token_parse_expr(text: str):
+    """The expression parser as it read one token per regex match: the
+    reference that the fused-production parser must agree with, tree for
+    tree and error for error."""
+    p = _TokenParser(text)
+    expr = p.parse_expr()
+    if p.pos != len(text):
+        p.error("trailing input after the expression")
+    return expr
+
+
+# -- a reference least difference: every break, two bisections --------------
+
+def bisect_least_difference(f, g) -> int | None:
+    """Least integer where two step forms (StepFunction or FiberSteps)
+    differ, reading both values at every break of either by bisection."""
+    fiber = f.fiber
+
+    def value(s, i):
+        idx = bisect_right(s.breaks, i) - 1
+        return fiber.identity() if idx < 0 else s.values[idx]
+
+    for b in sorted(set(f.breaks) | set(g.breaks)):
+        if not fiber.equal(value(f, b), value(g, b)):
+            return b
+    return None

@@ -5,6 +5,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import token_parse_expr
 from wreathord.cli import Command, main, parse_argv, run_command
 from wreathord.exprs import (
     Comm,
@@ -86,6 +87,17 @@ _GOLDEN_SYNTAX_ERRORS = [
     ('  ( *\ttau(1)\n  phi(2) )  x', 'trailing input after the expression (at position 25)'),
     ('alpha(1)', 'trailing input after the expression (at position 5)'),
     ('(* tau(1) ())', 'expected a name (at position 11; expected atom or operator)'),
+    # one malformed input per fused production: "(" operator, name "(" index ")",
+    # "shift(" / "pi(", "," shift ")" and exponent ")"
+    ('(', 'expected a name (at position 1; expected atom or operator)'),
+    ('(* tau(1)', 'expected a name (at position 9; expected atom or operator)'),
+    ('tau(1 2)', "unexpected '2' (at position 6; expected ')')"),
+    ('pi', "unexpected '' (at position 2; expected '(')"),
+    ('shift(tau(1),)', 'expected an integer (at position 13; expected integer)'),
+    ('shift(tau(1),-)', 'expected an integer (at position 14; expected integer)'),
+    ('shift (tau(1),2', "unexpected '' (at position 15; expected ')')"),
+    ('(pow tau(1) x)', 'expected an integer (at position 12; expected integer)'),
+    ('(pow shift(tau(1),2 3)', "unexpected '3' (at position 20; expected ')')"),
 ]
 
 
@@ -95,6 +107,92 @@ def test_parse_error_messages_and_positions_are_golden():
             parse_expr(text)
         assert str(e.value) == message, text
         assert f"at position {e.value.position}" in message
+
+
+def test_an_over_long_integer_literal_is_a_syntax_error_at_the_literal(capsys):
+    digits = "7" * 5000
+    for text, at in ((f"tau({digits})", 4), (f"shift(tau(1), -{digits})", 14),
+                     (f"(pow c {digits})", 7), (f"(pow c\t{digits} )", 7)):
+        with pytest.raises(ExprSyntaxError) as e:
+            parse_expr(text)
+        assert str(e.value) == f"integer literal is too long (at position {at})", text
+    assert main(["eval", f"tau({digits})"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: integer literal is too long (at position 4)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    lambda d: ["cmp", "(inv " * d + "c" + ")" * d, "c"],
+    lambda d: ["eval", "(* " * d + "c" + ")" * d],
+])
+def test_deep_nesting_is_a_usage_error_not_a_crash(capsys, argv):
+    # a shallow nesting keeps its answer; one deeper than the interpreter's
+    # recursion allows is one error line and status 2
+    assert main(argv(700)) == 0
+    assert capsys.readouterr().err == ""
+    assert main(argv(5000)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: expression nested too deeply") and err.count("\n") == 1
+
+
+# fold-shaped texts: products of shifted tau powers and shifted phi points,
+# with any whitespace, digits from any script, and then one character
+# deleted, inserted or replaced
+_DIGITS = ["0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+           "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19"]
+_GAPS = st.sampled_from(["", "", " ", "  ", "\t", "\n", " \r\n "])
+
+
+@st.composite
+def _fold_text(draw):
+    def num(lo, hi):
+        n = draw(st.integers(lo, hi))
+        script = draw(st.sampled_from(_DIGITS))
+        return ("-" if n < 0 else "") + "".join(script[int(c)] for c in str(abs(n)))
+
+    def gap():
+        return draw(_GAPS)
+
+    def term():
+        kind = draw(st.sampled_from(["pow", "shift", "atom"]))
+        name = draw(st.sampled_from(["tau", "phi"]))
+        atom = f"{name}{gap()}({gap()}{num(0, 500)}{gap()}){gap()}"
+        if kind == "atom":
+            return atom
+        shifted = f"shift{gap()}({gap()}{atom},{gap()}{num(-5000, 5000)}{gap()}){gap()}"
+        if kind == "shift":
+            return shifted
+        return f"({gap()}pow {gap()}{shifted}{num(-3, 3)}{gap()}){gap()}"
+
+    text = gap() + f"({gap()}*{gap() or ' '}" + "".join(term() + " " for _ in
+                                                       range(draw(st.integers(1, 4)))) + ")" + gap()
+    edit = draw(st.sampled_from(["none", "delete", "insert", "replace"]))
+    if edit != "none":
+        i = draw(st.integers(0, len(text) - (edit != "insert")))
+        ch = draw(st.sampled_from(list("(),-* \t0129x") + ["\u0663", "tau", "pi", "shift("]))
+        if edit == "delete":
+            text = text[:i] + text[i + 1:]
+        elif edit == "insert":
+            text = text[:i] + ch + text[i:]
+        else:
+            text = text[:i] + ch + text[i + 1:]
+    return text
+
+
+def _parsed(parse, text):
+    try:
+        tree = parse(text)
+    except ExprSyntaxError as e:
+        return "error", str(e), e.position
+    return "tree", tree, repr(tree)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_fold_text())
+def test_fused_parser_agrees_with_the_token_parser(text):
+    # the same tree, atom positions included, or the same error at the same place
+    assert _parsed(parse_expr, text) == _parsed(token_parse_expr, text)
 
 
 _BARE = st.sampled_from(["c", "z", "alpha", "omega"]).map(NameAtom)

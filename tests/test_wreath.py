@@ -5,7 +5,8 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import atom_by_atom_form, brute_compare, confirm_verdict
+from helpers import (atom_by_atom_form, bisect_least_difference, brute_compare,
+                     confirm_verdict)
 
 from wreathord.embed_verbal import get_context
 from wreathord.groundwork import RATIONALS, IntCoords, Ordering
@@ -55,6 +56,49 @@ def test_step_function_basics():
     assert shifted.value(2) == 0
     assert shifted.value(3) == Fraction(-1, 2)
     assert f.least_difference(StepFunction.make([])) == 0
+
+
+_STEP_VALUES = [Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(1, 3), Fraction(5, 7)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["step", "fiber"]),
+       st.sampled_from(["equal", "trivial", "last", "any"]),
+       st.dictionaries(st.integers(-8, 8), st.integers(0, 4), max_size=8),
+       st.dictionaries(st.integers(-8, 8), st.integers(0, 4), max_size=8),
+       st.integers(1, 4), st.booleans())
+def test_merge_walk_least_difference_matches_a_bisection_per_break(kind, case, fc, gc, bump,
+                                                                   swap):
+    # the fiber-step forms take Q Wr C values: a fiber that is not Q
+    if kind == "step":
+        pool = _STEP_VALUES
+
+        def make(changes):
+            return StepFunction.make(changes)
+    else:
+        pool = [QC.identity(), tau(1), phi(2), c_elem(), QC.mul(tau(3), c_elem())]
+
+        def make(changes):
+            return FiberSteps.make(QC, changes)
+    f = make([(b, pool[i]) for b, i in fc.items()])
+    if case == "equal":
+        g = make([(b, pool[i]) for b, i in fc.items()])
+    elif case == "trivial":
+        g = make([])
+    elif case == "last":
+        # the same changes but for the value from the last break on
+        idx = [pool.index(v) if kind == "step" else
+               next(i for i, p in enumerate(pool) if QC.equal(p, v)) for v in f.values]
+        idx[-1:] = [(i + bump) % len(pool) for i in idx[-1:]]
+        g = make([(b, pool[i]) for b, i in zip(f.breaks, idx)])
+    else:
+        g = make([(b, pool[i]) for b, i in gc.items()])
+    if swap:
+        f, g = g, f
+    assert f.least_difference(g) == bisect_least_difference(f, g)
+    assert g.least_difference(f) == bisect_least_difference(g, f)
+    if case == "equal":
+        assert f.least_difference(g) is None
 
 
 def test_w_mul_pointwise_example():
@@ -792,25 +836,45 @@ def test_mul_across_groups_raises():
                 group.mul(y, x)
 
 
-def test_building_a_product_costs_no_mul_per_term(monkeypatch):
+def _shifted_power_product(terms: int) -> str:
+    """A k-term Q Wr C product of shifted tau powers, as the benchmark's
+    fold queries write it."""
+    rng = Random(terms)
+    return "(* " + " ".join(
+        f"(pow shift(tau({rng.randint(1, 500)}),{rng.randint(-5000, 5000)}) "
+        f"{rng.choice([-3, -2, -1, 1, 2, 3])})" for _ in range(terms)) + ")"
+
+
+def _calls_while_building(monkeypatch, names, terms):
+    """How often each named WreathGroup method runs while build_element
+    builds ``_shifted_power_product(terms)``, at each term count."""
     from wreathord.exprs import build_element, parse_expr
 
-    def text(terms):
-        rng = Random(terms)
-        return "(* " + " ".join(
-            f"(pow shift(tau({rng.randint(1, 500)}),{rng.randint(-5000, 5000)}) "
-            f"{rng.choice([-3, -2, -1, 1, 2, 3])})" for _ in range(terms)) + ")"
-
-    calls = []
-    mul = WreathGroup.mul
-    monkeypatch.setattr(WreathGroup, "mul", lambda self, x, y: calls.append(1) or mul(self, x, y))
+    calls = {name: 0 for name in names}
+    for name in names:
+        def counted(self, *args, _name=name, _orig=getattr(WreathGroup, name)):
+            calls[_name] += 1
+            return _orig(self, *args)
+        monkeypatch.setattr(WreathGroup, name, counted)
     counts = []
-    for terms in (100, 300):
-        tree = parse_expr(text(terms))
-        calls.clear()
+    for k in terms:
+        tree = parse_expr(_shifted_power_product(k))
+        calls.update(dict.fromkeys(names, 0))
         build_element(tree)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] <= 2
+        counts.append(tuple(calls[name] for name in names))
+    return counts
+
+
+def test_building_a_product_costs_no_mul_per_term(monkeypatch):
+    (a,), (b,) = _calls_while_building(monkeypatch, ("mul",), (100, 300))
+    assert a == b <= 2
+
+
+def test_a_shifted_power_is_built_as_one_atom(monkeypatch):
+    # (pow shift(tau(i),s) e) is one Atom: no conj by the shift's top and no
+    # pow of a one-atom element per term, and the product reduces them once
+    counts = _calls_while_building(monkeypatch, ("conj", "pow"), (150, 300))
+    assert counts == [(0, 0), (0, 0)]
 
 
 # -- certificates: checked when made, powered pointwise -------------------------
