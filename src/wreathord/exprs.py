@@ -20,6 +20,7 @@ level's top generator (the witness a for Q Wr S).
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -495,4 +496,40 @@ def build_element(expr: Expr, ctx: "ev.VerbalContext | None" = None,
     try:
         return level, builder.element(builder.factor(expr))
     except RecursionError:
+        # the nesting is at fault only where its frames, one a level, left
+        # too few for the group operations under the deepest node
+        if _depth(expr) + _OPERATION_FRAMES < sys.getrecursionlimit() - _stack_depth():
+            raise
         raise ValueError("expression nested too deeply to build") from None
+
+
+# more frames than any group operation or atom builder takes below a node
+_OPERATION_FRAMES = 100
+
+
+def _depth(expr: Expr) -> int:
+    """The most nodes on one path down the tree, pi's argument included:
+    the frames ``_Builder.factor`` takes, in one walk without recursion."""
+    deepest = 0
+    stack = [(expr, 1)]
+    while stack:
+        e, d = stack.pop()
+        deepest = max(deepest, d)
+        t = type(e)
+        if t is Mul:
+            stack += ((a, d + 1) for a in e.args)
+        elif t is Conj or t is Comm:
+            stack += (e.x, d + 1), (e.y, d + 1)
+        elif t is ShiftAtom:
+            stack.append((e.atom, d + 1))
+        elif t is Inv or t is Pow or t is PiAtom:
+            stack.append((e.arg, d + 1))
+    return deepest
+
+
+def _stack_depth() -> int:
+    """The frames on the stack from the caller down to the outermost."""
+    n, f = 0, sys._getframe(1)
+    while f is not None:
+        n, f = n + 1, f.f_back
+    return n

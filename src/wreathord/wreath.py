@@ -151,27 +151,17 @@ class StepFunction(_Steps):
     shifted, scaled step functions is one fold of their jumps.  The
     jumps are as canonical as the values: equality and hashing read
     them, and two forms first differ where their jumps first do.  So a
-    fold builds no Fraction; the values are summed from the jumps when
-    first asked for, and one value alone when only it is."""
+    fold builds no Fraction; the values are summed from the jumps once,
+    when first asked for, unless the form was made from them."""
 
     __slots__ = ("breaks", "jumps", "_values")
     fiber = RATIONALS
 
-    def __init__(self, breaks: Iterable[int], values: Iterable[Rational]):
-        self.breaks = breaks = tuple(breaks)
-        values = tuple(values)
-        # the first jump is the first value itself
-        self.jumps = tuple((b, d.numerator, d.denominator) for b, d in
-                           zip(breaks, values[:1] + tuple(map(sub, values[1:], values))))
+    def __init__(self, jumps: tuple[tuple[int, int, int], ...],
+                 values: tuple[Rational, ...] | None = None):
+        self.breaks = tuple(b for b, _, _ in jumps)
+        self.jumps = jumps
         self._values = values
-
-    @staticmethod
-    def _of_jumps(jumps: tuple[tuple[int, int, int], ...]) -> "StepFunction":
-        f = StepFunction.__new__(StepFunction)
-        f.breaks = tuple(b for b, _, _ in jumps)
-        f.jumps = jumps
-        f._values = None
-        return f
 
     @property
     def values(self) -> tuple[Rational, ...]:
@@ -183,17 +173,6 @@ class StepFunction(_Steps):
                 values.append(Fraction(n, d))
             self._values = tuple(values)
         return self._values
-
-    def value(self, i: int) -> Rational:
-        idx = bisect_right(self.breaks, i)
-        if not idx:
-            return Fraction(0)
-        if self._values is not None:
-            return self._values[idx - 1]
-        n, d = 0, 1
-        for _, jn, jd in self.jumps[:idx]:
-            n, d = _add_over_lcm(n, d, jn, jd)
-        return Fraction(n, d)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not StepFunction:
@@ -208,7 +187,11 @@ class StepFunction(_Steps):
 
     @staticmethod
     def make(changes: Iterable[tuple[int, Rational]]) -> "StepFunction":
-        return StepFunction(*_Steps._canonical(RATIONALS, changes))
+        breaks, values = _Steps._canonical(RATIONALS, changes)
+        # the first jump is the first value itself
+        steps = values[:1] + tuple(map(sub, values[1:], values))
+        return StepFunction(tuple((b, d.numerator, d.denominator)
+                                  for b, d in zip(breaks, steps)), values)
 
     @staticmethod
     def of_atoms(group: "WreathGroup", atoms: Iterable["Atom"]) -> "StepFunction":
@@ -245,7 +228,7 @@ class StepFunction(_Steps):
             if n:
                 g = gcd(n, d)
                 jumps.append((b, n // g, d // g))
-        return StepFunction._of_jumps(tuple(jumps))
+        return StepFunction(tuple(jumps))
 
     def least_difference(self, other: "StepFunction") -> int | None:
         """Least integer where the two functions differ, or None: the

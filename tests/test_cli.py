@@ -136,6 +136,39 @@ def test_deep_nesting_is_a_usage_error_not_a_crash(capsys, argv):
     assert err.startswith("error: expression nested too deeply") and err.count("\n") == 1
 
 
+def test_a_tree_too_deep_to_build_is_a_usage_error():
+    # a hand-built tree has no parser to stop it
+    deep = NameAtom("c")
+    for _ in range(5000):
+        deep = Inv(deep)
+    with pytest.raises(ValueError, match="^expression nested too deeply to build$"):
+        build_element(deep)
+
+
+def test_a_recursion_error_in_a_shallow_build_is_not_a_usage_error(monkeypatch):
+    # only the nesting is reported as too deep; a fault below a shallow
+    # node propagates as it is
+    from wreathord import embed_rationals as er
+
+    def runaway(n):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(er, "tau", runaway)
+    with pytest.raises(RecursionError):
+        build_element(parse_expr("(* c (inv tau(2)))"))
+
+
+def test_an_empty_product_builds_the_identity():
+    # a hand-built Mul(()) is product([]): each level's identity
+    from wreathord.embed_verbal import get_context
+    from wreathord.exprs import bind_levels
+
+    for level, (group, _) in bind_levels(get_context()).items():
+        assert build_element(Mul(()), level=level) == (level, group.product([]))
+        assert group.key(group.product([])) == group.key(group.identity())
+    assert build_element(Mul(()))[0] == "qc"
+
+
 # fold-shaped texts: products of shifted tau powers and shifted phi points,
 # with any whitespace, digits from any script, and then one character
 # deleted, inserted or replaced
