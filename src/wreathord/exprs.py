@@ -15,6 +15,10 @@ z/omega of D Wr Z (dz).  Incompatible mixtures are rejected.
 ``bind_levels`` gives each level's group and atom builders in a word
 family's context.  shift(a, k) shifts the atom by the k-th power of the
 level's top generator (the witness a for Q Wr S).
+
+Tree nodes are slotted records.  An atom node's ``pos``, its offset in
+the text for the level errors (0 in a tree built by hand), takes no part
+in equality or hashing.
 """
 
 from __future__ import annotations
@@ -40,58 +44,55 @@ class ExprSyntaxError(ValueError):
         self.expected = expected
 
 
-# An atom node's ``pos`` is its offset in the parsed text, for the level
-# errors; it takes no part in equality and is 0 in a tree built by hand.
-
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class NameAtom:
     name: str  # c | z | alpha | omega
     pos: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IndexedAtom:
     name: str  # tau | phi | chi | psi
     n: int
     pos: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PiAtom:
     arg: "Expr"
     pos: int = field(default=0, compare=False)
     name = "pi"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ShiftAtom:
     atom: "Expr"
     k: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Mul:
     args: tuple["Expr", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Inv:
     arg: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Pow:
     arg: "Expr"
     n: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Conj:
     x: "Expr"
     y: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Comm:
     x: "Expr"
     y: "Expr"
@@ -108,7 +109,8 @@ _INT = re.compile(r"(-?\d+)\s*")
 _PUNCT = {ch: re.compile(re.escape(ch) + r"\s*") for ch in "(),"}
 # a production's fixed run of tokens in one match
 _OPEN = re.compile(r"\(\s*([\w*]+)\s*")
-_ATOM = re.compile(r"(?:(tau|phi|chi|psi)\s*\(\s*(-?\d+)\s*\)|(shift|pi)\s*\(|([\w*]+))\s*")
+_ATOM = re.compile(r"(?:shift\s*\(\s*(tau|phi|chi|psi)\s*\(\s*(-?\d+)\s*\)\s*,\s*(-?\d+)\s*\)"
+                   r"|(tau|phi|chi|psi)\s*\(\s*(-?\d+)\s*\)|(shift|pi)\s*\(|([\w*]+))\s*")
 _SHIFT_TAIL = re.compile(r",\s*(-?\d+)\s*\)\s*")
 _POW_TAIL = re.compile(r"(-?\d+)\s*\)\s*")
 
@@ -123,12 +125,12 @@ def _int(m: re.Match, group: int) -> int:
 class _Parser:
     """Recursive descent in which each production reads its fixed run of
     tokens in one precompiled match: "(" and the operator, an indexed
-    atom's name, "(", index and ")", "shift(" or "pi(", a shift's ","
-    int ")" and a power's int ")".  Every match also consumes the
-    whitespace after it, so ``pos`` always rests on the next token.
-    Where a production's match fails, it is read again token by token
-    from where it started, one match per token, and that read names the
-    error and its position."""
+    atom's name, "(", index and ")", a shift of an indexed atom in full,
+    "shift(" or "pi(", a shift's "," int ")" and a power's int ")".
+    Every match also consumes the whitespace after it, so ``pos`` always
+    rests on the next token.  Where a production's match fails, it is
+    read again token by token from where it started, one match per
+    token, and that read names the error and its position."""
 
     def __init__(self, text: str):
         self.text = text
@@ -205,15 +207,22 @@ class _Parser:
         if m is None:
             return self.read_atom()
         kind = m.lastindex
-        if kind == 2:  # name "(" index ")"
+        if kind == 3:  # "shift(" name "(" index ")" "," int ")"
             n = _int(m, 2)
+            if n < 1:  # the inner atom, read token by token, names the error
+                self.pos = m.start(1)
+                return self.read_atom()
+            self.pos = m.end()
+            return ShiftAtom(IndexedAtom(m.group(1), n, m.start(1)), _int(m, 3))
+        if kind == 5:  # name "(" index ")"
+            n = _int(m, 5)
             if n < 1:
                 return self.read_atom()
             self.pos = m.end()
-            return IndexedAtom(m.group(1), n, start)
-        if kind == 3:  # "shift(" or "pi("
+            return IndexedAtom(m.group(4), n, start)
+        if kind == 6:  # "shift(" or "pi("
             self.pos = m.end()
-            if m.group(3) == "pi":
+            if m.group(6) == "pi":
                 return self.pi_tail(start)
             atom = self.parse_atom()
             m = _SHIFT_TAIL.match(self.text, self.pos)
@@ -221,9 +230,9 @@ class _Parser:
                 return self.shift_tail(atom)
             self.pos = m.end()
             return ShiftAtom(atom, _int(m, 1))
-        if m.group(4) in _BARE_ATOMS:
+        if m.group(7) in _BARE_ATOMS:
             self.pos = m.end()
-            return NameAtom(m.group(4), start)
+            return NameAtom(m.group(7), start)
         return self.read_atom()
 
     def read_atom(self) -> Expr:

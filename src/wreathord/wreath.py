@@ -26,8 +26,8 @@ Equality of two elements with equal tops is decided in two exact tiers:
    gives two forms a least difference.  The step and fiber-step forms
    share one step core, which reads the values' equality from their
    fiber; a ray-step form is one step fold per ray.  The three form
-   classes share one protocol (``of_atoms``, ``is_trivial``,
-   ``least_difference``, ``key``, ``fmt``), and a level names its class;
+   classes share one protocol (``of_atoms``, ``is_trivial``, ``key``,
+   ``least_difference``, ``compare_at``, ``fmt``): a level names its class;
 2. an exact tail criterion for products of shifted powers of a single
    tail atom plus finitely supported atoms.  Each tail atom kind names
    finitely many candidate coordinates that are sure to contain the
@@ -49,10 +49,9 @@ has decided the equality, so it takes tier 1 from then on.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 from operator import itemgetter, sub
 from typing import Any, Iterable, Iterator
@@ -113,6 +112,10 @@ class _Steps:
                 return min(b, c)
         return _first_unmatched(self.breaks, other.breaks)
 
+    def compare_at(self, other: "_Steps", c: int) -> Ordering:
+        """The order of the two values at c, their least difference."""
+        return self.fiber.compare(self.value(c), other.value(c))
+
     def fmt(self) -> str:
         fmt = self.fiber.fmt
         one = fmt(self.fiber.identity())
@@ -150,16 +153,17 @@ class StepFunction(_Steps):
     before b, per break b.  The rationals are abelian, so a sum of
     shifted, scaled step functions is one fold of their jumps.  The
     jumps are as canonical as the values: equality and hashing read
-    them, and two forms first differ where their jumps first do.  So a
-    fold builds no Fraction; the values are summed from the jumps once,
-    when first asked for, unless the form was made from them."""
+    them, and two forms first differ where their jumps first do, so the
+    jumps there order them.  So neither a fold nor an order builds a
+    Fraction; the values are summed from the jumps once, when first
+    asked for, unless the form was made from them."""
 
     __slots__ = ("breaks", "jumps", "_values")
     fiber = RATIONALS
 
     def __init__(self, jumps: tuple[tuple[int, int, int], ...],
                  values: tuple[Rational, ...] | None = None):
-        self.breaks = tuple(b for b, _, _ in jumps)
+        self.breaks = tuple([b for b, _, _ in jumps])
         self.jumps = jumps
         self._values = values
 
@@ -238,6 +242,15 @@ class StepFunction(_Steps):
                 return min(p[0], q[0])
         return _first_unmatched(self.breaks, other.breaks)
 
+    def compare_at(self, other: "StepFunction", c: int) -> Ordering:
+        """The order at c, their least difference, of the jumps there."""
+        (n1, d1), (n2, d2) = self._jump_at(c), other._jump_at(c)
+        return Ordering.of(n1 * d2, n2 * d1)
+
+    def _jump_at(self, c: int) -> tuple[int, int]:
+        i = bisect_left(self.breaks, c)
+        return self.jumps[i][1:] if self.breaks[i:i + 1] == (c,) else (0, 1)
+
     def key(self) -> "StepFunction":
         return self
 
@@ -309,6 +322,10 @@ class RayStepFunction:
             if k == key:
                 return steps.value(i)
         return Fraction(0)
+
+    def compare_at(self, other: "RayStepFunction", s: Any) -> Ordering:
+        """The order of the two values at s, their least difference."""
+        return Ordering.of(self.value(s), other.value(s))
 
     def add(self, other: "RayStepFunction") -> "RayStepFunction":
         return RayStepFunction._fold(
@@ -451,19 +468,29 @@ class _Shape(BaseFunction):
         self.coords = coords
         self._trivial: bool | None = None
         self._key: tuple | None = None
+        self._origin: tuple | None = None
+        self._ray: tuple | None = None
 
-    @cached_property
+    @property
     def _start(self) -> tuple:
         """(ray key, ray representative, index) of the origin."""
-        rep, i = self.coords.ray_decompose(self.coords.identity())
-        return self.coords.key(rep), rep, i
+        if self._origin is None:
+            rep, i = self.coords.ray_decompose(self.coords.identity())
+            self._origin = self.coords.key(rep), rep, i
+        return self._origin
 
-    @cached_property
+    @property
     def ray(self) -> tuple[Any, StepFunction]:
         """(representative, StepFunction) of the origin's ray, the only
-        ray where a rational atom is not 0."""
-        _, rep, i0 = self._start
-        return rep, StepFunction.make(self.changes(i0))
+        ray where a rational atom is not 0, built from its one or two
+        changes: to the value v, and past a point back to 0."""
+        if self._ray is None:
+            _, rep, i0 = self._start
+            v = self.fiber_value
+            n, d = v.numerator, v.denominator
+            changes = self.changes(i0) if n else ()
+            self._ray = rep, StepFunction(tuple([(i, n if w is v else -n, d) for i, w in changes]))
+        return self._ray
 
     @property
     def is_trivial(self) -> bool:
@@ -601,12 +628,12 @@ class WreathGroup:
 
     ``form`` is the class of the level's canonical base forms
     (StepFunction, RayStepFunction or FiberSteps); each offers
-    ``of_atoms``, ``is_trivial``, ``least_difference``, ``key`` and
-    ``fmt``.  Without a ``tail_kind`` every element has a form (an atom
-    without one raises TypeError).  With a ``tail_kind`` the form is
-    FiberSteps, only elements whose atoms are all finite have a form,
-    and tier 2 decides products of the level's tail atom with finite
-    atoms.
+    ``of_atoms``, ``is_trivial``, ``least_difference``, ``compare_at``,
+    ``key`` and ``fmt``.  Without a ``tail_kind`` every element has a
+    form (an atom without one raises TypeError).  With a ``tail_kind``
+    the form is FiberSteps, only elements whose atoms are all finite
+    have a form, and tier 2 decides products of the level's tail atom
+    with finite atoms.
     """
 
     def __init__(self, name: str, coords: Any, fiber: Any, form: type,
@@ -950,6 +977,10 @@ class WreathGroup:
         v = self.min_difference(x, y)
         if v.is_equal:
             return Ordering.EQUAL
+        # min_difference has computed both forms; an element with a tail atom has none
+        cx, cy = x._canon, y._canon
+        if cx is not None and cy is not None:
+            return cx.compare_at(cy, v.witness)
         return self.fiber.compare(self.eval(x, v.witness), self.eval(y, v.witness))
 
     def is_positive(self, x: WreathElement) -> bool:

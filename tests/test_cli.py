@@ -57,6 +57,28 @@ def test_parse_errors_carry_positions():
         parse_expr("(* )")
 
 
+def test_expression_nodes_are_slotted_values():
+    # one node of each class; an atom's pos takes no part in equality or hashing
+    text = "(* c shift(tau(5),-2) pi((comm chi(2) (conj psi(1) (inv (pow chi(3) 4))))))"
+    tree = parse_expr(text)
+    by_hand = Mul((NameAtom("c"), ShiftAtom(IndexedAtom("tau", 5), -2), PiAtom(Comm(
+        IndexedAtom("chi", 2), Conj(IndexedAtom("psi", 1), Inv(Pow(IndexedAtom("chi", 3), 4)))))))
+    assert tree == by_hand and hash(tree) == hash(by_hand)
+    assert NameAtom("c", 3) != NameAtom("z", 3) and IndexedAtom("tau", 5) != IndexedAtom("tau", 6)
+    assert len({tree, by_hand, parse_expr("  " + text)}) == 1
+    # the repr, atom positions included, as the frozen records printed it
+    assert repr(tree) == (
+        "Mul(args=(NameAtom(name='c', pos=3), ShiftAtom(atom=IndexedAtom(name='tau', n=5, "
+        "pos=11), k=-2), PiAtom(arg=Comm(x=IndexedAtom(name='chi', n=2, pos=31), "
+        "y=Conj(x=IndexedAtom(name='psi', n=1, pos=44), y=Inv(arg=Pow(arg=IndexedAtom("
+        "name='chi', n=3, pos=61), n=4)))), pos=22)))")
+    nodes = [tree, *tree.args, tree.args[1].atom, tree.args[2].arg, tree.args[2].arg.y,
+             tree.args[2].arg.y.y, tree.args[2].arg.y.y.arg]
+    assert {type(n).__name__ for n in nodes} == {
+        "Mul", "NameAtom", "ShiftAtom", "IndexedAtom", "PiAtom", "Comm", "Conj", "Inv", "Pow"}
+    assert not any(hasattr(n, "__dict__") for n in nodes)
+
+
 # (text, message) pairs recorded from the character-by-character parser
 # that preceded the regex tokenizer; both the wording and the position
 # must stay as they were
@@ -112,6 +134,7 @@ def test_parse_error_messages_and_positions_are_golden():
 def test_an_over_long_integer_literal_is_a_syntax_error_at_the_literal(capsys):
     digits = "7" * 5000
     for text, at in ((f"tau({digits})", 4), (f"shift(tau(1), -{digits})", 14),
+                     (f"shift(tau({digits}),2)", 10), (f"shift( tau ( {digits}),2)", 13),
                      (f"(pow c {digits})", 7), (f"(pow c\t{digits} )", 7)):
         with pytest.raises(ExprSyntaxError) as e:
             parse_expr(text)

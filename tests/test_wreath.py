@@ -230,6 +230,46 @@ def test_step_fold_matches_evaluation_and_ignores_order(data):
     assert QC.base_canonical(shuffled) == sf
 
 
+_NONZERO = st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_qc_order_is_the_value_order_at_the_least_difference(data):
+    # compare reads the order off the two forms' jumps at the least
+    # difference; the reference orders the values there, read off the atoms
+    top = data.draw(st.integers(-3, 3))
+    atoms = data.draw(qc_products(max_atoms=30))
+    breaks = QC.base_canonical(QC.element(0, atoms)).breaks
+    edit = data.draw(st.sampled_from(["random", "new break", "last break", "trivial"]))
+    if edit == "random":
+        more = data.draw(qc_products(max_atoms=30))
+    elif edit == "trivial":
+        atoms, more = [], atoms
+    else:
+        # one more point or threshold: at a coordinate x has no break, so
+        # the forms differ at a break x lacks, or at x's last break
+        shape = data.draw(st.sampled_from([QC.point, QC.threshold]))
+        at = (breaks[-1] if edit == "last break" and breaks else
+              data.draw(st.integers(-30, 30).filter(lambda s: s not in breaks)))
+        more = atoms + [Atom(shape(data.draw(_NONZERO)).atoms[0].fn, at, 1)]
+    x, y = QC.element(top, atoms), QC.element(top, more)
+    if data.draw(st.booleans()):
+        x, y = y, x
+    read = data.draw(st.tuples(st.booleans(), st.booleans()))
+    for el, r in zip((x, y), read):
+        if r:
+            QC.base_canonical(el).values
+    got = QC.compare(x, y)
+    assert tuple(QC.base_canonical(el)._values is not None for el in (x, y)) == read
+    v = QC.min_difference(x, y)
+    if v.is_equal:
+        assert got is Ordering.EQUAL and QC.compare(y, x) is Ordering.EQUAL
+    else:
+        assert got is Ordering.of(QC.eval_atoms(x, v.witness), QC.eval_atoms(y, v.witness))
+        assert QC.compare(y, x) is got.reversed() is not Ordering.EQUAL
+
+
 def _assert_fold_is_the_sum(parts):
     """StepFunction.fold against a plain-Fraction sum at every coordinate
     of the parts' span; the result is canonical, with no zero jump and
@@ -845,17 +885,23 @@ def _shifted_power_product(terms: int) -> str:
         f"{rng.choice([-3, -2, -1, 1, 2, 3])})" for _ in range(terms)) + ")"
 
 
+def _counting(monkeypatch, owner, names):
+    """A dict that counts, from now on, the calls of each named method of owner."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _orig=getattr(owner, name), **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def _calls_while_building(monkeypatch, names, terms):
     """How often each named WreathGroup method runs while build_element
     builds ``_shifted_power_product(terms)``, at each term count."""
     from wreathord.exprs import build_element, parse_expr
 
-    calls = {name: 0 for name in names}
-    for name in names:
-        def counted(self, *args, _name=name, _orig=getattr(WreathGroup, name)):
-            calls[_name] += 1
-            return _orig(self, *args)
-        monkeypatch.setattr(WreathGroup, name, counted)
+    calls = _counting(monkeypatch, WreathGroup, names)
     counts = []
     for k in terms:
         tree = parse_expr(_shifted_power_product(k))
@@ -875,6 +921,25 @@ def test_a_shifted_power_is_built_as_one_atom(monkeypatch):
     # pow of a one-atom element per term, and the product reduces them once
     counts = _calls_while_building(monkeypatch, ("conj", "pow"), (150, 300))
     assert counts == [(0, 0), (0, 0)]
+
+
+def test_comparing_unequal_products_sums_no_values(monkeypatch):
+    # the two forms agree below their least difference, so compare reads the
+    # order off the jumps there and builds no Fraction per break: at most
+    # one, the 0 that phi(7)'s ray form returns to, made on its first use
+    from wreathord.exprs import build_element, parse_expr
+
+    made = _counting(monkeypatch, Fraction, ("__new__",))
+    counts = []
+    for k in (150, 300):
+        text = _shifted_power_product(k)
+        # one more point atom, as in the benchmark's unequal fold queries
+        x, y = (build_element(parse_expr(t))[1] for t in (text, text[:-1] + " shift(phi(7),13))"))
+        made["__new__"] = 0
+        assert QC.compare(x, y) is Ordering.LESS and QC.compare(y, x) is Ordering.GREATER
+        counts.append(made["__new__"])
+        assert QC.base_canonical(x)._values is None and QC.base_canonical(y)._values is None
+    assert max(counts) <= 1, counts
 
 
 # -- certificates: checked when made, powered pointwise -------------------------
