@@ -36,16 +36,27 @@ def _ctx(options) -> ev.VerbalContext:
     return ev.get_context(options.get("word", ev.DEFAULT_WORD))
 
 
+_DECIMAL = re.compile(r"\s*[+-]?\d+\s*")
+
+
+def _int_arg(name: str, text: str, malformed: str | None = None) -> int:
+    """int(text), or a usage error: ``malformed``, or for more digits
+    than Python converts, one that does not echo them."""
+    try:
+        return int(text)
+    except ValueError:
+        if _DECIMAL.fullmatch(text):
+            raise ValueError(f"integer literal for {name} is too long") from None
+        raise ValueError(malformed or f"{name} must be an integer, got {text!r}") from None
+
+
 def _render_eval(element: WreathElement, level: str, at: str | None, window: int) -> str:
     group = element.group
     coords, fiber = group.coords, group.fiber
     lines = [f"level: {level}", f"element: {group.fmt(element)}"]
     if at is not None:
         letter, _, num = at.partition(":")
-        try:
-            k = int(num)
-        except ValueError:
-            raise ValueError(f"coordinate must look like z:3 or c:-2, got {at!r}")
+        k = _int_arg("the coordinate", num, f"coordinate must look like z:3 or c:-2, got {at!r}")
         if letter != coords.letter:
             raise ValueError(f"level uses coordinates {coords.letter}:<int>, got {at!r}")
         coord = coords.witness_power(k)
@@ -142,11 +153,11 @@ def run_command(cmd: Command) -> tuple[int, str]:
                        f"grouped exponents: {{{grouped}}}\n")
 
         if cmd.name == "table":
-            n = int(cmd.args[0])
+            n = _int_arg("n", cmd.args[0])
             if n < 1:
                 return USAGE_ERROR, "error: n must be >= 1\n"
             if len(cmd.args) > 1:
-                js = [int(cmd.args[1])]
+                js = [_int_arg("j", cmd.args[1])]
             else:
                 js = list(range(-2 * n - 4, 2 * n + 5))
             lines = [f"[alpha^(z^-{n}), alpha] at z^j:"]

@@ -15,9 +15,9 @@ j > 0, and the embedding is
 whose evaluation is the point function with value m/n at (z^0, c^0).
 The exact alpha tail criterion decides that equality once per
 denominator n, and from then on phi_n's image is that point atom: the
-image of m/n is one atom with exponent m, so downstream equality and
-order queries on embedded rationals compare canonical forms instead of
-re-running the tail criterion.
+image of m/n is one atom with exponent m, so W's tail criterion decides
+an equality or order query on two embedded rationals at one candidate
+coordinate, the point's, instead of across the commutators' shifts.
 
 The verification suites at the bottom (homomorphism, injectivity, order
 preservation, normal-form bound, torsion-freeness, solvable length 3,
@@ -45,7 +45,6 @@ from .reporting import FAIL, PASS, Report, merge_reports, run_checks
 from .wreath import (
     Atom,
     BaseFunction,
-    FiberSteps,
     PointFn,
     StepFunction,
     WreathElement,
@@ -55,7 +54,7 @@ from .wreath import (
 )
 
 QC = WreathGroup("QwrC", IntCoords("c"), RATIONALS, StepFunction)
-W = WreathGroup("W", IntCoords("z"), QC, FiberSteps, tail_kind="alpha")
+W = WreathGroup("W", IntCoords("z"), QC, tail_kind="alpha")
 
 
 class AlphaFn(BaseFunction):

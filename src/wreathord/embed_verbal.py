@@ -33,8 +33,9 @@ indices make the embedding's word for m/n computable in O(1):
 As in the rational embedding, the omega tail criterion decides each
 commutator equal to its point function once (``WreathGroup.certified``),
 and from then on the commutator is that point atom and an image is one
-atom with exponent m, so equality and order queries stay cheap even
-though the shifts grow like 2^(2n-1).
+atom with exponent m, so the tail criterion decides an equality or
+order query on two images at one candidate coordinate, and queries stay
+cheap even though the shifts grow like 2^(2n-1).
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ class VerbalContext:
         self.QS = WreathGroup(f"QwrS[{self.family_key}]", self.scoords, RATIONALS,
                               RayStepFunction)
         self.TC = WreathGroup(f"TwrC[{self.family_key}]", IntCoords("c"), self.QS, FiberSteps)
-        self.DZ = WreathGroup(f"DwrZ[{self.family_key}]", IntCoords("z"), self.TC, FiberSteps,
+        self.DZ = WreathGroup(f"DwrZ[{self.family_key}]", IntCoords("z"), self.TC,
                               tail_kind="omega")
         self._chi: dict[int, WreathElement] = {}
         self._psi: dict[int, WreathElement] = {}

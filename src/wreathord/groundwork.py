@@ -130,8 +130,10 @@ def parse_rational(text: str) -> Rational:
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise ValueError(f"not a rational literal: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
+    try:
+        num, den = int(m.group(1)), int(m.group(2) or 1)
+    except ValueError:  # more digits than Python converts
+        raise ValueError("rational literal is too long") from None
     return canonical_fraction(num, den)
 
 

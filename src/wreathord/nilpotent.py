@@ -137,13 +137,18 @@ class _WordParser:
             raise self.error(f"expected {ch!r}")
         self.pos += 1
 
-    def parse_int(self) -> int:
-        self.skip_ws()
-        m = _INT.match(self.text, self.pos)
+    def read_int(self, pattern: re.Pattern, expected: str) -> int:
+        """The integer that ``pattern`` matches at ``pos``; an error
+        points at the literal."""
+        m = pattern.match(self.text, self.pos)
         if m is None:
-            raise self.error("expected an integer")
+            raise self.error(expected)
+        try:
+            n = int(m.group(0))
+        except ValueError:  # more digits than Python converts
+            raise self.error("integer literal is too long") from None
         self.pos = m.end()
-        return int(m.group(0))
+        return n
 
     def parse_word(self) -> list[tuple[int, int]]:
         runs = self.parse_factor()
@@ -156,7 +161,8 @@ class _WordParser:
         runs = self.parse_atom()
         if self.peek() == "^":
             self.pos += 1
-            n = self.parse_int()
+            self.skip_ws()
+            n = self.read_int(_INT, "expected an integer")
             if len(runs) == 1:
                 (var, e), = runs
                 runs = [(var, e * n)] if n else []
@@ -180,11 +186,7 @@ class _WordParser:
             return _inverse(u) + _inverse(v) + u + v
         if ch == "x":
             self.pos += 1
-            m = _INDEX.match(self.text, self.pos)
-            if m is None:
-                raise self.error("expected a variable index after 'x'")
-            self.pos = m.end()
-            var = int(m.group(0))
+            var = self.read_int(_INDEX, "expected a variable index after 'x'")
             if var < 1:
                 raise self.error("variable indices start at 1")
             return [(var, 1)]

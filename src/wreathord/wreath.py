@@ -16,35 +16,36 @@ along the origin's ray once; its ray form is read off them, a product's
 fiber-step form off the product's values where some atom's value
 changes, and two atoms of one shape at the same shift merge into one.
 
-Equality of two elements with equal tops is decided in two exact tiers:
+Each level decides equality, identity and order of two elements with
+equal tops by one exact route, the same for every pair:
 
-1. canonical extensional forms, when both elements have one: rational
-   step functions over an integer line, ray-step functions over a
-   nilpotent coordinate group, or fiber-valued step forms.  Every base
-   function here has well-ordered support, so a form is the identity
-   below its first break and keeps only its changes; that is what
-   gives two forms a least difference.  The step and fiber-step forms
-   share one step core, which reads the values' equality from their
-   fiber; a ray-step form is one step fold per ray.  The three form
-   classes share one protocol (``of_atoms``, ``is_trivial``, ``key``,
-   ``least_difference``, ``compare_at``, ``fmt``): a level names its class;
-2. an exact tail criterion for products of shifted powers of a single
-   tail atom plus finitely supported atoms.  Each tail atom kind names
-   finitely many candidate coordinates that are sure to contain the
-   least coordinate where the product is not the identity, if there is
-   one (alpha: the shifts, the finite-atom coordinates and, after each
-   shift, as many further integers as there are nonzero net exponents
-   at or below it; omega: the dyadic collision and finite-atom
-   coordinates and, for each shift with a nonzero net, its first
-   non-collision power whose value is not the identity), and the least
+1. a form level (Q Wr C, Q Wr S, T Wr C, the fibers of the next level)
+   compares canonical extensional forms: rational step functions over
+   an integer line, ray-step functions over a nilpotent coordinate
+   group, or fiber-valued step forms.  Every base function here has
+   well-ordered support, so a form is the identity below its first
+   break and keeps only its changes; that is what gives two forms a
+   least difference.  The step and fiber-step forms share one step
+   core, which reads the values' equality from their fiber; a ray-step
+   form is one step fold per ray.  The three form classes share one
+   protocol (``of_atoms``, ``is_trivial``, ``key``, ``least_difference``,
+   ``compare_at``, ``fmt``): a level names its class;
+2. a tail level (W and D Wr Z) keeps no forms and applies an exact tail
+   criterion to x * y^-1, a product of shifted powers of its tail atom
+   and point atoms.  Each tail atom kind names finitely many candidate
+   coordinates that are sure to contain the least coordinate where the
+   product is not the identity, if there is one (alpha: the shifts, the
+   point coordinates and, after each shift, as many further integers as
+   there are nonzero net exponents at or below it; omega: the dyadic
+   collision and point coordinates and, for each shift with a nonzero
+   net, its first non-collision power whose value is not the identity;
+   with no tail atom left, the point coordinates), and the least
    non-identity candidate is the least difference.
 
-Every element a built-in level can construct is decided by one of
-them, so ``Equal`` and ``Distinct`` are the only verdicts produced; a
-level given an atom with neither a form nor a tail criterion raises
-TypeError instead of guessing.  A tail product known to equal a point
-function is replaced by that point atom once ``WreathGroup.certified``
-has decided the equality, so it takes tier 1 from then on.
+So ``Equal`` and ``Distinct`` are the only verdicts produced; a level
+given an atom its route cannot read raises TypeError instead of
+guessing.  ``WreathGroup.certified`` replaces a tail product known to
+equal a point function by that point atom, once it has decided so.
 """
 
 from __future__ import annotations
@@ -411,8 +412,8 @@ class BaseFunction:
 
     Subclasses report the value at any (unshifted) coordinate.  The two
     extensional shapes, PointFn and ThresholdFn, also state their value
-    changes and ray form for the tier-1 equality path; the tail kinds
-    (AlphaFn, OmegaFn) expose their tier-2 criterion instead.
+    changes and ray form for the form levels; the tail kinds (AlphaFn,
+    OmegaFn) expose their tail criterion instead.
     """
 
     name = "?"
@@ -437,7 +438,7 @@ class BaseFunction:
 
     def tail_identity(self, group: "WreathGroup", element: "WreathElement",
                       tails: list, finites: list) -> Verdict:
-        """Tier-2 verdict on whether ``element`` (a product of this tail
+        """Tail-criterion verdict on whether ``element`` (a product of this tail
         atom's shifted powers and finite atoms) is the identity: Equal,
         or Distinct(j) with j the least coordinate where it is not."""
         raise TypeError(f"{self.name} has no tail criterion")
@@ -582,15 +583,12 @@ class Atom:
 # elements and groups
 # ----------------------------------------------------------------------
 
-_MISSING = object()
-
-
 class WreathElement:
     """top * base, with the base a formal product of shifted atoms.
 
-    The cached canonical form is deterministically recomputable, so
-    concurrent readers either miss (and recompute the same value) or
-    observe a consistent entry.
+    The cached canonical form (on a form level) is deterministically
+    recomputable, so concurrent readers either miss (and recompute the
+    same value) or observe a consistent entry.
     """
 
     __slots__ = ("group", "top", "atoms", "_canon")
@@ -599,7 +597,7 @@ class WreathElement:
         self.group = group
         self.top = top
         self.atoms = atoms
-        self._canon = _MISSING
+        self._canon = None
 
     def eval(self, coord: Any) -> Any:
         return self.group.eval(self, coord)
@@ -624,19 +622,20 @@ class WreathElement:
 
 
 class WreathGroup:
-    """Operations of one wreath-product level.
+    """Operations of one wreath-product level, which decides equality,
+    identity and order by one route for every pair.
 
-    ``form`` is the class of the level's canonical base forms
-    (StepFunction, RayStepFunction or FiberSteps); each offers
+    A form level names ``form``, the class of its canonical base forms
+    (StepFunction, RayStepFunction or FiberSteps), each offering
     ``of_atoms``, ``is_trivial``, ``least_difference``, ``compare_at``,
-    ``key`` and ``fmt``.  Without a ``tail_kind`` every element has a
-    form (an atom without one raises TypeError).  With a ``tail_kind``
-    the form is FiberSteps, only elements whose atoms are all finite
-    have a form, and tier 2 decides products of the level's tail atom
-    with finite atoms.
+    ``key`` and ``fmt``; every element has one (an atom without one
+    raises TypeError).  A tail level names ``tail_kind`` instead and
+    keeps no forms: it applies the tail criterion to x * y^-1, a
+    product of its tail atom's shifted powers and point atoms, so
+    ``key`` raises on it.
     """
 
-    def __init__(self, name: str, coords: Any, fiber: Any, form: type,
+    def __init__(self, name: str, coords: Any, fiber: Any, form: type | None = None,
                  tail_kind: str | None = None):
         self.name = name
         self.coords = coords
@@ -842,7 +841,7 @@ class WreathGroup:
 
     def eval(self, x: WreathElement, coord: Any) -> Any:
         """x's base at coord; a computed canonical form is read by bisection."""
-        if x._canon is not _MISSING and x._canon is not None:
+        if x._canon is not None:
             self._same(x)
             return x._canon.value(coord)
         return self.eval_atoms(x, coord)
@@ -882,39 +881,28 @@ class WreathGroup:
     # -- canonical forms ----------------------------------------------------
 
     def base_canonical(self, x: WreathElement):
-        if x._canon is _MISSING:
-            x._canon = self._compute_canonical(x)
+        """x's canonical base form, computed once; a tail level keeps none."""
+        if x._canon is None:
+            if self.tail_kind is not None:
+                raise ValueError(f"{self.name} keeps no canonical forms")
+            x._canon = self.form.of_atoms(self, x.atoms)
         return x._canon
-
-    def _compute_canonical(self, x: WreathElement):
-        """Tier-1 form of x's base, or None when x has a non-finite atom
-        on a tail level."""
-        if self.tail_kind is not None and not all(a.fn.finite for a in x.atoms):
-            return None
-        return self.form.of_atoms(self, x.atoms)
 
     # -- equality and order ---------------------------------------------------
 
     def min_difference(self, x: WreathElement, y: WreathElement) -> Verdict:
         """Verdict on the least coordinate where the base functions of x
-        and y differ: tier 1 compares canonical forms, tier 2 applies the
-        tail criterion to x * y^-1.  Requires equal tops."""
+        and y differ: a form level compares their canonical forms, a tail
+        level applies its tail criterion to x * y^-1.  Requires equal tops."""
         self._same(x, y)
         if self.coords.key(x.top) != self.coords.key(y.top):
             raise ValueError("min_difference requires equal tops")
-        c1 = self.base_canonical(x)
-        c2 = self.base_canonical(y)
-        if c1 is not None and c2 is not None:
-            return _verdict(c1.least_difference(c2))
+        if self.tail_kind is None:
+            return _verdict(self.base_canonical(x).least_difference(self.base_canonical(y)))
         # d's base is the base of x times the inverse of y's, both shifted
         # by the inverse of the common top, so d is not the identity at j
         # exactly where x and y differ at j * top
-        d = self.mul(x, self.inv(y))
-        dc = self.base_canonical(d)
-        if dc is not None:
-            t = _verdict(dc.least_difference(self.base_canonical(self.identity())))
-        else:
-            t = self._tail_identity(d)
+        t = self._tail_identity(self.mul(x, self.inv(y)))
         if t.is_equal:
             return t
         return Verdict.distinct(self.coords.mul(t.witness, x.top))
@@ -931,9 +919,9 @@ class WreathGroup:
         return Verdict.equal()
 
     def _tail_identity(self, d: WreathElement) -> Verdict:
-        """Tier-2 verdict on d, a product of shifted powers of the
-        level's tail atom and finite atoms (some atom of d is not
-        finite, or d would have a form)."""
+        """Tail-criterion verdict on d, a product of shifted powers of the
+        level's tail atom and finite atoms.  Without a tail atom d is a
+        product of points, so its point coordinates are the candidates."""
         tails: list[Atom] = []
         finites: list[Atom] = []
         for a in d.atoms:
@@ -944,6 +932,8 @@ class WreathGroup:
             else:
                 kinds = ", ".join(sorted({b.fn.name for b in d.atoms}))
                 raise TypeError(f"{self.name} has no exact equality route for {kinds}")
+        if not tails:
+            return self.least_nonidentity(d, {a.shift for a in finites})
         return tails[0].fn.tail_identity(self, d, tails, finites)
 
     def equal(self, x: WreathElement, y: WreathElement) -> bool:
@@ -952,10 +942,8 @@ class WreathGroup:
             return True
         if self.coords.key(x.top) != self.coords.key(y.top):
             return False
-        c1 = self.base_canonical(x)
-        c2 = self.base_canonical(y)
-        if c1 is not None and c2 is not None:
-            return c1.key() == c2.key()
+        if self.tail_kind is None:
+            return self.base_canonical(x).key() == self.base_canonical(y).key()
         return self.min_difference(x, y).is_equal
 
     def is_identity(self, x: WreathElement) -> bool:
@@ -964,10 +952,9 @@ class WreathGroup:
         self._same(x)
         if self.coords.key(x.top) != self._top_identity_key:
             return False
-        c = self.base_canonical(x)
-        if c is not None:
-            return c.is_trivial
-        return self.equal(x, self.identity())
+        if self.tail_kind is None:
+            return self.base_canonical(x).is_trivial
+        return self._tail_identity(x).is_equal
 
     def compare(self, x: WreathElement, y: WreathElement) -> Ordering:
         self._same(x, y)
@@ -977,10 +964,9 @@ class WreathGroup:
         v = self.min_difference(x, y)
         if v.is_equal:
             return Ordering.EQUAL
-        # min_difference has computed both forms; an element with a tail atom has none
-        cx, cy = x._canon, y._canon
-        if cx is not None and cy is not None:
-            return cx.compare_at(cy, v.witness)
+        if self.tail_kind is None:
+            # min_difference has computed both forms
+            return x._canon.compare_at(y._canon, v.witness)
         return self.fiber.compare(self.eval(x, v.witness), self.eval(y, v.witness))
 
     def is_positive(self, x: WreathElement) -> bool:
@@ -989,10 +975,7 @@ class WreathGroup:
     # -- fiber protocol (so a wreath group can be the fiber of the next level)
 
     def key(self, x: WreathElement) -> tuple:
-        c = self.base_canonical(x)
-        if c is None:
-            raise ValueError("no canonical form available for key()")
-        return (self.coords.key(x.top), c.key())
+        return (self.coords.key(x.top), self.base_canonical(x).key())
 
     def fmt(self, x: WreathElement) -> str:
         top_is_identity = self.coords.key(x.top) == self._top_identity_key

@@ -142,6 +142,22 @@ def test_an_over_long_integer_literal_is_a_syntax_error_at_the_literal(capsys):
     assert main(["eval", f"tau({digits})"]) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", "error: integer literal is too long (at position 4)\n")
+    # the other integers of the command line fail in the CLI's own words
+    # too, without Python's conversion limit or an echo of the digits
+    for argv, message in (
+            (["verify", "verbal", "--word", f"x1^{digits}"], "integer literal is too long (at position 3)"),
+            (["verify", "verbal", "--word", f"[x1, x2]^ -{digits}"],
+             "integer literal is too long (at position 10)"),
+            (["verify", "verbal", "--word", f"x{digits}"], "integer literal is too long (at position 1)"),
+            (["embed-q", digits], "rational literal is too long"),
+            (["embed-q", f"1/{digits}"], "rational literal is too long"),
+            (["table", digits], "integer literal for n is too long"),
+            (["table", "1", digits], "integer literal for j is too long"),
+            (["eval", "z", "--at", f"z:{digits}"], "integer literal for the coordinate is too long"),
+            (["table", "1", "x"], "j must be an integer, got 'x'")):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n"), argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -188,7 +204,7 @@ def test_an_empty_product_builds_the_identity():
 
     for level, (group, _) in bind_levels(get_context()).items():
         assert build_element(Mul(()), level=level) == (level, group.product([]))
-        assert group.key(group.product([])) == group.key(group.identity())
+        assert group.is_identity(group.product([]))
     assert build_element(Mul(()))[0] == "qc"
 
 

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (atom_by_atom_form, bisect_least_difference, brute_compare,
-                     confirm_verdict)
+                     brute_least_difference, confirm_verdict)
 
-from wreathord.embed_verbal import get_context
+from wreathord.embed_verbal import VerbalContext, get_context
 from wreathord.groundwork import RATIONALS, IntCoords, Ordering
 from wreathord.wreath import (
     Atom,
@@ -395,13 +395,19 @@ def _qs_values(ctx):
                      st.lists(st.builds(Atom, fn, shift, st.integers(-2, 2)), max_size=4))
 
 
+# the level W would be without its tail: fiber-step forms over the
+# non-abelian Q Wr C
+_QC_WR_Z = WreathGroup("QCwrZ", IntCoords("z"), QC, FiberSteps)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_fiber_steps_fold_matches_evaluation(data):
-    # T Wr C: pi and rho atoms of Q Wr S values; W: point atoms of Q Wr C
-    # values.  An atom of a trivial value is no atom at all.
+    # T Wr C: pi and rho atoms of Q Wr S values; a tail-free Q Wr C Wr Z:
+    # point and threshold atoms of Q Wr C values.  An atom of a trivial
+    # value is no atom at all.
     if data.draw(st.booleans()):
-        group, makers = W, [W.point]
+        group, makers = _QC_WR_Z, [_QC_WR_Z.point, _QC_WR_Z.threshold]
         values = st.integers(0, 10**6).map(lambda seed: random_qc_element(Random(seed)))
     else:
         ctx = get_context(data.draw(st.sampled_from(["[x1,x2]", "x1^2"])))
@@ -752,13 +758,44 @@ def test_equality_routes_agree_on_every_level(name, data):
         y = word(data.draw(st.lists(letter, max_size=5)))
         y = group.mul(group.top_element(group.coords.mul(x.top, group.coords.inv(y.top))), y)
     same = group.equal(x, y)
-    assert group.min_difference(x, y).is_equal is same
+    verdict = group.min_difference(x, y)
+    assert verdict.is_equal is same
     assert group.is_identity(group.mul(x, group.inv(y))) is same
+    if name != "QS":
+        # on W and D Wr Z the routes above share one criterion, so a scan
+        # of the values over a window that covers the witness checks it
+        window = 16 if same else max(16, abs(verdict.witness))
+        assert brute_least_difference(x, y, window) == (None if same else verdict.witness)
     try:
         keys = group.key(x), group.key(y)
     except ValueError:
         return
     assert (keys[0] == keys[1]) is same
+
+
+def test_tail_levels_build_no_canonical_forms(monkeypatch):
+    # W and D Wr Z decide every pair by the tail criterion on x * y^-1;
+    # each of these once built one or two fiber-step forms there, for a
+    # point atom among its arguments, and used none of them
+    ctx = get_context("[x1,x2]")
+    p, q = phi_element(Fraction(2, 9)), phi_element(Fraction(-1, 4))
+    raw, point = alpha_commutator(7), phi_element(Fraction(1, 7))
+    e, f = ctx.embed(Fraction(3, 2)), ctx.embed(Fraction(-1, 3))
+    fresh = VerbalContext("[x1,x2]")
+    built = []
+    of_atoms = FiberSteps.of_atoms
+
+    def counting(group, atoms):
+        built.append(group.name.partition("[")[0])
+        return of_atoms(group, atoms)
+
+    monkeypatch.setattr(FiberSteps, "of_atoms", staticmethod(counting))
+    for op in (lambda: W.compare(p, q), lambda: W.compare(raw, point),
+               lambda: ctx.DZ.compare(e, f), lambda: fresh.omega_commutator(6, 2),
+               lambda: phi_star.__wrapped__(11)):
+        built.clear()
+        op()
+        assert built.count("W") == built.count("DwrZ") == 0, built
 
 
 class _Opaque(BaseFunction):
@@ -779,7 +816,7 @@ def test_level_without_exact_route_raises_type_error():
     v = fiber_steps.element(0, [Atom(_Opaque(), 0, 1)])
     with pytest.raises(TypeError, match="opaque"):
         fiber_steps.equal(v, fiber_steps.identity())
-    tail = WreathGroup("opaque-tail", IntCoords("z"), QC, FiberSteps, tail_kind="alpha")
+    tail = WreathGroup("opaque-tail", IntCoords("z"), QC, tail_kind="alpha")
     y = tail.element(0, [alpha().atoms[0], Atom(_Opaque(), 1, 1)])
     with pytest.raises(TypeError, match="opaque"):
         tail.min_difference(y, tail.identity())
@@ -813,8 +850,7 @@ def _same_element(group, fast, generic) -> None:
     assert group.coords.key(fast.top) == group.coords.key(generic.top)
     key = lambda x: tuple((a.fn.key(), group.coords.key(a.shift), a.exp) for a in x.atoms)
     assert key(fast) == key(generic)
-    canon = lambda x: group.base_canonical(x) is not None and group.key(x)
-    assert canon(fast) == canon(generic)
+    assert group.equal(fast, generic)
     assert group.fmt(fast) == group.fmt(generic)
 
 
@@ -946,7 +982,8 @@ def test_comparing_unequal_products_sums_no_values(monkeypatch):
 
 def test_certified_raises_on_a_wrong_value():
     raw = alpha_commutator(3)
-    assert W.key(W.certified(raw, phi(3))) == W.key(phi_star(3)) == W.key(w_point(phi(3)))
+    assert W.equal(W.certified(raw, phi(3)), phi_star(3))
+    assert W.equal(phi_star(3), w_point(phi(3)))
     for wrong in (phi(4), QC.identity(), QC.pow(phi(3), 2)):
         with pytest.raises(ConstructionViolation):
             W.certified(raw, wrong)
@@ -976,7 +1013,9 @@ def _certified_pool():
 
 def test_powers_of_certified_elements_match_the_mul_fold():
     for group, x in _certified_pool():
-        assert x.top == 0 and group.key(x) is not None
+        # a certificate is point atoms, so its powers keep its atoms apart
+        assert x.top == 0 and all(type(a.fn) is PointFn for a in x.atoms)
+        assert not group.is_identity(x)
         for n in range(-5, 6):
             base = x if n >= 0 else group.inv(x)
             generic = functools.reduce(group.mul, [base] * abs(n), group.identity())
@@ -1151,7 +1190,7 @@ def test_atom_values_agree_with_eval_atoms_and_the_form(level, seed, word):
         else:
             x = group.mul(g_word_element(random_g_word(rng, max_len=4, gen="omega"),
                                          ctx.omega()), point)
-    form = group.base_canonical(x)
+    form = None if group.tail_kind else group.base_canonical(x)
     values = list(group.atom_values(x, coords))
     assert len(values) == len(coords)
     for c, v in zip(coords, values):
