@@ -34,7 +34,6 @@ from .wreath import (
     derived_commutator,
 )
 from .embed_rationals import (
-    GNormalForm,
     GWord,
     QC,
     W,
@@ -42,7 +41,6 @@ from .embed_rationals import (
     beta_tilde,
     big_phi,
     commutator_table,
-    g_normal_form,
     g_word_element,
     phi,
     phi_element,

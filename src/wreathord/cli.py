@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .groundwork import format_rational, parse_rational
 from .nilpotent import UnsupportedWordSet, WordSyntaxError
 from .reporting import emit_report, exit_status
-from .wreath import WreathElement
+from .wreath import WreathElement, net_exponents
 from . import embed_rationals as er
 from . import embed_verbal as ev
 from .exprs import ExprSyntaxError, build_element, joint_levels, parse_expr
@@ -89,6 +89,8 @@ def run_command(cmd: Command) -> tuple[int, str]:
     window = opts.get("window", 8)
     try:
         if cmd.name in ("eval", "mul"):
+            if "window" in opts and "at" in opts:
+                return USAGE_ERROR, "error: --window does not apply with --at\n"
             ctx = _ctx(opts)
             trees = [parse_expr(a) for a in cmd.args]
             levels, elements = zip(*(build_element(t, ctx, lv)
@@ -142,13 +144,11 @@ def run_command(cmd: Command) -> tuple[int, str]:
         if cmd.name == "normal-form":
             ctx = _ctx(opts)
             _, el = build_element(parse_expr(cmd.args[0]), ctx)
-            gen = el.group.tail_kind
-            if gen is None:
+            if el.group.tail_kind is None:
                 return USAGE_ERROR, "error: normal-form applies to alpha/z or omega/z words\n"
-            nf = er.g_normal_form(el)
-            parts = [f"z^{nf.k}"]
-            parts += [f"({gen}^[z^{s}])^{e}" for s, e in nf.factors]
-            grouped = ", ".join(f"{s}: {e}" for s, e in nf.grouped().items())
+            parts = [f"z^{el.top}"]
+            parts += [f"({a.fn.fmt()}^[z^{a.shift}])^{a.exp}" for a in el.atoms]
+            grouped = ", ".join(f"{s}: {e}" for s, e in sorted(net_exponents(el.atoms).items()))
             return 0, (f"normal form: {' * '.join(parts)}\n"
                        f"grouped exponents: {{{grouped}}}\n")
 
@@ -204,7 +204,7 @@ def _build_argparser() -> argparse.ArgumentParser:
         if word:
             p.add_argument("--word", help="word family, e.g. '[x1,x2]' or 'x1^2'")
         if window:
-            p.add_argument("--window", type=int, help="scan window half-width")
+            p.add_argument("--window", help="scan window half-width")
 
     p = sub.add_parser("eval", help="evaluate an element expression")
     p.add_argument("expr")
@@ -238,8 +238,8 @@ def _build_argparser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=["section2", "verbal", "orders"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=200)
+    p.add_argument("--seed", default=0)
+    p.add_argument("--budget", default=200)
     p.add_argument("--json", action="store_true")
     common(p)
 
@@ -270,6 +270,10 @@ def parse_argv(argv: list[str]) -> Command:
         if k not in ("command", "expr", "exprs", "left", "right", "rational", "n", "j", "suite")
         and v is not None and v is not False
     }
+    # read here, not by argparse, so a bad value is one error line
+    for name in ("seed", "budget", "window"):
+        if isinstance(options.get(name), str):
+            options[name] = _int_arg(f"--{name}", options[name])
     if ns.command in ("eval", "normal-form"):
         args = (ns.expr,)
     elif ns.command == "mul":
@@ -293,6 +297,9 @@ def main(argv: list[str] | None = None) -> int:
         cmd = parse_argv(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else USAGE_ERROR
+    except ValueError as e:
+        sys.stderr.write(f"error: {e}\n")
+        return USAGE_ERROR
     status, output = run_command(cmd)
     # a usage error's one line goes where argparse writes its own
     (sys.stderr if status == USAGE_ERROR else sys.stdout).write(output)

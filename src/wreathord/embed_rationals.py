@@ -66,9 +66,6 @@ class AlphaFn(BaseFunction):
     def value(self, rel: int) -> WreathElement:
         return alpha_value(rel)
 
-    def key(self) -> tuple:
-        return ("alpha",)
-
     def tail_identity(self, group, element, tails, finites) -> Verdict:
         # At a coordinate j that is neither a shift nor a finite-atom
         # coordinate every factor is tau_(j-k) (shift k < j) or the
@@ -150,7 +147,7 @@ def alpha() -> WreathElement:
     return W.atom_element(_ALPHA_FN)
 
 
-# -- words over the two generators and their normal form ----------------
+# -- words over the two generators -------------------------------------
 
 def _fmt_exponent(e: int) -> str:
     """e in decimal, except +-2^k for k >= 64 as (2^k) or (-2^k): the
@@ -210,32 +207,6 @@ def g_word_element(w: GWord, tail: WreathElement | None = None) -> WreathElement
             raise ValueError(f"unknown generator {name!r}")
         out = group.mul(out, x)
     return out
-
-
-@dataclass(frozen=True)
-class GNormalForm:
-    """z^k times an ordered product of shifted alpha powers.
-
-    ``factors`` keeps the ordered list as produced by the rewriting; the
-    grouped view nets the exponents per shift.
-    """
-
-    k: int
-    factors: tuple[tuple[int, int], ...]
-
-    def grouped(self) -> dict[int, int]:
-        nets = net_exponents(Atom(_ALPHA_FN, s, e) for s, e in self.factors)
-        return dict(sorted(nets.items()))
-
-
-def g_normal_form(w: GWord | WreathElement) -> GNormalForm:
-    """Collect all z letters in front: z^k (alpha^{z^k1})^{n1} ..."""
-    el = g_word_element(w) if isinstance(w, GWord) else w
-    return GNormalForm(el.top, tuple((a.shift, a.exp) for a in el.atoms))
-
-
-def normal_form_element(nf: GNormalForm) -> WreathElement:
-    return W.element(nf.k, tuple(Atom(_ALPHA_FN, s, e) for s, e in nf.factors))
 
 
 # -- the embedding -------------------------------------------------------
@@ -435,14 +406,12 @@ def verify_theorem1(seed: int = 0, budget: int = 200) -> Report:
         for _ in range(max(1, budget // 2)):
             word = random_g_word(rng, max_len=30)
             el = g_word_element(word)
-            nf = g_normal_form(el)
-            rebuilt = normal_form_element(nf)
-            if not W.equal(el, rebuilt):
+            if not W.equal(el, W.element(el.top, el.atoms)):
                 return FAIL, {"word": word.fmt()}
-            if nf.factors:
-                lo = min(s for s, _ in nf.factors)
+            if el.atoms:
+                lo = min(a.shift for a in el.atoms)
                 for j in (lo - 1, lo - 5):
-                    if not QC.is_identity(W.eval_atoms(rebuilt, j)):
+                    if not QC.is_identity(W.eval_atoms(el, j)):
                         return FAIL, {"word": word.fmt(), "below": j}
         return PASS, {"words": max(1, budget // 2)}
 

@@ -208,7 +208,6 @@ def parse_word(text: str) -> Word:
 class MalcevElement:
     """Collected-form element: generator exponents plus basic-commutator exponents."""
 
-    rank: int
     gens: tuple[int, ...]
     comms: tuple[int, ...]
 
@@ -221,9 +220,9 @@ class MalcevElement:
             return "1"
         parts = [f"x{i + 1}^{e}" if e != 1 else f"x{i + 1}"
                  for i, e in enumerate(self.gens) if e]
-        idx = 0
-        for p in range(self.rank):
-            for q in range(p + 1, self.rank):
+        idx, rank = 0, len(self.gens)
+        for p in range(rank):
+            for q in range(p + 1, rank):
                 f = self.comms[idx]
                 idx += 1
                 if f:
@@ -246,7 +245,7 @@ class Nil2Group:
             raise ValueError("rank must be >= 1")
         self.rank = rank
         self._pairs = [(p, q) for p in range(rank) for q in range(p + 1, rank)]
-        self._identity = MalcevElement(rank, (0,) * rank, (0,) * len(self._pairs))
+        self._identity = MalcevElement((0,) * rank, (0,) * len(self._pairs))
 
     @property
     def nilpotency_class(self) -> int:
@@ -259,7 +258,7 @@ class Nil2Group:
         if not 1 <= i <= self.rank:
             raise ValueError(f"no generator x{i} at rank {self.rank}")
         gens = tuple(1 if j == i - 1 else 0 for j in range(self.rank))
-        return MalcevElement(self.rank, gens, (0,) * len(self._pairs))
+        return MalcevElement(gens, (0,) * len(self._pairs))
 
     def element(self, gens: Sequence[int], comms: Sequence[int] = ()) -> MalcevElement:
         """The element with the given coordinates; the one constructor that
@@ -270,12 +269,12 @@ class Nil2Group:
             raise ValueError("generator coordinate count must equal rank")
         if len(comms) != len(self._pairs):
             raise ValueError("commutator coordinate count mismatch")
-        return MalcevElement(self.rank, gens, comms)
+        return MalcevElement(gens, comms)
 
     def _check(self, *xs: MalcevElement):
         for x in xs:
-            if x.rank != self.rank:
-                raise ValueError(f"rank mismatch: {x.rank} vs {self.rank}")
+            if len(x.gens) != self.rank:
+                raise ValueError(f"rank mismatch: {len(x.gens)} vs {self.rank}")
 
     def mul(self, x: MalcevElement, y: MalcevElement) -> MalcevElement:
         """Collected product: generator exponents add; commutator exponents
@@ -286,7 +285,7 @@ class Nil2Group:
             f1 + f2 - y.gens[p] * x.gens[q]
             for (p, q), f1, f2 in zip(self._pairs, x.comms, y.comms)
         )
-        return MalcevElement(self.rank, gens, comms)
+        return MalcevElement(gens, comms)
 
     def inv(self, x: MalcevElement) -> MalcevElement:
         self._check(x)
@@ -295,7 +294,7 @@ class Nil2Group:
             -f - x.gens[p] * x.gens[q]
             for (p, q), f in zip(self._pairs, x.comms)
         )
-        return MalcevElement(self.rank, gens, comms)
+        return MalcevElement(gens, comms)
 
     def pow(self, x: MalcevElement, n: int) -> MalcevElement:
         self._check(x)
@@ -307,7 +306,7 @@ class Nil2Group:
             n * f - binom * x.gens[p] * x.gens[q]
             for (p, q), f in zip(self._pairs, x.comms)
         )
-        return MalcevElement(self.rank, gens, comms)
+        return MalcevElement(gens, comms)
 
     def conj(self, x: MalcevElement, y: MalcevElement) -> MalcevElement:
         return self.mul(self.mul(self.inv(y), x), y)
@@ -363,7 +362,7 @@ def eval_word(w: Word, args: Sequence[Any], group: Any = None) -> Any:
     if group is None:
         if not args or not isinstance(args[0], MalcevElement):
             raise ValueError("cannot infer the group; pass it explicitly")
-        group = Nil2Group(args[0].rank)
+        group = Nil2Group(len(args[0].gens))
     if len(args) < w.arity:
         raise ValueError(f"word needs {w.arity} arguments, got {len(args)}")
     out = group.identity()

@@ -157,16 +157,15 @@ class StepFunction(_Steps):
     them, and two forms first differ where their jumps first do, so the
     jumps there order them.  So neither a fold nor an order builds a
     Fraction; the values are summed from the jumps once, when first
-    asked for, unless the form was made from them."""
+    asked for."""
 
     __slots__ = ("breaks", "jumps", "_values")
     fiber = RATIONALS
 
-    def __init__(self, jumps: tuple[tuple[int, int, int], ...],
-                 values: tuple[Rational, ...] | None = None):
+    def __init__(self, jumps: tuple[tuple[int, int, int], ...]):
         self.breaks = tuple([b for b, _, _ in jumps])
         self.jumps = jumps
-        self._values = values
+        self._values = None
 
     @property
     def values(self) -> tuple[Rational, ...]:
@@ -196,7 +195,7 @@ class StepFunction(_Steps):
         # the first jump is the first value itself
         steps = values[:1] + tuple(map(sub, values[1:], values))
         return StepFunction(tuple((b, d.numerator, d.denominator)
-                                  for b, d in zip(breaks, steps)), values)
+                                  for b, d in zip(breaks, steps)))
 
     @staticmethod
     def of_atoms(group: "WreathGroup", atoms: Iterable["Atom"]) -> "StepFunction":

@@ -154,7 +154,14 @@ def test_an_over_long_integer_literal_is_a_syntax_error_at_the_literal(capsys):
             (["table", digits], "integer literal for n is too long"),
             (["table", "1", digits], "integer literal for j is too long"),
             (["eval", "z", "--at", f"z:{digits}"], "integer literal for the coordinate is too long"),
-            (["table", "1", "x"], "j must be an integer, got 'x'")):
+            (["table", "1", "x"], "j must be an integer, got 'x'"),
+            (["verify", "section2", "--seed", digits], "integer literal for --seed is too long"),
+            (["verify", "orders", "--budget", digits], "integer literal for --budget is too long"),
+            (["verify", "orders", "--window", digits], "integer literal for --window is too long"),
+            (["eval", "c", "--window", digits], "integer literal for --window is too long"),
+            (["verify", "section2", "--seed", "x"], "--seed must be an integer, got 'x'"),
+            (["verify", "verbal", "--budget", "2.5"], "--budget must be an integer, got '2.5'"),
+            (["mul", "c", "c", "--window", "w"], "--window must be an integer, got 'w'")):
         assert main(argv) == 2, argv
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"error: {message}\n"), argv
@@ -607,6 +614,16 @@ def test_negative_window_or_budget_is_a_usage_error(capsys, argv):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert err.startswith("error: --") and err.count("\n") == 1 and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "alpha", "--at", "z:3", "--window", "5"],
+    ["mul", "alpha", "z", "--window", "0", "--at", "z:1"],
+])
+def test_window_does_not_apply_with_at(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: --window does not apply with --at\n")
 
 
 @pytest.mark.parametrize("suite", ["section2", "verbal"])

@@ -1,0 +1,67 @@
+"""The README's library map names only what the library defines."""
+
+import importlib
+import inspect
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# a plain or dotted Python name, optionally followed by an argument list
+_NAME = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\([^()]*\))?")
+
+
+def _library_map() -> list[tuple[list[str], list[str]]]:
+    """(module names, backticked tokens) of each row of the table."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library map", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        cells = line.strip().strip("|").split("|")
+        assert len(cells) == 2, line
+        modules, contents = (re.findall(r"`([^`]*)`", c) for c in cells)
+        rows.append((modules, contents))
+    return rows
+
+
+def _has_path(obj, parts: list[str]) -> bool:
+    for part in parts:
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def _resolves(name: str, modules: list) -> bool:
+    """Whether ``name`` is an attribute path of one of the modules, or of
+    a class one of them defines."""
+    parts = name.split(".")
+    for m in modules:
+        owners = [m] + [c for _, c in inspect.getmembers(m, inspect.isclass)
+                        if c.__module__ == m.__name__]
+        if any(_has_path(owner, parts) for owner in owners):
+            return True
+    return False
+
+
+def test_library_map_names_resolve_in_their_modules():
+    rows = _library_map()
+    assert len(rows) >= 6
+    for module_names, tokens in rows:
+        modules = [importlib.import_module(n) for n in module_names]
+        names = [m.group(1) for m in map(_NAME.fullmatch, tokens) if m]
+        assert names, module_names
+        missing = [n for n in names if not _resolves(n, modules)]
+        assert not missing, (module_names, missing)
+
+
+def test_a_name_the_library_lacks_does_not_resolve():
+    from wreathord import embed_rationals, wreath
+    assert _resolves("phi_element", [embed_rationals])
+    assert _resolves("WreathGroup.point", [wreath])
+    assert _resolves("certified", [wreath])
+    assert not _resolves("g_normal_form", [embed_rationals])
+    assert not _resolves("WreathGroup.no_such_method", [wreath])
+    assert not _resolves("phi_element", [wreath])

@@ -9,9 +9,8 @@ from helpers import product_qc_element, product_w_element
 from wreathord import embed_rationals
 from wreathord.groundwork import Ordering
 from wreathord.reporting import FAIL
-from wreathord.wreath import WreathGroup
+from wreathord.wreath import WreathGroup, net_exponents
 from wreathord.embed_rationals import (
-    GNormalForm,
     GWord,
     QC,
     W,
@@ -21,9 +20,7 @@ from wreathord.embed_rationals import (
     c_elem,
     commutator_table,
     expected_commutator_case,
-    g_normal_form,
     g_word_element,
-    normal_form_element,
     phi,
     phi_element,
     random_g_word,
@@ -95,11 +92,17 @@ def test_commutator_table_five_cases():
             assert QC.equal(got, expected_commutator_case(n, j))
 
 
-def test_g_normal_form_examples():
-    nf = g_normal_form(GWord((("alpha", 1), ("z", 2))))
-    assert nf == GNormalForm(2, ((2, 1),))
+def _factors(el):
+    return tuple((a.shift, a.exp) for a in el.atoms)
 
-    assert g_normal_form(GWord((("z", 5),))) == GNormalForm(5, ())
+
+def test_g_normal_form_examples():
+    # a G element is its own normal form: z^top times its atoms in order
+    el = g_word_element(GWord((("alpha", 1), ("z", 2))))
+    assert (el.top, _factors(el)) == (2, ((2, 1),))
+
+    el = g_word_element(GWord((("z", 5),)))
+    assert (el.top, _factors(el)) == (5, ())
 
     comm_word = GWord((
         ("z", 3), ("alpha", -1), ("z", -3),
@@ -107,10 +110,10 @@ def test_g_normal_form_examples():
         ("z", 3), ("alpha", 1), ("z", -3),
         ("alpha", 1),
     ))
-    nf = g_normal_form(comm_word)
-    assert nf.k == 0
-    assert nf.factors == ((-3, -1), (0, -1), (-3, 1), (0, 1))
-    assert nf.grouped() == {-3: 0, 0: 0}
+    el = g_word_element(comm_word)
+    assert el.top == 0
+    assert _factors(el) == ((-3, -1), (0, -1), (-3, 1), (0, 1))
+    assert dict(sorted(net_exponents(el.atoms).items())) == {-3: 0, 0: 0}
 
 
 def test_g_normal_form_evaluation_preserving():
@@ -118,7 +121,7 @@ def test_g_normal_form_evaluation_preserving():
     for _ in range(500):
         word = random_g_word(rng, max_len=30)
         el = g_word_element(word)
-        rebuilt = normal_form_element(g_normal_form(word))
+        rebuilt = W.element(el.top, el.atoms)
         assert el.top == rebuilt.top
         for j in range(-8, 9):
             assert QC.equal(el.eval(j), rebuilt.eval(j))
@@ -127,11 +130,10 @@ def test_g_normal_form_evaluation_preserving():
 def test_normal_form_bound_below_min_shift():
     rng = Random(32)
     for _ in range(100):
-        nf = g_normal_form(random_g_word(rng, max_len=20))
-        if not nf.factors:
+        el = g_word_element(random_g_word(rng, max_len=20))
+        if not el.atoms:
             continue
-        lo = min(s for s, _ in nf.factors)
-        el = normal_form_element(nf)
+        lo = min(s for s, _ in _factors(el))
         for j in (lo - 1, lo - 2, lo - 40):
             assert QC.is_identity(el.eval(j))
 
