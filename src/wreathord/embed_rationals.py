@@ -27,6 +27,7 @@ fixed seed and budget.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -172,6 +173,8 @@ class GWord:
         return GWord(self.letters + other.letters)
 
     def power(self, m: int) -> "GWord":
+        if len(self.letters) * abs(m) > sys.maxsize:
+            raise ValueError(f"the word's power {m} has more runs than a word can hold")
         base = self if m >= 0 else self.inv()
         return GWord(base.letters * abs(m))
 

@@ -10,8 +10,9 @@ Comparisons come in two flavours:
 * ``Ordering`` -- the outcome of an exact three-way comparison
   (trichotomy holds: exactly one of Less / Equal / Greater).
 * ``Verdict`` -- the outcome of an exact equality test: ``Equal``, or
-  ``Distinct(witness)``; for wreath elements with equal tops the
-  witness is the least coordinate where the two differ.
+  ``Distinct(witness)`` with the order; for wreath elements with equal
+  tops the witness is the least coordinate where the two differ, and
+  the order is the order of their values there.
 """
 
 from __future__ import annotations
@@ -57,31 +58,33 @@ class Ordering(Enum):
 
 @dataclass(frozen=True)
 class Verdict:
-    """Exact equality outcome: Equal / Distinct.
+    """Exact equality outcome: Equal / Distinct, with the order.
 
-    ``Distinct`` carries a witness: for wreath elements with equal tops
-    the least coordinate at which their base functions differ; for two
-    rationals, their difference.
+    ``order`` is ``EQUAL`` for Equal and ``LESS`` or ``GREATER`` for
+    Distinct, which carries a witness: for wreath elements with equal
+    tops the least coordinate at which their base functions differ, and
+    the order of their values there; for two rationals, their
+    difference and their order.
     """
 
-    kind: str
+    order: Ordering
     witness: Any = None
 
     @staticmethod
     def equal() -> "Verdict":
-        return Verdict("equal")
+        return Verdict(Ordering.EQUAL)
 
     @staticmethod
-    def distinct(witness: Any) -> "Verdict":
-        return Verdict("distinct", witness=witness)
+    def distinct(witness: Any, order: Ordering) -> "Verdict":
+        return Verdict(order, witness)
 
     @property
     def is_equal(self) -> bool:
-        return self.kind == "equal"
+        return self.order is Ordering.EQUAL
 
     @property
     def is_distinct(self) -> bool:
-        return self.kind == "distinct"
+        return self.order is not Ordering.EQUAL
 
     def __str__(self) -> str:
         if self.is_equal:
@@ -167,7 +170,7 @@ class RationalFiber:
         return x == y
 
     def equal_verdict(self, x: Rational, y: Rational) -> Verdict:
-        return Verdict.equal() if x == y else Verdict.distinct(x - y)
+        return Verdict.equal() if x == y else Verdict.distinct(x - y, Ordering.of(x, y))
 
     def compare(self, x: Rational, y: Rational) -> Ordering:
         return Ordering.of(x, y)

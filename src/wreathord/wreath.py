@@ -29,7 +29,8 @@ equal tops by one exact route, the same for every pair:
    core, which reads the values' equality from their fiber; a ray-step
    form is one step fold per ray.  The three form classes share one
    protocol (``of_atoms``, ``is_trivial``, ``key``, ``least_difference``,
-   ``compare_at``, ``fmt``): a level names its class;
+   ``fmt``): a level names its class, and ``least_difference`` returns
+   the order there too, read in the same walk;
 2. a tail level (W and D Wr Z) keeps no forms and applies an exact tail
    criterion to x * y^-1, a product of shifted powers of its tail atom
    and point atoms.  Each tail atom kind names finitely many candidate
@@ -40,9 +41,13 @@ equal tops by one exact route, the same for every pair:
    collision and point coordinates and, for each shift with a nonzero
    net, its first non-collision power whose value is not the identity;
    with no tail atom left, the point coordinates), and the least
-   non-identity candidate is the least difference.
+   non-identity candidate is the least difference.  The product's value
+   v there is f * g^-1 for the values f and g of x and y, and the
+   fiber's order is bi-invariant, so v > 1 exactly when f > g: the
+   order of v and the identity is the order of x and y.
 
-So ``Equal`` and ``Distinct`` are the only verdicts produced; a level
+So ``Equal`` and ``Distinct`` are the only verdicts produced, each with
+its order, and ``compare`` of equal tops reads it off; a level
 given an atom its route cannot read raises TypeError instead of
 guessing.  ``WreathGroup.certified`` replaces a tail product known to
 equal a point function by that point atom, once it has decided so.
@@ -50,10 +55,11 @@ equal a point function by that point atom, once it has decided so.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from itertools import zip_longest
+from math import gcd, inf
 from operator import itemgetter, sub
 from typing import Any, Iterable, Iterator
 
@@ -102,20 +108,19 @@ class _Steps:
     def is_trivial(self) -> bool:
         return not self.breaks
 
-    def least_difference(self, other: "_Steps") -> int | None:
-        """Least integer where the two functions differ, or None: one walk
-        along both break lists.  Both forms are canonical, so they agree
-        below the first place where their (break, value) lists differ,
-        and differ at the lesser of the two breaks there."""
-        equal = self.fiber.equal
-        for b, v, c, w in zip(self.breaks, self.values, other.breaks, other.values):
-            if b != c or not equal(v, w):
-                return min(b, c)
-        return _first_unmatched(self.breaks, other.breaks)
-
-    def compare_at(self, other: "_Steps", c: int) -> Ordering:
-        """The order of the two values at c, their least difference."""
-        return self.fiber.compare(self.value(c), other.value(c))
+    def least_difference(self, other: "_Steps") -> Verdict:
+        """Equal, or Distinct at the least integer where the two functions
+        differ, with the order of their values there: one walk along both
+        break lists.  Both forms are canonical, so they agree below the
+        first place where their (break, value) lists differ, and differ at
+        the lesser of the two breaks there."""
+        fiber = self.fiber
+        for (b, v), (c, w) in zip_longest(zip(self.breaks, self.values),
+                                          zip(other.breaks, other.values), fillvalue=(inf, None)):
+            if b != c or not fiber.equal(v, w):
+                at = min(b, c)
+                return Verdict.distinct(at, fiber.compare(self.value(at), other.value(at)))
+        return Verdict.equal()
 
     def fmt(self) -> str:
         fmt = self.fiber.fmt
@@ -130,12 +135,6 @@ class _Steps:
             else:
                 parts.append(f"i>={b}: {v}")
         return "{" + ", ".join(parts) + "}"
-
-
-def _first_unmatched(xs: tuple, ys: tuple) -> Any | None:
-    """The first break of the longer list past the shorter one's end."""
-    rest = xs[len(ys):] or ys[len(xs):]
-    return rest[0] if rest else None
 
 
 def _add_over_lcm(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
@@ -234,22 +233,17 @@ class StepFunction(_Steps):
                 jumps.append((b, n // g, d // g))
         return StepFunction(tuple(jumps))
 
-    def least_difference(self, other: "StepFunction") -> int | None:
-        """Least integer where the two functions differ, or None: the
-        first break where their jump lists differ, as for the values."""
-        for p, q in zip(self.jumps, other.jumps):
+    def least_difference(self, other: "StepFunction") -> Verdict:
+        """Equal, or Distinct at the first break where their jump lists
+        differ, as for the values: the two forms agree below it, so the
+        jumps there order them, a side with no break there jumping by 0."""
+        for p, q in zip_longest(self.jumps, other.jumps, fillvalue=(inf, 0, 1)):
             if p != q:
-                return min(p[0], q[0])
-        return _first_unmatched(self.breaks, other.breaks)
-
-    def compare_at(self, other: "StepFunction", c: int) -> Ordering:
-        """The order at c, their least difference, of the jumps there."""
-        (n1, d1), (n2, d2) = self._jump_at(c), other._jump_at(c)
-        return Ordering.of(n1 * d2, n2 * d1)
-
-    def _jump_at(self, c: int) -> tuple[int, int]:
-        i = bisect_left(self.breaks, c)
-        return self.jumps[i][1:] if self.breaks[i:i + 1] == (c,) else (0, 1)
+                c = min(p[0], q[0])
+                n1, d1 = p[1:] if p[0] == c else (0, 1)
+                n2, d2 = q[1:] if q[0] == c else (0, 1)
+                return Verdict.distinct(c, Ordering.of(n1 * d2, n2 * d1))
+        return Verdict.equal()
 
     def key(self) -> "StepFunction":
         return self
@@ -323,26 +317,25 @@ class RayStepFunction:
                 return steps.value(i)
         return Fraction(0)
 
-    def compare_at(self, other: "RayStepFunction", s: Any) -> Ordering:
-        """The order of the two values at s, their least difference."""
-        return Ordering.of(self.value(s), other.value(s))
-
     def add(self, other: "RayStepFunction") -> "RayStepFunction":
         return RayStepFunction._fold(
             ((k, r, (s, 0, 1)) for k, r, s in self.rays + other.rays), self.coords)
 
-    def least_difference(self, other: "RayStepFunction") -> Any | None:
-        """Least point of S where the two functions differ, or None: the
-        least first break over the rays of their difference."""
+    def least_difference(self, other: "RayStepFunction") -> Verdict:
+        """Equal, or Distinct at the least point of S where the two
+        functions differ: the least first break over the rays of their
+        difference, whose first jump there is its value, so its sign is
+        the order."""
         diff = RayStepFunction._fold(
             [(k, r, (s, 0, 1)) for k, r, s in self.rays]
             + [(k, r, (s, 0, -1)) for k, r, s in other.rays], self.coords)
-        coords, best = self.coords, None
+        coords, best, order = self.coords, None, Ordering.EQUAL
         for _, rep, steps in diff.rays:
-            cand = coords.mul(coords.witness_power(steps.breaks[0]), rep)
+            b, n, _ = steps.jumps[0]
+            cand = coords.mul(coords.witness_power(b), rep)
             if best is None or coords.compare(cand, best) is Ordering.LESS:
-                best = cand
-        return best
+                best, order = cand, Ordering.of(n, 0)
+        return Verdict(order, best)
 
     def fmt(self) -> str:
         if not self.rays:
@@ -626,12 +619,13 @@ class WreathGroup:
 
     A form level names ``form``, the class of its canonical base forms
     (StepFunction, RayStepFunction or FiberSteps), each offering
-    ``of_atoms``, ``is_trivial``, ``least_difference``, ``compare_at``,
-    ``key`` and ``fmt``; every element has one (an atom without one
-    raises TypeError).  A tail level names ``tail_kind`` instead and
-    keeps no forms: it applies the tail criterion to x * y^-1, a
-    product of its tail atom's shifted powers and point atoms, so
-    ``key`` raises on it.
+    ``of_atoms``, ``is_trivial``, ``least_difference``, ``key`` and
+    ``fmt``; every element has one (an atom without one raises
+    TypeError).  A tail level names ``tail_kind`` instead and keeps no
+    forms: it applies the tail criterion to x * y^-1, a product of its
+    tail atom's shifted powers and point atoms, so ``key`` raises on it.
+    Either route's verdict carries the order at the least difference, so
+    ``compare`` of equal tops is ``min_difference(x, y).order``.
     """
 
     def __init__(self, name: str, coords: Any, fiber: Any, form: type | None = None,
@@ -891,30 +885,34 @@ class WreathGroup:
 
     def min_difference(self, x: WreathElement, y: WreathElement) -> Verdict:
         """Verdict on the least coordinate where the base functions of x
-        and y differ: a form level compares their canonical forms, a tail
-        level applies its tail criterion to x * y^-1.  Requires equal tops."""
+        and y differ, with the order of their values there: a form level
+        compares their canonical forms, a tail level applies its tail
+        criterion to x * y^-1.  Requires equal tops."""
         self._same(x, y)
         if self.coords.key(x.top) != self.coords.key(y.top):
             raise ValueError("min_difference requires equal tops")
         if self.tail_kind is None:
-            return _verdict(self.base_canonical(x).least_difference(self.base_canonical(y)))
+            return self.base_canonical(x).least_difference(self.base_canonical(y))
         # d's base is the base of x times the inverse of y's, both shifted
         # by the inverse of the common top, so d is not the identity at j
-        # exactly where x and y differ at j * top
+        # exactly where x and y differ at j * top, and exceeds it there
+        # exactly where x exceeds y (the fiber's order is bi-invariant)
         t = self._tail_identity(self.mul(x, self.inv(y)))
         if t.is_equal:
             return t
-        return Verdict.distinct(self.coords.mul(t.witness, x.top))
+        return Verdict.distinct(self.coords.mul(t.witness, x.top), t.order)
 
     def least_nonidentity(self, x: WreathElement, candidates: Iterable[Any]) -> Verdict:
         """Equal, or Distinct at the least candidate coordinate where x is
-        not the identity, read from x's atoms in one pass over the sorted
+        not the identity, with the order of x's value there against the
+        identity, read from x's atoms in one pass over the sorted
         candidates; the caller vouches that the least coordinate where x
         is not the identity, if there is one, is a candidate."""
+        fiber = self.fiber
         candidates = sorted(candidates)
         for j, v in zip(candidates, self.atom_values(x, candidates)):
-            if not self.fiber.is_identity(v):
-                return Verdict.distinct(j)
+            if not fiber.is_identity(v):
+                return Verdict.distinct(j, fiber.compare(v, fiber.identity()))
         return Verdict.equal()
 
     def _tail_identity(self, d: WreathElement) -> Verdict:
@@ -960,13 +958,7 @@ class WreathGroup:
         o = self.coords.compare(x.top, y.top)
         if o is not Ordering.EQUAL:
             return o
-        v = self.min_difference(x, y)
-        if v.is_equal:
-            return Ordering.EQUAL
-        if self.tail_kind is None:
-            # min_difference has computed both forms
-            return x._canon.compare_at(y._canon, v.witness)
-        return self.fiber.compare(self.eval(x, v.witness), self.eval(y, v.witness))
+        return self.min_difference(x, y).order
 
     def is_positive(self, x: WreathElement) -> bool:
         return self.compare(x, self.identity()) is Ordering.GREATER
@@ -990,10 +982,6 @@ class WreathGroup:
                 s += f"^{a.exp}"
             parts.append(s)
         return " * ".join(parts) if parts else "1"
-
-
-def _verdict(witness: Any | None) -> Verdict:
-    return Verdict.equal() if witness is None else Verdict.distinct(witness)
 
 
 def net_exponents(atoms: Iterable[Atom]) -> dict[Any, int]:

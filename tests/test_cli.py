@@ -167,6 +167,17 @@ def test_an_over_long_integer_literal_is_a_syntax_error_at_the_literal(capsys):
         assert (out, err) == ("", f"error: {message}\n"), argv
 
 
+@pytest.mark.parametrize("argv", [["embed-q", "99999999999999999999"],
+                                  ["embed-verbal", "99999999999999999999/7"]])
+def test_a_numerator_past_what_a_word_can_hold_is_a_usage_error(capsys, argv):
+    # the word repeats its runs |m| times; 20 digits are more runs than a
+    # tuple can index, so the power is refused before any run is repeated
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: the word's power 99999999999999999999 has more "
+                              "runs than a word can hold\n")
+
+
 @pytest.mark.parametrize("argv", [
     lambda d: ["cmp", "(inv " * d + "c" + ")" * d, "c"],
     lambda d: ["eval", "(* " * d + "c" + ")" * d],

@@ -1,4 +1,5 @@
-"""The README's library map names only what the library defines."""
+"""The README's library map names only what the library defines, and its
+form protocol only what every form class offers."""
 
 import importlib
 import inspect
@@ -65,3 +66,15 @@ def test_a_name_the_library_lacks_does_not_resolve():
     assert not _resolves("g_normal_form", [embed_rationals])
     assert not _resolves("WreathGroup.no_such_method", [wreath])
     assert not _resolves("phi_element", [wreath])
+
+
+def test_every_form_class_offers_the_readme_protocol():
+    from wreathord.wreath import FiberSteps, RayStepFunction, StepFunction
+    text = README.read_text(encoding="utf-8")
+    protocol = re.search(r"share one protocol \(([^)]*)\)", text)
+    assert protocol, "README names no form protocol"
+    names = re.findall(r"`(\w+)`", protocol.group(1))
+    assert len(names) >= 5, names
+    for cls in (StepFunction, RayStepFunction, FiberSteps):
+        missing = [n for n in names if not hasattr(cls, n)]
+        assert not missing, (cls.__name__, missing)

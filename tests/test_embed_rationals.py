@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 from fractions import Fraction
 from random import Random
@@ -79,6 +80,14 @@ def test_big_phi_word_and_values():
     assert raw.eval(0).eval(0) == Fraction(-3, 4)
     assert QC.is_identity(raw.eval(2))
     assert W.equal(raw, phi_element(Fraction(-3, 4)))
+
+
+def test_a_word_power_past_what_a_word_can_hold_raises_before_repeating():
+    w = GWord((("alpha", 1), ("z", 1)))
+    for m in (sys.maxsize // 2 + 1, -(sys.maxsize // 2 + 1), 10 ** 20):
+        with pytest.raises(ValueError, match="more runs than a word can hold"):
+            w.power(m)
+    assert w.power(-2).letters == (("z", -1), ("alpha", -1)) * 2
 
 
 def test_commutator_table_five_cases():

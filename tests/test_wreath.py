@@ -55,7 +55,7 @@ def test_step_function_basics():
     shifted = StepFunction.fold([(f, 3, 1)])
     assert shifted.value(2) == 0
     assert shifted.value(3) == Fraction(-1, 2)
-    assert f.least_difference(StepFunction.make([])) == 0
+    assert f.least_difference(StepFunction.make([])).witness == 0
 
 
 _STEP_VALUES = [Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(1, 3), Fraction(5, 7)]
@@ -95,10 +95,13 @@ def test_merge_walk_least_difference_matches_a_bisection_per_break(kind, case, f
         g = make([(b, pool[i]) for b, i in gc.items()])
     if swap:
         f, g = g, f
-    assert f.least_difference(g) == bisect_least_difference(f, g)
-    assert g.least_difference(f) == bisect_least_difference(g, f)
+    v = f.least_difference(g)
+    assert v.witness == bisect_least_difference(f, g)
+    assert g.least_difference(f).witness == bisect_least_difference(g, f)
     if case == "equal":
-        assert f.least_difference(g) is None
+        assert v.is_equal
+    if v.is_distinct:
+        assert v.order is f.fiber.compare(f.value(v.witness), g.value(v.witness))
 
 
 def test_w_mul_pointwise_example():
@@ -378,7 +381,10 @@ def test_qs_least_difference_matches_a_grid_scan(data):
     x, y = QS.element(top, x_atoms), QS.element(top, y_atoms)
     v = QS.min_difference(x, y)
     if v.is_distinct:
-        assert QS.eval_atoms(x, v.witness) != QS.eval_atoms(y, v.witness)
+        vx, vy = QS.eval_atoms(x, v.witness), QS.eval_atoms(y, v.witness)
+        assert vx != vy and QS.compare(x, y) is Ordering.of(vx, vy)
+    else:
+        assert QS.compare(x, y) is Ordering.EQUAL
     for s in _s_grid(ctx, 6, 3):
         if v.is_equal or sc.compare(s, v.witness) is Ordering.LESS:
             assert QS.eval_atoms(x, s) == QS.eval_atoms(y, s), sc.fmt(s)
@@ -527,6 +533,25 @@ def test_order_agrees_with_brute_force():
     for _ in range(80):
         x, y = random_w_element(rng), random_w_element(rng)
         assert W.compare(x, y) is brute_compare(x, y)
+
+
+@pytest.mark.parametrize("family", ["[x1,x2]", "x1^2"])
+def test_verbal_order_agrees_with_brute_force(family):
+    # T Wr C orders its fiber-step forms' values at their least difference,
+    # D Wr Z the value of x * y^-1 there against the identity; the
+    # reference orders the values at the least scanned difference
+    rng = Random(15)
+    ctx = get_context(family)
+    TC, DZ = ctx.TC, ctx.DZ
+    for _ in range(60):
+        x, y = ctx.random_d_element(rng, max_len=4), ctx.random_d_element(rng, max_len=4)
+        y = TC.element(x.top, y.atoms)
+        assert TC.compare(x, y) is brute_compare(x, y)
+    for _ in range(40):
+        x, y = (g_word_element(random_g_word(rng, max_len=4, gen="omega"), ctx.omega())
+                for _ in range(2))
+        y = DZ.element(x.top, y.atoms)
+        assert DZ.compare(x, y) is brute_compare(x, y)
 
 
 def test_verdicts_confirmed_by_window_scan():
@@ -796,6 +821,23 @@ def test_tail_levels_build_no_canonical_forms(monkeypatch):
         built.clear()
         op()
         assert built.count("W") == built.count("DwrZ") == 0, built
+
+
+def test_tail_level_compare_evaluates_neither_side(monkeypatch):
+    # the tail criterion has read x * y^-1 at the least difference, and the
+    # order of that value and the identity is the order of x and y there
+    ctx = get_context("[x1,x2]")
+    DZ = ctx.DZ
+    pairs = [(phi_element(Fraction(2, 9)), phi_element(Fraction(-1, 4))),
+             (alpha(), W.mul(alpha(), w_point(tau(3), at=2))),
+             (ctx.embed(Fraction(3, 2)), ctx.embed(Fraction(-1, 3))),
+             (ctx.omega(), DZ.mul(ctx.omega(), DZ.point(ctx.c_elem(), at=3)))]
+    calls = _counting(monkeypatch, WreathGroup, ("eval",))
+    orders = [x.group.compare(a, b) for x, y in pairs for a, b in ((x, y), (y, x))]
+    assert calls["eval"] == 0
+    monkeypatch.undo()
+    assert orders == [brute_compare(a, b) for x, y in pairs for a, b in ((x, y), (y, x))]
+    assert set(orders) == {Ordering.LESS, Ordering.GREATER}
 
 
 class _Opaque(BaseFunction):
