@@ -70,8 +70,13 @@ def _render_eval(element: WreathElement, level: str, at: str | None, window: int
         empty = "identity at every coordinate in the window"
     lines.append(head)
     shown = False
-    for i in range(-window, window + 1):
-        v = element.eval(coords.witness_power(i))
+    window_range = range(-window, window + 1)
+    if group.tail_kind is None:
+        values = (element.eval(coords.witness_power(i)) for i in window_range)
+    else:
+        # a tail level keeps no form: read its atoms once over the window
+        values = group.atom_values(element, window_range)
+    for i, v in zip(window_range, values):
         if not fiber.is_identity(v):
             lines.append(f"  {coords.letter}^{i}: {fiber.fmt(v)}")
             shown = True

@@ -132,6 +132,16 @@ class OmegaFn(BaseFunction):
             return self.ctx.enumerate_D(rel.bit_length() - 1)
         return self._one
 
+    def support(self, lo: int, hi: int) -> list[int]:
+        """The powers 2^b in [lo, hi), from the least b with 2^b >= lo:
+        O(log(hi - lo)) of them, however far the range is shifted."""
+        out = []
+        p = 1 << (max(lo, 1) - 1).bit_length()
+        while p < hi:
+            out.append(p)
+            p <<= 1
+        return out
+
     def key(self) -> tuple:
         return ("omega", self.ctx.family_key)
 

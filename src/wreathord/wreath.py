@@ -51,6 +51,13 @@ its order, and ``compare`` of equal tops reads it off; a level
 given an atom its route cannot read raises TypeError instead of
 guessing.  ``WreathGroup.certified`` replaces a tail product known to
 equal a point function by that point atom, once it has decided so.
+
+``WreathGroup.atom_values`` reads a product at many coordinates from its
+atoms.  Over a step-1 range of an integer line it evaluates the product
+only where some atom's ``support`` reaches (a point's origin, omega's
+powers of 2) and yields the fiber's identity elsewhere, since a product
+of identities is the identity; thresholds and alpha are dense and say
+nothing, so a product with one of them is read at every coordinate.
 """
 
 from __future__ import annotations
@@ -58,12 +65,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 from math import gcd, inf
 from operator import itemgetter, sub
 from typing import Any, Iterable, Iterator
 
-from .groundwork import RATIONALS, Ordering, Rational, Verdict
+from .groundwork import RATIONALS, IntCoords, Ordering, Rational, Verdict
 
 
 class ConstructionViolation(Exception):
@@ -415,6 +422,12 @@ class BaseFunction:
     def value(self, rel: Any) -> Any:
         raise NotImplementedError
 
+    def support(self, lo: int, hi: int) -> list[int] | None:
+        """The relative integer coordinates in [lo, hi) outside which the
+        function is surely the identity (a superset is allowed), or None
+        when it cannot say, as for a dense function."""
+        return None
+
     @property
     def is_trivial(self) -> bool:
         return False
@@ -526,6 +539,9 @@ class PointFn(_Shape):
 
     def value(self, rel: Any) -> Any:
         return self.fiber_value if rel == self.origin else self.fiber.identity()
+
+    def support(self, lo: int, hi: int) -> list[int]:
+        return [self.origin] if lo <= self.origin < hi else []
 
 
 class ThresholdFn(_Shape):
@@ -847,9 +863,41 @@ class WreathGroup:
 
     def atom_values(self, x: WreathElement, coords: Iterable[Any]) -> Iterator[Any]:
         """x's base at each of the coordinates, in order, from its atoms
-        (as ``eval_atoms``)."""
+        (as ``eval_atoms``).  Over a step-1 range of an integer line the
+        product is evaluated only where some atom's ``support`` reaches,
+        and is the fiber's identity elsewhere; an atom that cannot say
+        (a threshold, alpha) makes every coordinate count."""
         self._same(x)
+        if type(coords) is range and coords.step == 1 and type(self.coords) is IntCoords:
+            active = self._active(x.atoms, coords.start, coords.stop)
+            if active is not None:
+                return self._sparse_values(x.atoms, coords, active)
         return self._values(x.atoms, coords)
+
+    @staticmethod
+    def _active(atoms: tuple[Atom, ...], lo: int, hi: int) -> list[int] | None:
+        """The sorted coordinates of [lo, hi) where some atom can be
+        non-identity, or None when some atom cannot say."""
+        active = set()
+        for a in atoms:
+            rel = a.fn.support(lo - a.shift, hi - a.shift)
+            if rel is None:
+                return None
+            active.update(a.shift + r for r in rel)
+        return sorted(active)
+
+    def _sparse_values(self, atoms: tuple[Atom, ...], coords: range,
+                       active: list[int]) -> Iterator[Any]:
+        """The product of the atoms at each coordinate of the range, read
+        from the atoms at the active coordinates only: everywhere else
+        every factor, and so the product, is the identity."""
+        one = self.fiber.identity()
+        at = coords.start
+        for c, v in zip(active, self._values(atoms, active)):
+            yield from repeat(one, c - at)
+            yield v
+            at = c + 1
+        yield from repeat(one, coords.stop - at)
 
     def _values(self, atoms: tuple[Atom, ...], coords: Iterable[Any]) -> Iterator[Any]:
         """The product of the atoms at each of the coordinates, in order;

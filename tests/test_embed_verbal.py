@@ -187,8 +187,10 @@ def test_verify_theorem2_small_budget_both_families():
 
 @pytest.mark.parametrize("ctx", [CTX, ZTX], ids=["[x1,x2]", "x1^2"])
 def test_the_omega_commutator_oracle_scans_its_whole_window(monkeypatch, ctx):
-    # every coordinate of [-2^(max+2), 2^(max+2)] is evaluated from the
-    # atoms of the raw commutator, for each pair n != m <= 8
+    # every coordinate of [-2^(max+2), 2^(max+2)] is yielded to the check
+    # from the atoms of the raw commutator, for each pair n != m <= 8; the
+    # coordinates reach atom_values as the suite passes them, so a window
+    # passed as a range takes the range route
     from collections import defaultdict
     from wreathord.wreath import WreathGroup
 
@@ -196,10 +198,12 @@ def test_the_omega_commutator_oracle_scans_its_whole_window(monkeypatch, ctx):
         return tuple((a.fn.key(), a.shift, a.exp) for a in x.atoms)
 
     seen = defaultdict(set)
+    windows = defaultdict(set)
     atom_values = WreathGroup.atom_values
 
     def recording(self, x, coords):
-        coords = list(coords)
+        if self is ctx.DZ and type(coords) is range:
+            windows[signature(x)].add(coords)
         for c, v in zip(coords, atom_values(self, x, coords)):
             if self is ctx.DZ:
                 seen[signature(x)].add(c)
@@ -216,8 +220,44 @@ def test_the_omega_commutator_oracle_scans_its_whole_window(monkeypatch, ctx):
                               DZ.conj(ctx.omega(), ctx.z_elem(-(1 << m))))
                 hi = 1 << (max(n, m) + 2)
                 assert seen[signature(raw)] >= set(range(-hi, hi + 1))
+                assert range(-hi, hi + 1) in windows[signature(raw)]
                 total += 2 * hi + 1
     assert total == 57448
+
+
+_FAR = 1 << 199999
+
+
+@pytest.mark.parametrize("ctx", [CTX, ZTX], ids=["[x1,x2]", "x1^2"])
+@pytest.mark.parametrize("lo, hi, powers",
+                         [(-(1 << 12), 1 << 12, [1 << b for b in range(13)]),
+                          (_FAR - 64, _FAR + 64, [_FAR])], ids=["near", "far"])
+def test_support_covers_every_non_identity_value(ctx, lo, hi, powers):
+    # a range route skips the coordinates off support, so value must be the
+    # fiber identity at each of them; [lo, hi] holds z^1 = d_0 and 2^199999
+    fns = [ctx.omega().atoms[0].fn, ctx.DZ.point(ctx.enumerate_D(1)).atoms[0].fn]
+    for fn in fns:
+        support = fn.support(lo, hi + 1)
+        assert support == sorted(set(support))
+        assert all(lo <= r <= hi for r in support)
+        off = set(range(lo, hi + 1)).difference(support)
+        assert all(ctx.TC.is_identity(fn.value(r)) for r in off), fn.name
+    assert fns[0].support(lo, hi + 1) == powers
+
+
+@pytest.mark.parametrize("ctx", [CTX, ZTX], ids=["[x1,x2]", "x1^2"])
+def test_the_omega_commutator_oracle_evaluates_omega_where_it_can_be_non_identity(
+        monkeypatch, ctx):
+    # growth pin: the suite's windows of 57,448 coordinates read omega only
+    # at the powers of 2 their atoms reach (230,148 calls for a full scan)
+    from wreathord.embed_verbal import OmegaFn
+
+    calls = []
+    value = OmegaFn.value
+    monkeypatch.setattr(OmegaFn, "value", lambda self, rel: calls.append(1) or value(self, rel))
+    report = verify_theorem2(ctx.family_key, seed=0, budget=4)
+    assert report.all_pass
+    assert len(calls) <= 10_000, len(calls)
 
 
 def test_unsupported_word_family():

@@ -3,7 +3,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (atom_by_atom_form, bisect_least_difference, brute_compare,
                      brute_least_difference, confirm_verdict)
@@ -1199,13 +1199,36 @@ class _FirstGenerator:
 _FIRST_GENERATOR = _FirstGenerator()
 
 
+def _dyadic_dz_element(ctx, rng, far):
+    """A D Wr Z product of omega powers shifted by +-2^k, k <= 12, and
+    point atoms near the origin; with ``far``, one more omega power whose
+    shift puts 2^199999 near the origin."""
+    omega = ctx.omega().atoms[0].fn
+    atoms = []
+    for _ in range(rng.randint(1, 6)):
+        if rng.random() < 0.7:
+            shift = rng.choice([-1, 1]) << rng.randint(0, 12)
+            atoms.append(Atom(omega, shift, rng.choice([-2, -1, 1, 2])))
+        else:
+            value = ctx.random_d_element(rng, max_len=2)
+            atoms.append(Atom(PointFn(value, ctx.TC, ctx.DZ.coords), rng.randint(-40, 40), 1))
+    if far:
+        atoms.insert(rng.randint(0, len(atoms)),
+                     Atom(omega, rng.randint(-8, 8) - (1 << 199999), rng.choice([-1, 1])))
+    return ctx.DZ.element(rng.randint(-2, 2), atoms)
+
+
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from(["qc", "w", "qs", "tc", "dz"]), st.integers(0, 10**9),
+@given(st.sampled_from(["qc", "w", "qs", "tc", "dz", "dz-dyadic"]), st.integers(0, 10**9),
        st.sampled_from(["[x1,x2]", "x1^2", _FIRST_GENERATOR]))
+@example("dz-dyadic", 1, "[x1,x2]")
 def test_atom_values_agree_with_eval_atoms_and_the_form(level, seed, word):
+    # every level reads a list of coordinates; the integer levels also read
+    # the same window as a range, which evaluates only where an atom's
+    # support reaches
     rng = Random(seed)
     ctx = get_context(word)
-    coords = list(range(-10, 11))
+    window = range(-10, 11)
     if level == "qc":
         group, x = QC, random_qc_element(rng)
     elif level == "w":
@@ -1214,7 +1237,7 @@ def test_atom_values_agree_with_eval_atoms_and_the_form(level, seed, word):
         if rng.random() < 0.5:
             x = W.element(0, [a for a in x.atoms if a.fn.finite])
     elif level == "qs":
-        group, coords = ctx.QS, _s_coordinates(ctx)
+        group, window = ctx.QS, None
         sc, sg = ctx.scoords, ctx.sgroup
         atoms = [Atom((ctx.psi(n) if rng.random() < 0.5 else ctx.chi(n)).atoms[0].fn,
                       sc.mul(sc.witness_power(rng.randint(-2, 2)),
@@ -1224,7 +1247,7 @@ def test_atom_values_agree_with_eval_atoms_and_the_form(level, seed, word):
         x = ctx.QS.element(sc.witness_power(rng.randint(-1, 1)), atoms)
     elif level == "tc":
         group, x = ctx.TC, ctx.random_d_element(rng, max_len=4)
-    else:
+    elif level == "dz":
         group = ctx.DZ
         point = group.point(ctx.random_d_element(rng, max_len=2), at=rng.randint(-3, 3))
         if rng.random() < 0.5:
@@ -1232,10 +1255,16 @@ def test_atom_values_agree_with_eval_atoms_and_the_form(level, seed, word):
         else:
             x = group.mul(g_word_element(random_g_word(rng, max_len=4, gen="omega"),
                                          ctx.omega()), point)
+    else:
+        group = ctx.DZ
+        x = _dyadic_dz_element(ctx, rng, far=seed % 4 == 1)
+        hi = 1 << rng.randint(0, 12)
+        window = range(-hi, hi + 1)
     form = None if group.tail_kind else group.base_canonical(x)
-    values = list(group.atom_values(x, coords))
-    assert len(values) == len(coords)
-    for c, v in zip(coords, values):
-        assert group.fiber.equal(v, group.eval_atoms(x, c))
-        if form is not None:
-            assert group.fiber.equal(v, form.value(c))
+    for coords in ([_s_coordinates(ctx)] if window is None else [list(window), window]):
+        values = list(group.atom_values(x, coords))
+        assert len(values) == len(coords)
+        for c, v in zip(coords, values):
+            assert group.fiber.equal(v, group.eval_atoms(x, c))
+            if form is not None:
+                assert group.fiber.equal(v, form.value(c))
