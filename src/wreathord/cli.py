@@ -54,13 +54,22 @@ def _render_eval(element: WreathElement, level: str, at: str | None, window: int
     group = element.group
     coords, fiber = group.coords, group.fiber
     lines = [f"level: {level}", f"element: {group.fmt(element)}"]
+    # one reader for --at and the window: a form level's form, printed above,
+    # or a tail level's atoms, which atom_values reads over a range sparsely
+    form = None if group.tail_kind else group.base_canonical(element)
+
+    def read(indices):
+        if form is None:
+            return group.atom_values(element, indices)
+        return (form.value(coords.witness_power(i)) for i in indices)
+
     if at is not None:
         letter, _, num = at.partition(":")
         k = _int_arg("the coordinate", num, f"coordinate must look like z:3 or c:-2, got {at!r}")
         if letter != coords.letter:
             raise ValueError(f"level uses coordinates {coords.letter}:<int>, got {at!r}")
-        coord = coords.witness_power(k)
-        lines.append(f"value at {coords.fmt(coord)}: {fiber.fmt(element.eval(coord))}")
+        (v,) = read((k,))
+        lines.append(f"value at {coords.fmt(coords.witness_power(k))}: {fiber.fmt(v)}")
         return "\n".join(lines) + "\n"
     if level == "qs":
         head = "values along the witness ray:"
@@ -69,19 +78,10 @@ def _render_eval(element: WreathElement, level: str, at: str | None, window: int
         head = f"values on [{-window}, {window}]:"
         empty = "identity at every coordinate in the window"
     lines.append(head)
-    shown = False
     window_range = range(-window, window + 1)
-    if group.tail_kind is None:
-        values = (element.eval(coords.witness_power(i)) for i in window_range)
-    else:
-        # a tail level keeps no form: read its atoms once over the window
-        values = group.atom_values(element, window_range)
-    for i, v in zip(window_range, values):
-        if not fiber.is_identity(v):
-            lines.append(f"  {coords.letter}^{i}: {fiber.fmt(v)}")
-            shown = True
-    if not shown:
-        lines.append(f"  {empty}")
+    shown = [f"  {coords.letter}^{i}: {fiber.fmt(v)}"
+             for i, v in zip(window_range, read(window_range)) if not fiber.is_identity(v)]
+    lines += shown or [f"  {empty}"]
     return "\n".join(lines) + "\n"
 
 
@@ -197,8 +197,13 @@ def run_command(cmd: Command) -> tuple[int, str]:
         return USAGE_ERROR, f"error: {e}\n"
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message: str):  # main prints one error: line, no usage block
+        raise ValueError(message)
+
+
 def _build_argparser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="wreathord",
         description="Exact order-preserving embeddings of the rationals "
                     "into two-generator wreath-product groups.",
@@ -300,13 +305,12 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         cmd = parse_argv(argv)
-    except SystemExit as e:
-        return e.code if isinstance(e.code, int) else USAGE_ERROR
+    except SystemExit as e:  # --help printed its text
+        return e.code
     except ValueError as e:
         sys.stderr.write(f"error: {e}\n")
         return USAGE_ERROR
     status, output = run_command(cmd)
-    # a usage error's one line goes where argparse writes its own
     (sys.stderr if status == USAGE_ERROR else sys.stdout).write(output)
     return status
 

@@ -39,7 +39,6 @@ from .groundwork import (
     Ordering,
     RATIONALS,
     Rational,
-    Verdict,
     format_rational,
 )
 from .reporting import FAIL, PASS, Report, merge_reports, run_checks
@@ -67,7 +66,7 @@ class AlphaFn(BaseFunction):
     def value(self, rel: int) -> WreathElement:
         return alpha_value(rel)
 
-    def tail_identity(self, group, element, tails, finites) -> Verdict:
+    def tail_identity(self, group, element, tails, finites) -> tuple:
         # At a coordinate j that is neither a shift nor a finite-atom
         # coordinate every factor is tau_(j-k) (shift k < j) or the
         # identity, all in the abelian base of Q Wr C, so the value there
@@ -346,8 +345,8 @@ def brute_confirms(x: WreathElement, y: WreathElement, window: int) -> bool:
             return False
     if v.is_equal:
         return o is Ordering.EQUAL
-    return group.fiber.compare(group.eval_atoms(x, v.witness),
-                               group.eval_atoms(y, v.witness)) is o
+    return group.fiber.compare(group.eval(x, v.witness),
+                               group.eval(y, v.witness)) is o
 
 
 # -- the rational-embedding suite ------------------------------------------
@@ -414,7 +413,7 @@ def verify_theorem1(seed: int = 0, budget: int = 200) -> Report:
             if el.atoms:
                 lo = min(a.shift for a in el.atoms)
                 for j in (lo - 1, lo - 5):
-                    if not QC.is_identity(W.eval_atoms(el, j)):
+                    if not QC.is_identity(W.eval(el, j)):
                         return FAIL, {"word": word.fmt(), "below": j}
         return PASS, {"words": max(1, budget // 2)}
 

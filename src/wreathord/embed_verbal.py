@@ -51,7 +51,6 @@ from .groundwork import (
     Ordering,
     RATIONALS,
     Rational,
-    Verdict,
     format_rational,
 )
 from .nilpotent import (
@@ -145,7 +144,7 @@ class OmegaFn(BaseFunction):
     def key(self) -> tuple:
         return ("omega", self.ctx.family_key)
 
-    def tail_identity(self, group, element, tails, finites) -> Verdict:
+    def tail_identity(self, group, element, tails, finites) -> tuple:
         # Away from the finitely many collision coordinates (where two
         # distinct shift groups are active at once: k1 + 2^a = k2 + 2^b
         # has at most one solution per shift pair) and the finite-atom
@@ -240,14 +239,13 @@ class VerbalContext:
             self._psi[n] = self.QS.point(Fraction(1, n))
         return self._psi[n]
 
-    def psi_from_witness(self, n: int, a_element: WreathElement | None = None,
-                         ) -> VerbalWitness:
+    def psi_from_witness(self, n: int) -> VerbalWitness:
         """Compute a^-1 a^(chi_n) inside Q Wr S, check it against psi_n,
         and return it as a verbal witness over Q Wr S: the inverse of the
         witness presentation followed by the presentation with every
         argument conjugated by chi_n (the conjugate of a word value is the
         word value of the conjugated arguments)."""
-        a_el = self.a_elem() if a_element is None else a_element
+        a_el = self.a_elem()
         computed = self.QS.mul(self.QS.inv(a_el), self.QS.conj(a_el, self.chi(n)))
         if not self.QS.equal(computed, self.psi(n)):
             raise ConstructionViolation(
@@ -488,7 +486,7 @@ def verify_theorem2(family: Word | str | Any = DEFAULT_WORD,
                 return FAIL, {}
             if el.atoms:
                 lo = min(a.shift for a in el.atoms)
-                if not QS.is_identity(TC.eval_atoms(el, lo - 1)):
+                if not QS.is_identity(TC.eval(el, lo - 1)):
                     return FAIL, {"below": lo - 1}
         return PASS, {"samples": count}
 

@@ -506,7 +506,7 @@ def select_S(family: Word | str | Any) -> tuple[Any, VerbalWitness, str]:
     return group, witness, key
 
 
-def verify_witness(witness: VerbalWitness, group: Any, seed: int = 0) -> Report:
+def verify_witness(witness: VerbalWitness, group: Any) -> Report:
     """Re-evaluate the witness presentation and check it against the element."""
 
     def reconstruct(rng, budget):
@@ -533,4 +533,4 @@ def verify_witness(witness: VerbalWitness, group: Any, seed: int = 0) -> Report:
         ("witness-nontrivial", nontrivial),
         ("witness-positive", positive),
     ]
-    return run_checks("witness", seed, 0, checks)
+    return run_checks("witness", 0, 0, checks)

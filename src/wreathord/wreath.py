@@ -41,10 +41,11 @@ equal tops by one exact route, the same for every pair:
    collision and point coordinates and, for each shift with a nonzero
    net, its first non-collision power whose value is not the identity;
    with no tail atom left, the point coordinates), and the least
-   non-identity candidate is the least difference.  The product's value
-   v there is f * g^-1 for the values f and g of x and y, and the
-   fiber's order is bi-invariant, so v > 1 exactly when f > g: the
-   order of v and the identity is the order of x and y.
+   non-identity candidate is the least difference.  The tail route
+   returns it and the product's value v there, or nothing, and only
+   ``min_difference`` orders v (equality and identity do not): v is
+   f * g^-1 for the values f and g of x and y, and the fiber's order is
+   bi-invariant, so v > 1 exactly when f > g.
 
 So ``Equal`` and ``Distinct`` are the only verdicts produced, each with
 its order, and ``compare`` of equal tops reads it off; a level
@@ -52,12 +53,14 @@ given an atom its route cannot read raises TypeError instead of
 guessing.  ``WreathGroup.certified`` replaces a tail product known to
 equal a point function by that point atom, once it has decided so.
 
-``WreathGroup.atom_values`` reads a product at many coordinates from its
-atoms.  Over a step-1 range of an integer line it evaluates the product
-only where some atom's ``support`` reaches (a point's origin, omega's
-powers of 2) and yields the fiber's identity elsewhere, since a product
-of identities is the identity; thresholds and alpha are dense and say
-nothing, so a product with one of them is read at every coordinate.
+``eval`` and ``atom_values`` (at many coordinates) read a product's
+values from its atoms, never from a form, which answers equality and
+printing only.  Over a step-1 range of an integer line ``atom_values``
+evaluates the product only where some atom's ``support`` reaches (a
+point's origin, omega's powers of 2) and yields the fiber's identity
+elsewhere, since a product of identities is the identity; thresholds
+and alpha are dense and say nothing, so a product with one of them is
+read at every coordinate.
 """
 
 from __future__ import annotations
@@ -442,10 +445,10 @@ class BaseFunction:
         raise TypeError(f"{self.name} has no fiber-step form")
 
     def tail_identity(self, group: "WreathGroup", element: "WreathElement",
-                      tails: list, finites: list) -> Verdict:
-        """Tail-criterion verdict on whether ``element`` (a product of this tail
-        atom's shifted powers and finite atoms) is the identity: Equal,
-        or Distinct(j) with j the least coordinate where it is not."""
+                      tails: list, finites: list) -> tuple:
+        """The tail criterion on ``element``, a product of this tail atom's
+        shifted powers and finite atoms: (j, v) at the least coordinate j
+        where it is not the identity, or () when it is."""
         raise TypeError(f"{self.name} has no tail criterion")
 
     def merge_with(self, other: "BaseFunction", e1: int, e2: int) -> "BaseFunction | None":
@@ -849,21 +852,13 @@ class WreathGroup:
     # -- evaluation -------------------------------------------------------
 
     def eval(self, x: WreathElement, coord: Any) -> Any:
-        """x's base at coord; a computed canonical form is read by bisection."""
-        if x._canon is not None:
-            self._same(x)
-            return x._canon.value(coord)
-        return self.eval_atoms(x, coord)
-
-    def eval_atoms(self, x: WreathElement, coord: Any) -> Any:
-        """x's base at coord from its atoms, never from its canonical
-        form, so brute-force oracles can check the form by it."""
+        """x's base at coord, read from its atoms, never from its form."""
         self._same(x)
         return next(self._values(x.atoms, (coord,)))
 
     def atom_values(self, x: WreathElement, coords: Iterable[Any]) -> Iterator[Any]:
         """x's base at each of the coordinates, in order, from its atoms
-        (as ``eval_atoms``).  Over a step-1 range of an integer line the
+        (as ``eval``).  Over a step-1 range of an integer line the
         product is evaluated only where some atom's ``support`` reaches,
         and is the fiber's identity elsewhere; an atom that cannot say
         (a threshold, alpha) makes every coordinate count."""
@@ -902,13 +897,13 @@ class WreathGroup:
     def _values(self, atoms: tuple[Atom, ...], coords: Iterable[Any]) -> Iterator[Any]:
         """The product of the atoms at each of the coordinates, in order;
         each atom's value function, inverse shift and exponent are looked
-        up once, not once per coordinate.  A product starts from its first
-        non-identity factor itself, so a lone atom's value (and its cached
-        form) is returned as it is."""
+        up once, not once per coordinate.  A product is folded from the
+        right, from its last non-identity factor itself: a lone atom's
+        value is returned as it is, and each step shifts one new factor."""
         fiber, cmul = self.fiber, self.coords.mul
         fmul, fpow, is_identity = fiber.mul, fiber.pow, fiber.is_identity
         one = fiber.identity()
-        plan = [(a.fn.value, self.coords.inv(a.shift), a.exp) for a in atoms]
+        plan = [(a.fn.value, self.coords.inv(a.shift), a.exp) for a in reversed(atoms)]
         for coord in coords:
             v = one
             for value, back, exp in plan:
@@ -916,7 +911,7 @@ class WreathGroup:
                 if av is not one and not is_identity(av):
                     if exp != 1:
                         av = fpow(av, exp)
-                    v = av if v is one else fmul(v, av)
+                    v = av if v is one else fmul(av, v)
             yield v
 
     # -- canonical forms ----------------------------------------------------
@@ -945,28 +940,29 @@ class WreathGroup:
         # by the inverse of the common top, so d is not the identity at j
         # exactly where x and y differ at j * top, and exceeds it there
         # exactly where x exceeds y (the fiber's order is bi-invariant)
-        t = self._tail_identity(self.mul(x, self.inv(y)))
-        if t.is_equal:
-            return t
-        return Verdict.distinct(self.coords.mul(t.witness, x.top), t.order)
+        found = self._tail_identity(self.mul(x, self.inv(y)))
+        if not found:
+            return Verdict.equal()
+        j, v = found
+        fiber = self.fiber
+        return Verdict.distinct(self.coords.mul(j, x.top), fiber.compare(v, fiber.identity()))
 
-    def least_nonidentity(self, x: WreathElement, candidates: Iterable[Any]) -> Verdict:
-        """Equal, or Distinct at the least candidate coordinate where x is
-        not the identity, with the order of x's value there against the
-        identity, read from x's atoms in one pass over the sorted
+    def least_nonidentity(self, x: WreathElement, candidates: Iterable[Any]) -> tuple:
+        """(j, v) at the least candidate coordinate j where x is not the
+        identity, or (), read from x's atoms in one pass over the sorted
         candidates; the caller vouches that the least coordinate where x
         is not the identity, if there is one, is a candidate."""
-        fiber = self.fiber
+        is_identity = self.fiber.is_identity
         candidates = sorted(candidates)
         for j, v in zip(candidates, self.atom_values(x, candidates)):
-            if not fiber.is_identity(v):
-                return Verdict.distinct(j, fiber.compare(v, fiber.identity()))
-        return Verdict.equal()
+            if not is_identity(v):
+                return j, v
+        return ()
 
-    def _tail_identity(self, d: WreathElement) -> Verdict:
-        """Tail-criterion verdict on d, a product of shifted powers of the
-        level's tail atom and finite atoms.  Without a tail atom d is a
-        product of points, so its point coordinates are the candidates."""
+    def _tail_identity(self, d: WreathElement) -> tuple:
+        """``least_nonidentity``'s answer for d, a product of shifted powers
+        of the level's tail atom and finite atoms; without a tail atom, its
+        point coordinates are the candidates."""
         tails: list[Atom] = []
         finites: list[Atom] = []
         for a in d.atoms:
@@ -989,7 +985,7 @@ class WreathGroup:
             return False
         if self.tail_kind is None:
             return self.base_canonical(x).key() == self.base_canonical(y).key()
-        return self.min_difference(x, y).is_equal
+        return not self._tail_identity(self.mul(x, self.inv(y)))
 
     def is_identity(self, x: WreathElement) -> bool:
         if x is self._identity:
@@ -999,7 +995,7 @@ class WreathGroup:
             return False
         if self.tail_kind is None:
             return self.base_canonical(x).is_trivial
-        return self._tail_identity(x).is_equal
+        return not self._tail_identity(x)
 
     def compare(self, x: WreathElement, y: WreathElement) -> Ordering:
         self._same(x, y)

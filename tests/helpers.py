@@ -24,7 +24,7 @@ def brute_least_difference(x: WreathElement, y: WreathElement,
     functions differ, by direct evaluation."""
     group = x.group
     for j in range(-window, window + 1):
-        if not group.fiber.equal(group.eval_atoms(x, j), group.eval_atoms(y, j)):
+        if not group.fiber.equal(group.eval(x, j), group.eval(y, j)):
             return j
     return None
 
@@ -37,7 +37,7 @@ def brute_compare(x: WreathElement, y: WreathElement, window: int = 64) -> Order
     j = brute_least_difference(x, y, window)
     if j is None:
         return Ordering.EQUAL
-    return group.fiber.compare(group.eval_atoms(x, j), group.eval_atoms(y, j))
+    return group.fiber.compare(group.eval(x, j), group.eval(y, j))
 
 
 def confirm_verdict(x: WreathElement, y: WreathElement, verdict,
@@ -48,7 +48,7 @@ def confirm_verdict(x: WreathElement, y: WreathElement, verdict,
     if verdict.is_equal:
         return brute_least_difference(x, y, window) is None
     return not group.fiber.equal(
-        group.eval_atoms(x, verdict.witness), group.eval_atoms(y, verdict.witness)
+        group.eval(x, verdict.witness), group.eval(y, verdict.witness)
     )
 
 
@@ -56,7 +56,7 @@ def atom_by_atom_form(group, atoms) -> FiberSteps:
     """The fiber-step form of a product of point and threshold atoms as
     the product of each atom's own form, multiplied one by one with
     ``FiberSteps.mul``: a reference apart from the evaluation loop that
-    ``FiberSteps.of_atoms`` shares with ``eval_atoms``."""
+    ``FiberSteps.of_atoms`` shares with ``eval``."""
     fiber = group.fiber
     parts = (FiberSteps.make(fiber, [(b + a.shift, fiber.pow(v, a.exp))
                                      for b, v in a.fn.changes(0)])

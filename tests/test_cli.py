@@ -602,6 +602,38 @@ def test_cmp_takes_no_window(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, fragment", [
+    (["cmp", "c", "c", "--window", "3"], "--window"),
+    (["verify", "bogus"], "bogus"),
+    (["eval"], "expr"),
+    (["table", "3", "--word", "x1"], "--word"),
+])
+def test_argparse_usage_errors_are_one_line(capsys, argv, fragment):
+    # argparse's own message, without its usage block
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert fragment in err
+
+
+def test_help_still_prints_and_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: wreathord") and err == ""
+
+
+def test_an_omega_window_reads_omega_at_its_powers_of_two(monkeypatch, capsys):
+    # the window reaches atom_values as a range, which reads omega only
+    # where its support lies; a list of coordinates would read all 8,193
+    from wreathord.embed_verbal import OmegaFn
+    calls = []
+    value = OmegaFn.value
+    monkeypatch.setattr(OmegaFn, "value", lambda self, rel: calls.append(rel) or value(self, rel))
+    assert main(["eval", "omega", "--window", "4096"]) == 0
+    assert "  z^2048: " in capsys.readouterr().out
+    assert len(calls) <= 64, len(calls)
+
+
 @pytest.mark.parametrize("window", [0, 1, 4])
 def test_verify_orders_small_window_is_honoured(capsys, window):
     argv = ["verify", "orders", "--window", str(window), "--budget", "100", "--json"]

@@ -1,9 +1,11 @@
-"""The README's library map names only what the library defines, and its
-form protocol only what every form class offers."""
+"""The README's library map names only what the library defines, its form
+protocol only what every form class offers, and its examples show what
+the command line prints."""
 
 import importlib
 import inspect
 import re
+import shlex
 from pathlib import Path
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -78,3 +80,36 @@ def test_every_form_class_offers_the_readme_protocol():
     for cls in (StepFunction, RayStepFunction, FiberSteps):
         missing = [n for n in names if not hasattr(cls, n)]
         assert not missing, (cls.__name__, missing)
+
+
+def _examples() -> list[tuple[list[str], list[str]]]:
+    """(argv, shown output lines) of each ``$ wreathord …`` line in the
+    README's examples block."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("Examples:\n\n```\n", 1)[1].split("```", 1)[0]
+    runs: list[tuple[list[str], list[str]]] = []
+    for line in block.splitlines():
+        if line.startswith("$ wreathord "):
+            runs.append((shlex.split(line)[2:], []))
+        else:
+            runs[-1][1].append(line)
+    return runs
+
+
+def _shows(shown: list[str], out: str) -> bool:
+    """Whether the output is the shown lines, a ``...`` line standing for
+    any run of lines."""
+    pattern = "".join(r"(?:.*\n)*?" if line == "..." else re.escape(line) + r"\n"
+                      for line in shown)
+    return re.fullmatch(pattern, out) is not None
+
+
+def test_readme_examples_show_what_the_cli_prints(capsys):
+    from wreathord.cli import main
+    assert _shows(["a", "...", "b"], "a\nx\ny\nb\n") and not _shows(["a", "b"], "a\nx\nb\n")
+    runs = _examples()
+    assert len(runs) >= 3
+    for argv, shown in runs:
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        assert _shows(shown, out), (argv, shown, out)

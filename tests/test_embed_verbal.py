@@ -43,7 +43,7 @@ def test_chi_values():
         # off the witness ray the value vanishes
         for s in _off_ray(ctx):
             assert chi2.eval(s) == 0
-            assert ctx.QS.eval_atoms(chi2, s) == 0
+            assert ctx.QS.base_canonical(chi2).value(s) == 0
         with pytest.raises(ValueError):
             ctx.chi(0)
 
@@ -57,7 +57,7 @@ def test_psi_values():
         assert psi5.eval(sc.witness_power(-1)) == 0
         for s in _off_ray(ctx):
             assert psi5.eval(s) == 0
-            assert ctx.QS.eval_atoms(psi5, s) == 0
+            assert ctx.QS.base_canonical(psi5).value(s) == 0
     assert CTX.psi(5).eval(CTX.sgroup.generator(2)) == 0
 
 
@@ -69,10 +69,11 @@ def test_psi_from_witness_both_families():
             assert ctx.QS.equal(cert.replay(ctx.QS), ctx.psi(n))
 
 
-def test_psi_from_witness_corrupted_a():
+def test_psi_from_witness_corrupted_a(monkeypatch):
     bad = CTX.QS.inv(CTX.a_elem())
+    monkeypatch.setattr(CTX, "a_elem", lambda: bad)
     with pytest.raises(ConstructionViolation):
-        CTX.psi_from_witness(3, a_element=bad)
+        CTX.psi_from_witness(3)
 
 
 def test_rho_pi_identity():

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import (atom_by_atom_form, bisect_least_difference, brute_compare,
                      brute_least_difference, confirm_verdict)
 
-from wreathord.embed_verbal import VerbalContext, get_context
+from wreathord.embed_verbal import SCoords, VerbalContext, get_context
 from wreathord.groundwork import RATIONALS, IntCoords, Ordering
 from wreathord.wreath import (
     Atom,
@@ -198,7 +198,7 @@ def test_stepfun_canonicalize_random_products():
         again = StepFunction.of_atoms(QC, el.atoms)
         assert sf == again
         for j in range(-12, 13):
-            assert sf.value(j) == QC.eval_atoms(el, j)
+            assert sf.value(j) == QC.eval(el, j)
 
 
 @st.composite
@@ -225,7 +225,7 @@ def test_step_fold_matches_evaluation_and_ignores_order(data):
     for b in sf.breaks:
         coords.update((b - 1, b))
     for j in coords:
-        assert sf.value(j) == QC.eval_atoms(el, j), j
+        assert sf.value(j) == QC.eval(el, j), j
     # canonical: adjacent values differ (the first from 0), so the form
     # is the function
     assert all(u != v for u, v in zip((0,) + sf.values, sf.values))
@@ -269,7 +269,7 @@ def test_qc_order_is_the_value_order_at_the_least_difference(data):
     if v.is_equal:
         assert got is Ordering.EQUAL and QC.compare(y, x) is Ordering.EQUAL
     else:
-        assert got is Ordering.of(QC.eval_atoms(x, v.witness), QC.eval_atoms(y, v.witness))
+        assert got is Ordering.of(QC.eval(x, v.witness), QC.eval(y, v.witness))
         assert QC.compare(y, x) is got.reversed() is not Ordering.EQUAL
 
 
@@ -341,7 +341,7 @@ def test_ray_fold_matches_evaluation(data):
     for a in atoms:
         for d in (-1, 0, 1):
             s = sc.mul(sc.witness_power(d), a.shift)
-            assert rs.value(s) == ctx.QS.eval_atoms(el, s)
+            assert rs.value(s) == ctx.QS.eval(el, s)
     # canonical: rays sorted by key, each nonzero, with distinct adjacent
     # values and keyed by a representative at index 0 of its own ray
     keys = [k for k, _, _ in rs.rays]
@@ -381,13 +381,13 @@ def test_qs_least_difference_matches_a_grid_scan(data):
     x, y = QS.element(top, x_atoms), QS.element(top, y_atoms)
     v = QS.min_difference(x, y)
     if v.is_distinct:
-        vx, vy = QS.eval_atoms(x, v.witness), QS.eval_atoms(y, v.witness)
+        vx, vy = QS.eval(x, v.witness), QS.eval(y, v.witness)
         assert vx != vy and QS.compare(x, y) is Ordering.of(vx, vy)
     else:
         assert QS.compare(x, y) is Ordering.EQUAL
     for s in _s_grid(ctx, 6, 3):
         if v.is_equal or sc.compare(s, v.witness) is Ordering.LESS:
-            assert QS.eval_atoms(x, s) == QS.eval_atoms(y, s), sc.fmt(s)
+            assert QS.eval(x, s) == QS.eval(y, s), sc.fmt(s)
 
 
 def _qs_values(ctx):
@@ -432,19 +432,24 @@ def test_fiber_steps_fold_matches_evaluation(data):
     assert form.fmt() == reference.fmt()
     for a in atoms:
         for j in (a.shift - 1, a.shift, a.shift + 1):
-            assert group.fiber.equal(form.value(j), group.eval_atoms(el, j))
+            assert group.fiber.equal(form.value(j), group.eval(el, j))
 
 
-def _refolds_to_key_a_pi_product(monkeypatch, ctx, k: int, seed: int) -> int:
-    """Atoms passed to RayStepFunction.of_atoms while keying a T Wr C
-    product of k pi(t)^±1 atoms over 20 random t, shifts in [-5k, 5k]."""
+def _pi_product(ctx, k: int, seed: int) -> WreathElement:
+    """A T Wr C product of k pi(t)^±1 atoms over 20 random t, shifts in
+    [-5k, 5k]."""
     rng = Random(seed)
     fns = []
     while len(fns) < 20:
         fns.extend(a.fn for a in ctx.pi(ctx.random_t_element(rng)).atoms)
     atoms = [Atom(rng.choice(fns), rng.randint(-5 * k, 5 * k), rng.choice([-1, 1]))
              for _ in range(k)]
-    el = ctx.TC.element(0, atoms)
+    return ctx.TC.element(0, atoms)
+
+
+def _refolds_to_key_a_pi_product(monkeypatch, ctx, k: int, seed: int) -> int:
+    """Atoms passed to RayStepFunction.of_atoms while keying _pi_product."""
+    el = _pi_product(ctx, k, seed)
     refolded = []
     of_atoms = RayStepFunction.of_atoms
 
@@ -467,6 +472,23 @@ def test_a_fiber_step_form_refolds_atoms_subcubically(monkeypatch):
     small = _refolds_to_key_a_pi_product(monkeypatch, ctx, 40, seed=5)
     large = _refolds_to_key_a_pi_product(monkeypatch, ctx, 80, seed=5)
     assert large <= 6 * small, (small, large)
+
+
+def test_keying_a_pi_product_makes_subcubic_s_products(monkeypatch):
+    # a break's value folds its factors from the right, so each product
+    # shifts one new factor, not the running product's atoms: about 3.7x
+    # the S products per doubling of k at this seed, against 6.3x for a
+    # left fold, which grows towards 8x
+    ctx = get_context("[x1,x2]")
+    counts = []
+    for k in (40, 80):
+        el = _pi_product(ctx, k, seed=5)
+        with monkeypatch.context() as m:
+            calls = _counting(m, SCoords, ("mul",))
+            ctx.TC.key(el)
+        counts.append(calls["mul"])
+    small, large = counts
+    assert large <= 5 * small, (small, large)
 
 
 def test_tail_symbol():
@@ -499,10 +521,10 @@ def test_same_shift_thresholds_merge_into_one_atom():
         assert len(merged.atoms) == 1 and isinstance(merged.atoms[0].fn, ThresholdFn)
         unmerged = WreathElement(group, group.coords.identity(), x.atoms + y.atoms)
         for s in coords:
-            assert group.fiber.equal(group.eval_atoms(merged, s), group.eval_atoms(unmerged, s))
+            assert group.fiber.equal(group.eval(merged, s), group.eval(unmerged, s))
         assert group.equal(merged, unmerged)
-    assert QC.eval_atoms(QC.mul(tau(2), tau(3)), 0) == Fraction(-5, 6)
-    assert ctx.QS.eval_atoms(ctx.QS.mul(ctx.chi(1), ctx.chi(2)), sc.identity()) == Fraction(3, 2)
+    assert QC.eval(QC.mul(tau(2), tau(3)), 0) == Fraction(-5, 6)
+    assert ctx.QS.eval(ctx.QS.mul(ctx.chi(1), ctx.chi(2)), sc.identity()) == Fraction(3, 2)
 
 
 def test_semidirect_product_law():
@@ -664,7 +686,7 @@ def assert_least_difference(x, y):
     shifts = {a.shift for el in (x, y) for a in el.atoms}
 
     def differs(j):
-        return not group.fiber.equal(group.eval_atoms(x, j), group.eval_atoms(y, j))
+        return not group.fiber.equal(group.eval(x, j), group.eval(y, j))
 
     if v.is_equal:
         bad = [j for k in shifts for j in range(k - 40, k + 41) if differs(j)]
@@ -838,6 +860,40 @@ def test_tail_level_compare_evaluates_neither_side(monkeypatch):
     monkeypatch.undo()
     assert orders == [brute_compare(a, b) for x, y in pairs for a, b in ((x, y), (y, x))]
     assert set(orders) == {Ordering.LESS, Ordering.GREATER}
+
+
+def test_eval_reads_atoms_where_a_form_is_cached(monkeypatch):
+    x = QC.mul(tau(2), QC.conj(phi(3), c_elem(-1)))
+    QC.base_canonical(x)
+
+    def refuse(self, i):
+        raise AssertionError("eval read the form")
+
+    monkeypatch.setattr(StepFunction, "value", refuse)
+    assert [QC.eval(x, j) for j in (-2, -1, 0)] == [0, Fraction(1, 3), Fraction(-1, 2)]
+
+
+def test_tail_equality_and_identity_order_nothing(monkeypatch):
+    # equal and is_identity ask the tail route only whether it found a
+    # non-identity candidate; min_difference alone orders the value there
+    ctx = get_context("[x1,x2]")
+    DZ = ctx.DZ
+    w_pairs = [(alpha_commutator(4), W.identity()),
+               (alpha(), W.mul(alpha(), w_point(tau(3), at=2))),
+               (phi_element(Fraction(2, 9)), phi_element(Fraction(-1, 4)))]
+    dz_pairs = [(ctx.embed(Fraction(3, 2)), ctx.embed(Fraction(-1, 3))),
+                (ctx.omega(), DZ.mul(ctx.omega(), DZ.point(ctx.c_elem(), at=3)))]
+
+    def refuse(*args):
+        raise AssertionError("ordered a value")
+
+    for group in (W, DZ):
+        monkeypatch.setattr(group, "min_difference", refuse)
+        monkeypatch.setattr(group.fiber, "compare", refuse)
+    for group, pairs in ((W, w_pairs), (DZ, dz_pairs)):
+        for x, y in pairs:
+            assert not group.equal(x, y) and not group.equal(y, x)
+            assert not group.is_identity(x)
 
 
 class _Opaque(BaseFunction):
@@ -1222,7 +1278,7 @@ def _dyadic_dz_element(ctx, rng, far):
 @given(st.sampled_from(["qc", "w", "qs", "tc", "dz", "dz-dyadic"]), st.integers(0, 10**9),
        st.sampled_from(["[x1,x2]", "x1^2", _FIRST_GENERATOR]))
 @example("dz-dyadic", 1, "[x1,x2]")
-def test_atom_values_agree_with_eval_atoms_and_the_form(level, seed, word):
+def test_atom_values_agree_with_eval_and_the_form(level, seed, word):
     # every level reads a list of coordinates; the integer levels also read
     # the same window as a range, which evaluates only where an atom's
     # support reaches
@@ -1265,6 +1321,6 @@ def test_atom_values_agree_with_eval_atoms_and_the_form(level, seed, word):
         values = list(group.atom_values(x, coords))
         assert len(values) == len(coords)
         for c, v in zip(coords, values):
-            assert group.fiber.equal(v, group.eval_atoms(x, c))
+            assert group.fiber.equal(v, group.eval(x, c))
             if form is not None:
                 assert group.fiber.equal(v, form.value(c))
