@@ -103,9 +103,6 @@ class SCoords:
     def compare(self, a, b) -> Ordering:
         return self.group.compare(a, b)
 
-    def key(self, a) -> tuple:
-        return self.group.key_of(a)
-
     def fmt(self, a) -> str:
         return self.group.fmt(a)
 
@@ -205,13 +202,12 @@ class VerbalContext:
                               tail_kind="omega")
         self._chi: dict[int, WreathElement] = {}
         self._psi: dict[int, WreathElement] = {}
-        tops = {}
-        for _, args, _ in self.witness.presentation:
-            for g in args:
-                # variables the reduction sends to 1 add no generator to T
-                if not self.sgroup.is_identity(g):
-                    tops.setdefault(self.sgroup.key_of(g), g)
-        self.t_generators = tuple(self.s_top(g) for g in tops.values())
+        # each distinct top once; variables the reduction sends to 1 add
+        # no generator to T
+        one = self.sgroup.identity()
+        tops = dict.fromkeys(g for _, args, _ in self.witness.presentation
+                             for g in args if g != one)
+        self.t_generators = tuple(self.s_top(g) for g in tops)
         self._t_words: dict[int, WreathElement] = {}
         self._d_words: dict[int, WreathElement] = {}
         self._omega: WreathElement | None = None

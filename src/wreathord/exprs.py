@@ -412,7 +412,6 @@ class _Builder:
         self.levels = levels
         self.group, self.builders = levels[level]
         self.one = self.group.coords.identity()
-        self.one_key = self.group.coords.key(self.one)
 
     def build(self, expr: Expr) -> WreathElement:
         return self.element(self.factor(expr))
@@ -424,7 +423,7 @@ class _Builder:
         """f's one atom, for an Atom or an element of one atom with a trivial top."""
         if type(f) is Atom:
             return f
-        if len(f.atoms) == 1 and self.group.coords.key(f.top) == self.one_key:
+        if len(f.atoms) == 1 and f.top == self.one:
             return f.atoms[0]
         return None
 

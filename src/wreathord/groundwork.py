@@ -206,9 +206,6 @@ class IntCoords:
     def compare(self, a: int, b: int) -> Ordering:
         return Ordering.of(a, b)
 
-    def key(self, a: int) -> int:
-        return a
-
     def ray_decompose(self, k: int) -> tuple[int, int]:
         """(representative, index) of k: the whole line is one ray, with
         representative 0, and k is its k-th point."""

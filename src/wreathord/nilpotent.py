@@ -3,7 +3,8 @@
 Free abelian groups and free nilpotent groups of class 2 are represented
 in collected (Mal'cev) form: generator exponents ``e_1 .. e_k`` followed
 by exponents of the basic commutators ``[x_p, x_q]`` for ``p < q``.  The
-collected form is unique, so equality is coordinate equality, and the
+collected form is unique, so equality is coordinate equality (an
+element's own ``==`` and hash, which the wreath levels read), and the
 "first nonzero layer" order (lexicographic on generator exponents, then
 on commutator exponents) is a bi-invariant total order: conjugation acts
 trivially on both lower-central quotients.
@@ -308,15 +309,8 @@ class Nil2Group:
         )
         return MalcevElement(gens, comms)
 
-    def conj(self, x: MalcevElement, y: MalcevElement) -> MalcevElement:
-        return self.mul(self.mul(self.inv(y), x), y)
-
     def comm(self, x: MalcevElement, y: MalcevElement) -> MalcevElement:
         return self.mul(self.mul(self.inv(x), self.inv(y)), self.mul(x, y))
-
-    def is_identity(self, x: MalcevElement) -> bool:
-        self._check(x)
-        return x.is_identity
 
     def equal(self, x: MalcevElement, y: MalcevElement) -> bool:
         self._check(x, y)
@@ -328,9 +322,6 @@ class Nil2Group:
 
     def is_positive(self, x: MalcevElement) -> bool:
         return self.compare(x, self.identity()) is Ordering.GREATER
-
-    def key_of(self, x: MalcevElement) -> tuple:
-        return (x.gens, x.comms)
 
     def fmt(self, x: MalcevElement) -> str:
         return x.fmt()
@@ -352,17 +343,12 @@ class Nil2Group:
         raise ValueError("ray element must be nontrivial")
 
 
-def eval_word(w: Word, args: Sequence[Any], group: Any = None) -> Any:
+def eval_word(w: Word, args: Sequence[Any], group: Any) -> Any:
     """Image of the substitution w(args...) computed with the group's ops.
 
     Works for any group object exposing identity/mul/inv/pow, with one
-    ``pow`` per run of exponent other than +-1; when the arguments are
-    Mal'cev elements the group is inferred from their rank.
+    ``pow`` per run of exponent other than +-1.
     """
-    if group is None:
-        if not args or not isinstance(args[0], MalcevElement):
-            raise ValueError("cannot infer the group; pass it explicitly")
-        group = Nil2Group(len(args[0].gens))
     if len(args) < w.arity:
         raise ValueError(f"word needs {w.arity} arguments, got {len(args)}")
     out = group.identity()
@@ -429,8 +415,8 @@ def _reduce_word(w: Word) -> tuple[Nil2Group, VerbalWitness, str]:
     return group, VerbalWitness(eval_word(w, args, group), ((w, args, 1),)), key
 
 
-S_OPERATIONS = ("identity", "mul", "inv", "pow", "equal", "compare", "is_identity",
-                "is_positive", "key_of", "fmt", "ray_decompose", "nilpotency_class")
+S_OPERATIONS = ("identity", "mul", "inv", "pow", "compare", "fmt", "ray_decompose",
+                "nilpotency_class")
 
 
 def _check_contract(group: Any, a: Any, key: str) -> None:
@@ -478,14 +464,15 @@ def select_S(family: Word | str | Any) -> tuple[Any, VerbalWitness, str]:
     V(S), so the order of S never needs inverting.
 
     S must offer every operation of ``S_OPERATIONS``: ``identity``,
-    ``mul``, ``inv``, ``pow``, ``equal``, ``compare``, ``is_identity``,
-    ``is_positive``, ``key_of``, ``fmt``, ``ray_decompose(s, a)`` and
-    the attribute ``nilpotency_class``.  Its elements must be hashable
-    with value equality: a point atom finds its origin by ``==``, and a
-    ray-step form compares ray representatives.  For a plugin S that
-    lacks an operation, or whose ``mul(a, identity())`` is not equal to
-    the witness a with the same hash, UnsupportedWordSet is raised,
-    naming each breach.
+    ``mul``, ``inv``, ``pow``, ``compare``, ``fmt``,
+    ``ray_decompose(s, a)`` and the attribute ``nilpotency_class``.  Its
+    elements must be hashable with value equality, the one equality the
+    library reads: a point atom finds its origin by ``==``, a ray-step
+    form groups its parts by ray representative, and atoms at equal
+    shifts merge; ``compare`` orders them.  For a plugin S that lacks an
+    operation, or whose ``mul(a, identity())`` is not equal to the
+    witness a with the same hash, UnsupportedWordSet is raised, naming
+    each breach.
     """
     family = normalize_family(family)
     if isinstance(family, Word):
@@ -497,10 +484,10 @@ def select_S(family: Word | str | Any) -> tuple[Any, VerbalWitness, str]:
     else:
         raise UnsupportedWordSet(f"unsupported word family: {family!r}")
 
-    a = witness.element
-    if group.is_identity(a):
+    a, one = witness.element, group.identity()
+    if a == one:
         raise ValueError("verbal witness must be nontrivial")
-    if not group.is_positive(a):
+    if group.compare(a, one) is Ordering.LESS:
         witness = VerbalWitness(group.inv(a), tuple(
             (w, args, -sign) for w, args, sign in reversed(witness.presentation)))
     return group, witness, key
@@ -511,7 +498,7 @@ def verify_witness(witness: VerbalWitness, group: Any) -> Report:
 
     def reconstruct(rng, budget):
         got = witness.replay(group)
-        if group.equal(got, witness.element):
+        if got == witness.element:
             return PASS, {"element": group.fmt(witness.element)}
         return FAIL, {
             "expected": group.fmt(witness.element),
@@ -519,12 +506,12 @@ def verify_witness(witness: VerbalWitness, group: Any) -> Report:
         }
 
     def nontrivial(rng, budget):
-        if group.is_identity(witness.element):
+        if witness.element == group.identity():
             return FAIL, {"element": group.fmt(witness.element)}
         return PASS, {}
 
     def positive(rng, budget):
-        if group.is_positive(witness.element):
+        if group.compare(witness.element, group.identity()) is Ordering.GREATER:
             return PASS, {}
         return FAIL, {"element": group.fmt(witness.element)}
 

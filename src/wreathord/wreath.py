@@ -68,6 +68,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import repeat, zip_longest
 from math import gcd, inf
 from operator import itemgetter, sub
@@ -262,41 +263,46 @@ class StepFunction(_Steps):
         return StepFunction.fold(((self, 0, 1), (other, 0, 1)))
 
 
+# an Ordering as the sign that ``cmp_to_key`` reads
+_SIGN = {Ordering.LESS: -1, Ordering.EQUAL: 0, Ordering.GREATER: 1}
+
+
 @dataclass(frozen=True)
 class RayStepFunction:
     """Rational function on a coordinate group S supported on finitely
     many rays ``{a^i * g : i in Z}``.
 
-    Each ray is keyed by the canonical coset representative of ``g``
-    under left translation by the witness ``a``; the function along the
-    ray is a StepFunction in the ray index ``i``, 0 below its first
-    break.  Value off every stored ray is 0.  ``coords`` is the
-    coordinate group S; it takes no part in equality.
+    Each ray is named by the canonical coset representative of ``g``
+    under left translation by the witness ``a``, an element of S; the
+    function along the ray is a StepFunction in the ray index ``i``, 0
+    below its first break.  Value off every stored ray is 0.  ``coords``
+    is the coordinate group S; it takes no part in equality.
     """
 
-    rays: tuple[tuple[Any, Any, StepFunction], ...]
+    rays: tuple[tuple[Any, StepFunction], ...]
     coords: Any = field(compare=False, repr=False)
 
     @staticmethod
     def _fold(parts: Iterable[tuple], coords: Any) -> "RayStepFunction":
-        """Sum of the parts ``(key, rep, (steps, shift, exp))``, each a
+        """Sum of the parts ``(rep, (steps, shift, exp))``, each a
         StepFunction part on the ray of ``rep``: one StepFunction.fold
         per ray (a lone unmoved part is kept as it is), rays sorted by
-        key and zero rays dropped."""
-        groups: dict[Any, tuple[Any, list]] = {}
-        for key, rep, part in parts:
-            if key in groups:
-                groups[key][1].append(part)
+        ``coords.compare`` of their representatives and zero rays
+        dropped."""
+        groups: dict[Any, list] = {}
+        for rep, part in parts:
+            if rep in groups:
+                groups[rep].append(part)
             else:
-                groups[key] = (rep, [part])
+                groups[rep] = [part]
         rays = []
-        for key in sorted(groups):
-            rep, ray_parts = groups[key]
+        for rep in sorted(groups, key=cmp_to_key(lambda r, s: _SIGN[coords.compare(r, s)])):
+            ray_parts = groups[rep]
             steps, shift, exp = ray_parts[0]
             if len(ray_parts) > 1 or shift or exp != 1:
                 steps = StepFunction.fold(ray_parts)
             if not steps.is_trivial:
-                rays.append((key, rep, steps))
+                rays.append((rep, steps))
         return RayStepFunction(tuple(rays), coords)
 
     @staticmethod
@@ -309,7 +315,7 @@ class RayStepFunction:
         for a in atoms:
             rep, steps = a.fn.ray
             rep, i = coords.ray_decompose(coords.mul(rep, a.shift))
-            parts.append((coords.key(rep), rep, (steps, i, a.exp)))
+            parts.append((rep, (steps, i, a.exp)))
         return RayStepFunction._fold(parts, coords)
 
     @property
@@ -321,15 +327,14 @@ class RayStepFunction:
 
     def value(self, s: Any) -> Rational:
         rep, i = self.coords.ray_decompose(s)
-        key = self.coords.key(rep)
-        for k, _, steps in self.rays:
-            if k == key:
+        for r, steps in self.rays:
+            if r == rep:
                 return steps.value(i)
         return Fraction(0)
 
     def add(self, other: "RayStepFunction") -> "RayStepFunction":
         return RayStepFunction._fold(
-            ((k, r, (s, 0, 1)) for k, r, s in self.rays + other.rays), self.coords)
+            ((r, (s, 0, 1)) for r, s in self.rays + other.rays), self.coords)
 
     def least_difference(self, other: "RayStepFunction") -> Verdict:
         """Equal, or Distinct at the least point of S where the two
@@ -337,10 +342,10 @@ class RayStepFunction:
         difference, whose first jump there is its value, so its sign is
         the order."""
         diff = RayStepFunction._fold(
-            [(k, r, (s, 0, 1)) for k, r, s in self.rays]
-            + [(k, r, (s, 0, -1)) for k, r, s in other.rays], self.coords)
+            [(r, (s, 0, 1)) for r, s in self.rays]
+            + [(r, (s, 0, -1)) for r, s in other.rays], self.coords)
         coords, best, order = self.coords, None, Ordering.EQUAL
-        for _, rep, steps in diff.rays:
+        for rep, steps in diff.rays:
             b, n, _ = steps.jumps[0]
             cand = coords.mul(coords.witness_power(b), rep)
             if best is None or coords.compare(cand, best) is Ordering.LESS:
@@ -350,7 +355,7 @@ class RayStepFunction:
     def fmt(self) -> str:
         if not self.rays:
             return "{0}"
-        parts = [f"ray({self.coords.fmt(rep)}): {steps.fmt()}" for _, rep, steps in self.rays]
+        parts = [f"ray({self.coords.fmt(rep)}): {steps.fmt()}" for rep, steps in self.rays]
         return "{" + "; ".join(parts) + "}"
 
 
@@ -482,10 +487,9 @@ class _Shape(BaseFunction):
 
     @property
     def _start(self) -> tuple:
-        """(ray key, ray representative, index) of the origin."""
+        """(ray representative, index) of the origin."""
         if self._origin is None:
-            rep, i = self.coords.ray_decompose(self.coords.identity())
-            self._origin = self.coords.key(rep), rep, i
+            self._origin = self.coords.ray_decompose(self.coords.identity())
         return self._origin
 
     @property
@@ -494,7 +498,7 @@ class _Shape(BaseFunction):
         ray where a rational atom is not 0, built from its one or two
         changes: to the value v, and past a point back to 0."""
         if self._ray is None:
-            _, rep, i0 = self._start
+            rep, i0 = self._start
             v = self.fiber_value
             n, d = v.numerator, v.denominator
             changes = self.changes(i0) if n else ()
@@ -559,17 +563,18 @@ class ThresholdFn(_Shape):
         return ((i0, self.fiber_value),)
 
     def value(self, rel: Any) -> Any:
-        key, _, i0 = self._start
+        rep0, i0 = self._start
         rep, i = self.coords.ray_decompose(rel)
-        if i >= i0 and self.coords.key(rep) == key:
+        if i >= i0 and rep == rep0:
             return self.fiber_value
         return self.fiber.identity()
 
 
 class Atom:
     """A base function together with a shift by a top-group coordinate
-    and an integer exponent; equal by value.  A slotted class, not a
-    frozen dataclass: a verify-rational pass builds over 200k atoms."""
+    and an integer exponent; equal by value, the function by its
+    ``key``, as ``_push`` merges atoms.  A slotted class, not a frozen
+    dataclass: a verify-rational pass builds over 200k atoms."""
 
     __slots__ = ("fn", "shift", "exp")
 
@@ -581,10 +586,10 @@ class Atom:
     def __eq__(self, other: object) -> bool:
         if type(other) is not Atom:
             return NotImplemented
-        return (self.fn, self.shift, self.exp) == (other.fn, other.shift, other.exp)
+        return (self.fn.key(), self.shift, self.exp) == (other.fn.key(), other.shift, other.exp)
 
     def __hash__(self) -> int:
-        return hash((self.fn, self.shift, self.exp))
+        return hash((self.fn.key(), self.shift, self.exp))
 
     def __repr__(self) -> str:
         return f"Atom(fn={self.fn!r}, shift={self.shift!r}, exp={self.exp!r})"
@@ -654,8 +659,7 @@ class WreathGroup:
         self.fiber = fiber
         self.form = form
         self.tail_kind = tail_kind
-        self._identity: WreathElement | None = None
-        self._top_identity_key = coords.key(coords.identity())
+        self._identity = WreathElement(self, coords.identity(), ())
 
     # -- construction ---------------------------------------------------
 
@@ -663,8 +667,6 @@ class WreathGroup:
         return WreathElement(self, top, self._reduce(atoms))
 
     def identity(self) -> WreathElement:
-        if self._identity is None:
-            self._identity = WreathElement(self, self.coords.identity(), ())
         return self._identity
 
     def top_element(self, k: Any) -> WreathElement:
@@ -708,7 +710,7 @@ class WreathGroup:
         while True:
             if a.exp == 0 or a.fn.is_trivial:
                 return
-            if not out or self.coords.key(out[-1].shift) != self.coords.key(a.shift):
+            if not out or out[-1].shift != a.shift:
                 out.append(a)
                 return
             prev = out[-1]
@@ -747,7 +749,7 @@ class WreathGroup:
 
     def _shifted(self, atoms: tuple[Atom, ...], t: Any) -> tuple[Atom, ...]:
         """The atoms with each shift times t; they stay reduced."""
-        if self.coords.key(t) == self._top_identity_key:
+        if t == self._identity.top:
             return atoms
         return tuple(Atom(a.fn, self.coords.mul(a.shift, t), a.exp) for a in atoms)
 
@@ -800,17 +802,12 @@ class WreathGroup:
         return WreathElement(self, ti, atoms)
 
     def pow(self, x: WreathElement, n: int) -> WreathElement:
-        if n and self.coords.key(x.top) == self._top_identity_key:
-            # with the top trivial the base powers pointwise, so one atom,
-            # or atoms that commute, multiply their exponents and stay reduced
-            if len(x.atoms) == 1:
-                self._same(x)
-                (a,) = x.atoms
-                return WreathElement(self, x.top, (Atom(a.fn, a.shift, a.exp * n),))
-            if self._atoms_commute(x.atoms):
-                self._same(x)
-                return WreathElement(self, x.top, tuple(
-                    [Atom(a.fn, a.shift, a.exp * n) for a in x.atoms]))
+        if n and x.top == self._identity.top and self._atoms_commute(x.atoms):
+            # with the top trivial the base powers pointwise, so atoms that
+            # commute multiply their exponents and stay reduced
+            self._same(x)
+            return WreathElement(self, x.top, tuple(
+                [Atom(a.fn, a.shift, a.exp * n) for a in x.atoms]))
         if n < 0:
             return self.pow(self.inv(x), -n)
         out = self.identity()
@@ -824,18 +821,20 @@ class WreathGroup:
         return out
 
     def _atoms_commute(self, atoms: tuple[Atom, ...]) -> bool:
-        """Whether pow may multiply the atoms' exponents: never on a tail
-        level (W and DZ print their atoms, so their pow stays the mul
+        """Whether pow may multiply the atoms' exponents: always for a lone
+        atom, which commutes with itself; never for two or more atoms on a
+        tail level (W and DZ print their atoms, so their pow stays the mul
         fold); otherwise when the fiber is Q, so the base is abelian, or
         when the atoms are points at pairwise distinct shifts, so their
         supports are disjoint."""
+        if len(atoms) < 2:
+            return True
         if self.tail_kind is not None:
             return False
         if self.fiber is RATIONALS:
             return True
-        key = self.coords.key
         return (all(type(a.fn) is PointFn for a in atoms)
-                and len({key(a.shift) for a in atoms}) == len(atoms))
+                and len({a.shift for a in atoms}) == len(atoms))
 
     def conj(self, x: WreathElement, y: WreathElement) -> WreathElement:
         if y.atoms:
@@ -932,7 +931,7 @@ class WreathGroup:
         compares their canonical forms, a tail level applies its tail
         criterion to x * y^-1.  Requires equal tops."""
         self._same(x, y)
-        if self.coords.key(x.top) != self.coords.key(y.top):
+        if x.top != y.top:
             raise ValueError("min_difference requires equal tops")
         if self.tail_kind is None:
             return self.base_canonical(x).least_difference(self.base_canonical(y))
@@ -981,7 +980,7 @@ class WreathGroup:
         self._same(x, y)
         if x is y:
             return True
-        if self.coords.key(x.top) != self.coords.key(y.top):
+        if x.top != y.top:
             return False
         if self.tail_kind is None:
             return self.base_canonical(x).key() == self.base_canonical(y).key()
@@ -991,7 +990,7 @@ class WreathGroup:
         if x is self._identity:
             return True
         self._same(x)
-        if self.coords.key(x.top) != self._top_identity_key:
+        if x.top != self._identity.top:
             return False
         if self.tail_kind is None:
             return self.base_canonical(x).is_trivial
@@ -1010,17 +1009,18 @@ class WreathGroup:
     # -- fiber protocol (so a wreath group can be the fiber of the next level)
 
     def key(self, x: WreathElement) -> tuple:
-        return (self.coords.key(x.top), self.base_canonical(x).key())
+        return (x.top, self.base_canonical(x).key())
 
     def fmt(self, x: WreathElement) -> str:
-        top_is_identity = self.coords.key(x.top) == self._top_identity_key
+        one = self._identity.top
+        top_is_identity = x.top == one
         if self.tail_kind is None:
             cstr = self.base_canonical(x).fmt()
             return cstr if top_is_identity else f"{self.coords.fmt(x.top)} * {cstr}"
         parts = [] if top_is_identity else [self.coords.fmt(x.top)]
         for a in x.atoms:
             s = a.fn.fmt()
-            if self.coords.key(a.shift) != self._top_identity_key:
+            if a.shift != one:
                 s += f"[{self.coords.fmt(a.shift)}]"
             if a.exp != 1:
                 s += f"^{a.exp}"

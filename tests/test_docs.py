@@ -1,6 +1,7 @@
 """The README's library map names only what the library defines, its form
-protocol only what every form class offers, and its examples show what
-the command line prints."""
+protocol only what every form class offers, its S contract exactly the
+operations ``select_S`` checks, and its examples show what the command
+line prints."""
 
 import importlib
 import inspect
@@ -80,6 +81,16 @@ def test_every_form_class_offers_the_readme_protocol():
     for cls in (StepFunction, RayStepFunction, FiberSteps):
         missing = [n for n in names if not hasattr(cls, n)]
         assert not missing, (cls.__name__, missing)
+
+
+def test_the_readme_s_contract_is_s_operations():
+    from wreathord.nilpotent import S_OPERATIONS
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    contract = re.search(r"S must offer every operation in "
+                         r"`wreathord\.nilpotent\.S_OPERATIONS`: (.*?)\. ", text)
+    assert contract, "README states no S contract"
+    names = [re.sub(r"\(.*\)$", "", n) for n in re.findall(r"`([^`]*)`", contract.group(1))]
+    assert tuple(names) == S_OPERATIONS
 
 
 def _examples() -> list[tuple[list[str], list[str]]]:

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import unit_letters
-from wreathord.embed_rationals import g_word_element
+from wreathord.embed_rationals import _order_family_checks, g_word_element, random_g_word
 from wreathord.groundwork import Ordering
 from wreathord.nilpotent import UnsupportedWordSet, VerbalWitness, Word, eval_word, select_S
+from wreathord.reporting import run_checks
 from wreathord.wreath import WreathGroup
 from wreathord.embed_verbal import (
     ConstructionViolation,
@@ -180,6 +181,29 @@ def test_power_word_context_embedding():
                     ZTX.embed(Fraction(5, 6)))
 
 
+@pytest.mark.parametrize("ctx", [CTX, ZTX], ids=["[x1,x2]", "x1^2"])
+def test_the_order_laws_hold_on_every_verbal_level(ctx):
+    def half_with_trivial_top(group, sample):
+        # comparisons of two trivial tops reach the base
+        def sampler(rng):
+            x = sample(rng)
+            return group.element(group.identity().top, x.atoms) if rng.random() < 0.5 else x
+        return sampler
+
+    def omega_word(rng):
+        return g_word_element(random_g_word(rng, max_len=3, gen="omega"), ctx.omega())
+
+    checks = []
+    for name, group, sample in (("qs", ctx.QS, ctx.random_t_element),
+                                ("tc", ctx.TC, ctx.random_d_element),
+                                ("dz", ctx.DZ, omega_word)):
+        family = _order_family_checks(name, half_with_trivial_top(group, sample), group, 0)
+        checks += [(n, check) for n, check in family if not n.endswith("-brute-agreement")]
+    report = run_checks("orders", 7, 40, checks)
+    assert len(report.checks) == 6
+    assert report.all_pass, [c for c in report.checks if c.status != "pass"]
+
+
 def test_verify_theorem2_small_budget_both_families():
     for family in ("[x1,x2]", "x1^2"):
         report = verify_theorem2(family, seed=5, budget=16)
@@ -195,19 +219,16 @@ def test_the_omega_commutator_oracle_scans_its_whole_window(monkeypatch, ctx):
     from collections import defaultdict
     from wreathord.wreath import WreathGroup
 
-    def signature(x):
-        return tuple((a.fn.key(), a.shift, a.exp) for a in x.atoms)
-
     seen = defaultdict(set)
     windows = defaultdict(set)
     atom_values = WreathGroup.atom_values
 
     def recording(self, x, coords):
         if self is ctx.DZ and type(coords) is range:
-            windows[signature(x)].add(coords)
+            windows[x.atoms].add(coords)
         for c, v in zip(coords, atom_values(self, x, coords)):
             if self is ctx.DZ:
-                seen[signature(x)].add(c)
+                seen[x.atoms].add(c)
             yield v
 
     monkeypatch.setattr(WreathGroup, "atom_values", recording)
@@ -220,8 +241,8 @@ def test_the_omega_commutator_oracle_scans_its_whole_window(monkeypatch, ctx):
                 raw = DZ.comm(DZ.conj(ctx.omega(), ctx.z_elem(-(1 << n))),
                               DZ.conj(ctx.omega(), ctx.z_elem(-(1 << m))))
                 hi = 1 << (max(n, m) + 2)
-                assert seen[signature(raw)] >= set(range(-hi, hi + 1))
-                assert range(-hi, hi + 1) in windows[signature(raw)]
+                assert seen[raw.atoms] >= set(range(-hi, hi + 1))
+                assert range(-hi, hi + 1) in windows[raw.atoms]
                 total += 2 * hi + 1
     assert total == 57448
 
@@ -269,7 +290,7 @@ def test_unsupported_word_family():
 
 class _ListedS:
     """S = Z with plain int elements, offering only identity, mul, inv,
-    pow, compare, is_identity, is_positive, key_of and ray_decompose."""
+    pow, compare and ray_decompose."""
 
     def identity(self):
         return 0
@@ -286,28 +307,16 @@ class _ListedS:
     def compare(self, x, y):
         return Ordering.of(x, y)
 
-    def is_identity(self, x):
-        return x == 0
-
-    def is_positive(self, x):
-        return x > 0
-
-    def key_of(self, x):
-        return x
-
     def ray_decompose(self, s, a):
         i = s // a
         return s - i * a, i
 
 
 class _IntegerS(_ListedS):
-    """The same S with equal, fmt and nilpotency_class as well: the whole
-    S contract.  An int has no fmt method of its own."""
+    """The same S with fmt and nilpotency_class as well: the whole S
+    contract.  An int has no fmt method of its own."""
 
     nilpotency_class = 1
-
-    def equal(self, x, y):
-        return x == y
 
     def fmt(self, x):
         return f"t^{x}"
@@ -327,7 +336,7 @@ class _Squares:
 
 def test_a_plugin_S_without_the_whole_contract_is_rejected():
     with pytest.raises(UnsupportedWordSet,
-                       match=r"^word family 'x1\^2 in Z': S lacks equal, fmt, nilpotency_class$"):
+                       match=r"^word family 'x1\^2 in Z': S lacks fmt, nilpotency_class$"):
         select_S(_Squares(_ListedS()))
 
 

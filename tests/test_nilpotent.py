@@ -70,7 +70,7 @@ def test_eval_word_agrees_with_heisenberg_on_short_words():
     for length in range(0, 7):
         for combo in product(letters_pool, repeat=length):
             w = Word(tuple(combo))
-            got = eval_word(w, (X1, X2))
+            got = eval_word(w, (X1, X2), G2)
             e1, e2, f = heisenberg_coords(combo)
             assert (got.gens, got.comms) == ((e1, e2), (f,))
             count += 1
@@ -79,12 +79,12 @@ def test_eval_word_agrees_with_heisenberg_on_short_words():
 
 def test_eval_word_examples():
     comm = Word.commutator(Word(((1, 1),)), Word(((2, 1),)))
-    assert eval_word(comm, (X1, X2)) == G2.element((0, 0), (1,))
+    assert eval_word(comm, (X1, X2), G2) == G2.element((0, 0), (1,))
     g = G2.element((2, 1), (3,))
-    assert eval_word(Word.power(1, 3), (g,)) == G2.pow(g, 3)
-    assert eval_word(comm, (g, g)) == G2.identity()
+    assert eval_word(Word.power(1, 3), (g,), G2) == G2.pow(g, 3)
+    assert eval_word(comm, (g, g), G2) == G2.identity()
     with pytest.raises(ValueError):
-        eval_word(comm, (X1,))
+        eval_word(comm, (X1,), G2)
 
 
 def test_compare_examples():

@@ -342,14 +342,15 @@ def test_ray_fold_matches_evaluation(data):
         for d in (-1, 0, 1):
             s = sc.mul(sc.witness_power(d), a.shift)
             assert rs.value(s) == ctx.QS.eval(el, s)
-    # canonical: rays sorted by key, each nonzero, with distinct adjacent
-    # values and keyed by a representative at index 0 of its own ray
-    keys = [k for k, _, _ in rs.rays]
-    assert keys == sorted(set(keys))
-    for key, rep, steps in rs.rays:
+    # canonical: distinct representatives sorted by sc.compare, each at
+    # index 0 of its own ray, and each ray nonzero with distinct adjacent
+    # values
+    reps = [rep for rep, _ in rs.rays]
+    assert all(sc.compare(r, s) is Ordering.LESS for r, s in zip(reps, reps[1:]))
+    for rep, steps in rs.rays:
         assert not steps.is_trivial
         assert all(u != v for u, v in zip((0,) + steps.values, steps.values))
-        assert sc.ray_decompose(rep) == (rep, 0) and sc.key(rep) == key
+        assert sc.ray_decompose(rep) == (rep, 0)
     shuffled = ctx.QS.element(sc.identity(), data.draw(st.permutations(atoms)))
     assert ctx.QS.base_canonical(shuffled) == rs
 
@@ -945,9 +946,7 @@ def _level_elements(level: str, rng: Random):
 
 
 def _same_element(group, fast, generic) -> None:
-    assert group.coords.key(fast.top) == group.coords.key(generic.top)
-    key = lambda x: tuple((a.fn.key(), group.coords.key(a.shift), a.exp) for a in x.atoms)
-    assert key(fast) == key(generic)
+    assert fast.top == generic.top and fast.atoms == generic.atoms
     assert group.equal(fast, generic)
     assert group.fmt(fast) == group.fmt(generic)
 
@@ -987,6 +986,9 @@ def test_atoms_are_slotted_values():
     assert len({a, Atom(fn, 2, -1)}) == 1
     assert not hasattr(a, "__dict__")
     assert repr(a) == f"Atom(fn={fn!r}, shift=2, exp=-1)"
+    # two functions built apart are equal by value
+    p, q = QC.point(Fraction(1, 2)).atoms[0], QC.point(Fraction(1, 2)).atoms[0]
+    assert p.fn is not q.fn and p == q and hash(p) == hash(q)
 
 
 def test_mul_with_an_atomless_side_matches_the_product():
