@@ -341,7 +341,7 @@ def brute_confirms(x: WreathElement, y: WreathElement, window: int) -> bool:
     hi = window if v.is_equal else min(window, v.witness - 1)
     scan = range(-window, hi + 1)
     for vx, vy in zip(group.atom_values(x, scan), group.atom_values(y, scan)):
-        if not group.fiber.equal(vx, vy):
+        if vx != vy:
             return False
     if v.is_equal:
         return o is Ordering.EQUAL

@@ -138,9 +138,6 @@ class OmegaFn(BaseFunction):
             p <<= 1
         return out
 
-    def key(self) -> tuple:
-        return ("omega", self.ctx.family_key)
-
     def tail_identity(self, group, element, tails, finites) -> tuple:
         # Away from the finitely many collision coordinates (where two
         # distinct shift groups are active at once: k1 + 2^a = k2 + 2^b

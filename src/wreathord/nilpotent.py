@@ -312,16 +312,9 @@ class Nil2Group:
     def comm(self, x: MalcevElement, y: MalcevElement) -> MalcevElement:
         return self.mul(self.mul(self.inv(x), self.inv(y)), self.mul(x, y))
 
-    def equal(self, x: MalcevElement, y: MalcevElement) -> bool:
-        self._check(x, y)
-        return x == y
-
     def compare(self, x: MalcevElement, y: MalcevElement) -> Ordering:
         self._check(x, y)
         return Ordering.of((x.gens, x.comms), (y.gens, y.comms))
-
-    def is_positive(self, x: MalcevElement) -> bool:
-        return self.compare(x, self.identity()) is Ordering.GREATER
 
     def fmt(self, x: MalcevElement) -> str:
         return x.fmt()

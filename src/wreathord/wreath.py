@@ -26,11 +26,12 @@ equal tops by one exact route, the same for every pair:
    well-ordered support, so a form is the identity below its first
    break and keeps only its changes; that is what gives two forms a
    least difference.  The step and fiber-step forms share one step
-   core, which reads the values' equality from their fiber; a ray-step
-   form is one step fold per ray.  The three form classes share one
-   protocol (``of_atoms``, ``is_trivial``, ``key``, ``least_difference``,
-   ``fmt``): a level names its class, and ``least_difference`` returns
-   the order there too, read in the same walk;
+   core, which compares the values by ``==``; a ray-step form is one
+   step fold per ray.  The three form classes share one protocol
+   (``of_atoms``, ``is_trivial``, ``least_difference``, ``fmt``) and
+   compare and hash by value: a level names its class, and
+   ``least_difference`` returns the order there too, read in the same
+   walk;
 2. a tail level (W and D Wr Z) keeps no forms and applies an exact tail
    criterion to x * y^-1, a product of shifted powers of its tail atom
    and point atoms.  Each tail atom kind names finitely many candidate
@@ -48,10 +49,12 @@ equal tops by one exact route, the same for every pair:
    bi-invariant, so v > 1 exactly when f > g.
 
 So ``Equal`` and ``Distinct`` are the only verdicts produced, each with
-its order, and ``compare`` of equal tops reads it off; a level
-given an atom its route cannot read raises TypeError instead of
-guessing.  ``WreathGroup.certified`` replaces a tail product known to
-equal a point function by that point atom, once it has decided so.
+its order, and ``compare`` of equal tops reads it off; a level given an
+atom its route cannot read raises TypeError instead of guessing.  An
+element's ``==`` is its level's ``equal``, and a form level's elements
+hash by top and form, as the values of the next level's fiber.
+``WreathGroup.certified`` replaces a tail product known to equal a
+point function by that point atom, once it has decided so.
 
 ``eval`` and ``atom_values`` (at many coordinates) read a product's
 values from its atoms, never from a form, which answers equality and
@@ -81,6 +84,10 @@ class ConstructionViolation(Exception):
     """An identity the construction guarantees failed to verify."""
 
 
+# the most atoms pow's fold may hold, where every squaring may double them
+POW_ATOMS = 1 << 16
+
+
 # ----------------------------------------------------------------------
 # canonical extensional forms
 # ----------------------------------------------------------------------
@@ -90,8 +97,8 @@ class _Steps:
     its first break and changes value finitely often: ``value(i)`` is
     ``values[j]`` for ``breaks[j] <= i < breaks[j+1]``, and the right
     tail is the last value.  Canonical form (adjacent values distinct,
-    the first not the identity) makes equality structural.  Equality,
-    identity and formatting of the values come from ``fiber``.
+    the first not the identity) makes equality structural.  Values
+    compare by ``==``; identity, order and formatting come from ``fiber``.
     """
 
     __slots__ = ()
@@ -105,7 +112,7 @@ class _Steps:
         breaks: list[int] = []
         values: list[Any] = []
         for b, v in sorted(changes, key=itemgetter(0)):
-            if not fiber.equal(v, running):
+            if v != running:
                 breaks.append(b)
                 values.append(v)
                 running = v
@@ -125,12 +132,11 @@ class _Steps:
         break lists.  Both forms are canonical, so they agree below the
         first place where their (break, value) lists differ, and differ at
         the lesser of the two breaks there."""
-        fiber = self.fiber
         for (b, v), (c, w) in zip_longest(zip(self.breaks, self.values),
                                           zip(other.breaks, other.values), fillvalue=(inf, None)):
-            if b != c or not fiber.equal(v, w):
+            if b != c or v != w:
                 at = min(b, c)
-                return Verdict.distinct(at, fiber.compare(self.value(at), other.value(at)))
+                return Verdict.distinct(at, self.fiber.compare(self.value(at), other.value(at)))
         return Verdict.equal()
 
     def fmt(self) -> str:
@@ -256,9 +262,6 @@ class StepFunction(_Steps):
                 return Verdict.distinct(c, Ordering.of(n1 * d2, n2 * d1))
         return Verdict.equal()
 
-    def key(self) -> "StepFunction":
-        return self
-
     def add(self, other: "StepFunction") -> "StepFunction":
         return StepFunction.fold(((self, 0, 1), (other, 0, 1)))
 
@@ -322,9 +325,6 @@ class RayStepFunction:
     def is_trivial(self) -> bool:
         return not self.rays
 
-    def key(self) -> "RayStepFunction":
-        return self
-
     def value(self, s: Any) -> Rational:
         rep, i = self.coords.ray_decompose(s)
         for r, steps in self.rays:
@@ -365,13 +365,20 @@ class FiberSteps(_Steps):
     all points and thresholds.  The fiber need not be abelian, so
     products keep their factors' order."""
 
-    __slots__ = ("fiber", "breaks", "values", "_key")
+    __slots__ = ("fiber", "breaks", "values")
 
     def __init__(self, fiber, breaks: tuple[int, ...], values: tuple):
         self.fiber = fiber
         self.breaks = breaks
         self.values = values
-        self._key = None
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not FiberSteps:
+            return NotImplemented
+        return self.breaks == other.breaks and self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash((self.breaks, self.values))
 
     @staticmethod
     def make(fiber, changes: Iterable[tuple[int, Any]]) -> "FiberSteps":
@@ -390,11 +397,6 @@ class FiberSteps(_Steps):
         f = self.fiber
         merged = sorted(set(self.breaks) | set(other.breaks))
         return FiberSteps.make(f, [(b, f.mul(self.value(b), other.value(b))) for b in merged])
-
-    def key(self) -> tuple:
-        if self._key is None:
-            self._key = (self.breaks, tuple(self.fiber.key(v) for v in self.values))
-        return self._key
 
     def finite_support_pairs(self) -> list[tuple[int, Any]]:
         """(coordinate, value) for every coordinate with nontrivial value;
@@ -419,8 +421,9 @@ class BaseFunction:
 
     Subclasses report the value at any (unshifted) coordinate.  The two
     extensional shapes, PointFn and ThresholdFn, also state their value
-    changes and ray form for the form levels; the tail kinds (AlphaFn,
-    OmegaFn) expose their tail criterion instead.
+    changes and ray form for the form levels and are equal by value; the
+    tail kinds (AlphaFn, OmegaFn), one object per level, expose their
+    tail criterion instead and are equal by identity.
     """
 
     name = "?"
@@ -461,9 +464,6 @@ class BaseFunction:
         the two collapse to a single atom; None when no merge applies."""
         return None
 
-    def key(self) -> tuple:
-        return (self.name,)
-
     def fmt(self) -> str:
         return self.name
 
@@ -481,7 +481,6 @@ class _Shape(BaseFunction):
         self.fiber = fiber
         self.coords = coords
         self._trivial: bool | None = None
-        self._key: tuple | None = None
         self._origin: tuple | None = None
         self._ray: tuple | None = None
 
@@ -511,10 +510,13 @@ class _Shape(BaseFunction):
             self._trivial = self.fiber.is_identity(self.fiber_value)
         return self._trivial
 
-    def key(self) -> tuple:
-        if self._key is None:
-            self._key = self.name, self.fiber.key(self.fiber_value)
-        return self._key
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.fiber_value == other.fiber_value
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.fiber_value))
 
     def fmt(self) -> str:
         return f"{self.name}({self.fiber.fmt(self.fiber_value)})"
@@ -572,9 +574,9 @@ class ThresholdFn(_Shape):
 
 class Atom:
     """A base function together with a shift by a top-group coordinate
-    and an integer exponent; equal by value, the function by its
-    ``key``, as ``_push`` merges atoms.  A slotted class, not a frozen
-    dataclass: a verify-rational pass builds over 200k atoms."""
+    and an integer exponent; equal by value, as ``_push`` merges atoms.
+    A slotted class, not a frozen dataclass: a verify-rational pass
+    builds over 200k atoms."""
 
     __slots__ = ("fn", "shift", "exp")
 
@@ -586,10 +588,10 @@ class Atom:
     def __eq__(self, other: object) -> bool:
         if type(other) is not Atom:
             return NotImplemented
-        return (self.fn.key(), self.shift, self.exp) == (other.fn.key(), other.shift, other.exp)
+        return (self.fn, self.shift, self.exp) == (other.fn, other.shift, other.exp)
 
     def __hash__(self) -> int:
-        return hash((self.fn.key(), self.shift, self.exp))
+        return hash((self.fn, self.shift, self.exp))
 
     def __repr__(self) -> str:
         return f"Atom(fn={self.fn!r}, shift={self.shift!r}, exp={self.exp!r})"
@@ -600,7 +602,9 @@ class Atom:
 # ----------------------------------------------------------------------
 
 class WreathElement:
-    """top * base, with the base a formal product of shifted atoms.
+    """top * base, with the base a formal product of shifted atoms;
+    ``==`` is the level's ``equal``, and only a form level's element
+    hashes (by its top and form).
 
     The cached canonical form (on a form level) is deterministically
     recomputable, so concurrent readers either miss (and recompute the
@@ -633,6 +637,16 @@ class WreathElement:
     def __pow__(self, n: int) -> "WreathElement":
         return self.group.pow(self, n)
 
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not WreathElement or other.group is not self.group:
+            return NotImplemented
+        return self.group.equal(self, other)
+
+    def __hash__(self) -> int:
+        if self.group.tail_kind is not None:
+            raise TypeError(f"unhashable {self.group.name} element: the level keeps no forms")
+        return hash((self.top, self.group.base_canonical(self)))
+
     def __repr__(self) -> str:
         return f"<{self.group.name}: {self.group.fmt(self)}>"
 
@@ -643,11 +657,11 @@ class WreathGroup:
 
     A form level names ``form``, the class of its canonical base forms
     (StepFunction, RayStepFunction or FiberSteps), each offering
-    ``of_atoms``, ``is_trivial``, ``least_difference``, ``key`` and
-    ``fmt``; every element has one (an atom without one raises
-    TypeError).  A tail level names ``tail_kind`` instead and keeps no
-    forms: it applies the tail criterion to x * y^-1, a product of its
-    tail atom's shifted powers and point atoms, so ``key`` raises on it.
+    ``of_atoms``, ``is_trivial``, ``least_difference`` and ``fmt``;
+    every element has one (an atom without one raises TypeError).  A
+    tail level names ``tail_kind`` instead and keeps no forms: it
+    applies the tail criterion to x * y^-1, a product of its tail atom's
+    shifted powers and point atoms.
     Either route's verdict carries the order at the least difference, so
     ``compare`` of equal tops is ``min_difference(x, y).order``.
     """
@@ -714,7 +728,7 @@ class WreathGroup:
                 out.append(a)
                 return
             prev = out[-1]
-            if prev.fn.key() == a.fn.key():
+            if prev.fn == a.fn:
                 out.pop()
                 e = prev.exp + a.exp
                 if e:
@@ -818,6 +832,8 @@ class WreathGroup:
             n >>= 1
             if n:
                 base = self.mul(base, base)
+            if len(out.atoms) > POW_ATOMS or len(base.atoms) > POW_ATOMS:
+                raise ValueError(f"{self.name}: power holds over {POW_ATOMS} atoms")
         return out
 
     def _atoms_commute(self, atoms: tuple[Atom, ...]) -> bool:
@@ -983,7 +999,7 @@ class WreathGroup:
         if x.top != y.top:
             return False
         if self.tail_kind is None:
-            return self.base_canonical(x).key() == self.base_canonical(y).key()
+            return self.base_canonical(x) == self.base_canonical(y)
         return not self._tail_identity(self.mul(x, self.inv(y)))
 
     def is_identity(self, x: WreathElement) -> bool:
@@ -1003,13 +1019,7 @@ class WreathGroup:
             return o
         return self.min_difference(x, y).order
 
-    def is_positive(self, x: WreathElement) -> bool:
-        return self.compare(x, self.identity()) is Ordering.GREATER
-
-    # -- fiber protocol (so a wreath group can be the fiber of the next level)
-
-    def key(self, x: WreathElement) -> tuple:
-        return (x.top, self.base_canonical(x).key())
+    # -- printing ---------------------------------------------------------
 
     def fmt(self, x: WreathElement) -> str:
         one = self._identity.top

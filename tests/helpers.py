@@ -24,7 +24,7 @@ def brute_least_difference(x: WreathElement, y: WreathElement,
     functions differ, by direct evaluation."""
     group = x.group
     for j in range(-window, window + 1):
-        if not group.fiber.equal(group.eval(x, j), group.eval(y, j)):
+        if group.eval(x, j) != group.eval(y, j):
             return j
     return None
 
@@ -47,9 +47,7 @@ def confirm_verdict(x: WreathElement, y: WreathElement, verdict,
     group = x.group
     if verdict.is_equal:
         return brute_least_difference(x, y, window) is None
-    return not group.fiber.equal(
-        group.eval(x, verdict.witness), group.eval(y, verdict.witness)
-    )
+    return group.eval(x, verdict.witness) != group.eval(y, verdict.witness)
 
 
 def atom_by_atom_form(group, atoms) -> FiberSteps:
@@ -233,6 +231,6 @@ def bisect_least_difference(f, g) -> int | None:
         return fiber.identity() if idx < 0 else s.values[idx]
 
     for b in sorted(set(f.breaks) | set(g.breaks)):
-        if not fiber.equal(value(f, b), value(g, b)):
+        if value(f, b) != value(g, b):
             return b
     return None

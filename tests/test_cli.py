@@ -386,6 +386,39 @@ def test_build_element_embedded_rational_word():
     assert W.equal(el, phi_element(Fraction(2, 3)))
 
 
+def test_a_power_holds_the_atoms_it_folds_to():
+    # pow's bound counts the atoms held, not len(atoms) * |n|: this power
+    # telescopes to two atoms, and the doubling one holds 2n
+    _, el = build_element(parse_expr("(pow (* z alpha (pow shift(alpha,-1) -1)) 1000000000000)"))
+    assert len(el.atoms) == 2
+    _, el = build_element(parse_expr("(pow (* alpha shift(alpha,1)) 4096)"))
+    assert len(el.atoms) == 8192
+
+
+def test_a_power_past_the_atom_bound_is_a_usage_error():
+    # every squaring doubles two alpha atoms that do not commute; run with
+    # its address space capped and a timeout, so an unbounded fold fails
+    # fast here instead of filling the machine
+    import os
+    import resource
+    import subprocess
+    import sys
+    from pathlib import Path
+    from wreathord.wreath import POW_ATOMS
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    done = subprocess.run([sys.executable, "-m", "wreathord", "cmp",
+                           "(pow (* alpha shift(alpha,1)) 99999999999999)", "alpha"],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=120,
+                          preexec_fn=cap)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", f"error: W: power holds over {POW_ATOMS} atoms\n")
+
+
 def test_run_cmp_phi_words():
     status, out = run_command(Command(
         "cmp",

@@ -1,7 +1,8 @@
 """The README's library map names only what the library defines, its form
-protocol only what every form class offers, its S contract exactly the
-operations ``select_S`` checks, and its examples show what the command
-line prints."""
+protocol exactly what every form class offers, its fiber protocol only
+what every fiber offers, its S contract exactly the operations
+``select_S`` checks, and its examples show what the command line
+prints."""
 
 import importlib
 import inspect
@@ -77,10 +78,25 @@ def test_every_form_class_offers_the_readme_protocol():
     protocol = re.search(r"share one protocol \(([^)]*)\)", text)
     assert protocol, "README names no form protocol"
     names = re.findall(r"`(\w+)`", protocol.group(1))
-    assert len(names) >= 5, names
+    assert names == ["of_atoms", "is_trivial", "least_difference", "fmt"], names
     for cls in (StepFunction, RayStepFunction, FiberSteps):
         missing = [n for n in names if not hasattr(cls, n)]
         assert not missing, (cls.__name__, missing)
+
+
+def test_every_fiber_offers_the_readme_fiber_protocol():
+    from wreathord.embed_rationals import QC
+    from wreathord.embed_verbal import get_context
+    from wreathord.groundwork import RATIONALS
+    ctx = get_context("[x1,x2]")
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    protocol = re.search(r"A fiber offers \w+ operations \(([^)]*)\)", text)
+    assert protocol, "README states no fiber protocol"
+    names = re.findall(r"`(\w+)`", protocol.group(1))
+    assert names, protocol.group(0)
+    for fiber in (RATIONALS, QC, ctx.QS, ctx.TC):
+        missing = [n for n in names if not hasattr(fiber, n)]
+        assert not missing, (fiber, missing)
 
 
 def test_the_readme_s_contract_is_s_operations():

@@ -106,7 +106,7 @@ def test_enumerate_d_deterministic_across_contexts():
         a, b = CTX.enumerate_D(k), fresh.enumerate_D(k)
         assert a.top == b.top
         for j in range(-4, 5):
-            assert CTX.QS.key(a.eval(j)) == fresh.QS.key(b.eval(j))
+            assert CTX.QS.fmt(a.eval(j)) == fresh.QS.fmt(b.eval(j))
 
 
 def test_omega_values():
@@ -448,8 +448,7 @@ def test_enumerate_d_reaches_hand_built_words():
     for letters, product in words:
         assert TC.equal(CTX.enumerate_D(_d_index(CTX, letters)), product)
     # the first even indices: c, c^-1, c^2, pi(t_0) with t_0 = x1
-    assert [TC.key(CTX.enumerate_D(k)) for k in (2, 4, 6)] == [
-        TC.key(CTX.c_elem(e)) for e in (1, -1, 2)]
+    assert [CTX.enumerate_D(k) for k in (2, 4, 6)] == [CTX.c_elem(e) for e in (1, -1, 2)]
     assert TC.equal(CTX.enumerate_D(8), CTX.pi(x1))
 
 
@@ -464,7 +463,7 @@ def test_enumerate_d_far_indices_are_cheap():
 def test_enumerate_d_concurrent_requests_agree():
     ks = list(range(0, 40)) + [97, 1000, 12_345, 19_171, 10 ** 5]
     reference = VerbalContext("[x1,x2]")
-    expected = {k: reference.TC.key(reference.enumerate_D(k)) for k in ks}
+    expected = {k: reference.TC.fmt(reference.enumerate_D(k)) for k in ks}
     shared = VerbalContext("[x1,x2]")
     barrier = threading.Barrier(4)
     results = [None] * 4
@@ -473,7 +472,7 @@ def test_enumerate_d_concurrent_requests_agree():
         order = list(ks)
         Random(t).shuffle(order)
         barrier.wait()
-        results[t] = {k: shared.TC.key(shared.enumerate_D(k)) for k in order}
+        results[t] = {k: shared.TC.fmt(shared.enumerate_D(k)) for k in order}
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -276,7 +276,7 @@ def test_select_power_word():
     values = {3 * g for g in range(-10, 11)}
     assert witness.element.gens[0] in values
     assert min(v for v in values if v > 0) == 3
-    assert group.is_positive(witness.element)
+    assert group.compare(witness.element, group.identity()) is Ordering.GREATER
 
 
 def test_select_commutator_word():
@@ -284,7 +284,7 @@ def test_select_commutator_word():
     assert key == "[x1,x2]"
     assert group.rank == 2
     assert witness.element == group.element((0, 0), (1,))
-    assert group.is_positive(witness.element)
+    assert group.compare(witness.element, group.identity()) is Ordering.GREATER
 
 
 def test_select_unsupported():
@@ -323,7 +323,7 @@ def test_select_reads_S_and_witness_off_any_word(letters):
         return
     group, witness, key = select_S(word)
     assert verify_witness(witness, group).all_pass
-    assert group.is_positive(witness.element)
+    assert group.compare(witness.element, group.identity()) is Ordering.GREATER
     if any(sums):
         e = abs(next(e for e in sums if e))
         assert (group.rank, witness.element.gens) == (1, (e,))

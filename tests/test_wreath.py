@@ -429,11 +429,11 @@ def test_fiber_steps_fold_matches_evaluation(data):
     # the form is read off the atoms' values, so it is also checked
     # against the product of the atoms' own forms
     reference = atom_by_atom_form(group, atoms)
-    assert form.key() == reference.key()
+    assert form == reference
     assert form.fmt() == reference.fmt()
     for a in atoms:
         for j in (a.shift - 1, a.shift, a.shift + 1):
-            assert group.fiber.equal(form.value(j), group.eval(el, j))
+            assert form.value(j) == group.eval(el, j)
 
 
 def _pi_product(ctx, k: int, seed: int) -> WreathElement:
@@ -449,7 +449,8 @@ def _pi_product(ctx, k: int, seed: int) -> WreathElement:
 
 
 def _refolds_to_key_a_pi_product(monkeypatch, ctx, k: int, seed: int) -> int:
-    """Atoms passed to RayStepFunction.of_atoms while keying _pi_product."""
+    """Atoms passed to RayStepFunction.of_atoms while building the form
+    of _pi_product."""
     el = _pi_product(ctx, k, seed)
     refolded = []
     of_atoms = RayStepFunction.of_atoms
@@ -461,7 +462,7 @@ def _refolds_to_key_a_pi_product(monkeypatch, ctx, k: int, seed: int) -> int:
 
     with monkeypatch.context() as m:
         m.setattr(RayStepFunction, "of_atoms", staticmethod(counting))
-        ctx.TC.key(el)
+        ctx.TC.base_canonical(el)
     return sum(refolded)
 
 
@@ -486,7 +487,7 @@ def test_keying_a_pi_product_makes_subcubic_s_products(monkeypatch):
         el = _pi_product(ctx, k, seed=5)
         with monkeypatch.context() as m:
             calls = _counting(m, SCoords, ("mul",))
-            ctx.TC.key(el)
+            hash(el)
         counts.append(calls["mul"])
     small, large = counts
     assert large <= 5 * small, (small, large)
@@ -522,7 +523,7 @@ def test_same_shift_thresholds_merge_into_one_atom():
         assert len(merged.atoms) == 1 and isinstance(merged.atoms[0].fn, ThresholdFn)
         unmerged = WreathElement(group, group.coords.identity(), x.atoms + y.atoms)
         for s in coords:
-            assert group.fiber.equal(group.eval(merged, s), group.eval(unmerged, s))
+            assert group.eval(merged, s) == group.eval(unmerged, s)
         assert group.equal(merged, unmerged)
     assert QC.eval(QC.mul(tau(2), tau(3)), 0) == Fraction(-5, 6)
     assert ctx.QS.eval(ctx.QS.mul(ctx.chi(1), ctx.chi(2)), sc.identity()) == Fraction(3, 2)
@@ -687,7 +688,7 @@ def assert_least_difference(x, y):
     shifts = {a.shift for el in (x, y) for a in el.atoms}
 
     def differs(j):
-        return not group.fiber.equal(group.eval(x, j), group.eval(y, j))
+        return group.eval(x, j) != group.eval(y, j)
 
     if v.is_equal:
         bad = [j for k in shifts for j in range(k - 40, k + 41) if differs(j)]
@@ -723,8 +724,11 @@ def test_omega_tail_criterion_matches_brute_force(data):
 def test_groups_satisfy_the_ordered_group_contract():
     from wreathord.groundwork import OrderedGroup
     from wreathord.nilpotent import Nil2Group
-    for group in (QC, W, Nil2Group(2)):
+    ctx = get_context("[x1,x2]")
+    for group in (QC, W, ctx.QS, ctx.TC, ctx.DZ, RATIONALS, Nil2Group(2)):
         assert isinstance(group, OrderedGroup)
+    assert [n for n in dir(OrderedGroup) if not n.startswith("_")] == [
+        "compare", "identity", "inv", "mul"]
 
 
 def test_derived_commutator_shape():
@@ -786,9 +790,10 @@ def _level_pool(name):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(["QC", "W", "QS", "TC", "DZ"]), st.data())
 def test_equality_routes_agree_on_every_level(name, data):
-    # equal, equal keys, an Equal least difference and x * y^-1 being the
-    # identity are four routes to one fact; half the pairs differ by a
-    # relator, so Equal pairs with different formal products occur
+    # equal, ==, an Equal least difference and x * y^-1 being the identity
+    # are four routes to one fact, and equal elements of a form level hash
+    # equally; half the pairs differ by a relator, so Equal pairs with
+    # different formal products occur
     group, gens, relators = _level_pool(name)
     letter = st.tuples(st.sampled_from(gens), st.sampled_from([-2, -1, 1, 2]))
 
@@ -814,11 +819,17 @@ def test_equality_routes_agree_on_every_level(name, data):
         # of the values over a window that covers the witness checks it
         window = 16 if same else max(16, abs(verdict.witness))
         assert brute_least_difference(x, y, window) == (None if same else verdict.witness)
-    try:
-        keys = group.key(x), group.key(y)
-    except ValueError:
-        return
-    assert (keys[0] == keys[1]) is same
+    assert (x == y) is same and (x != y) is not same
+    if group.tail_kind is None:
+        assert not same or hash(x) == hash(y)
+    else:
+        with pytest.raises(TypeError, match="keeps no forms"):
+            hash(x)
+    # == is per group: across two levels it is False, where equal raises
+    other = (QC if group is not QC else W).identity()
+    assert (group.identity() == other) is False and (x == other) is False
+    with pytest.raises(ValueError):
+        group.equal(group.identity(), other)
 
 
 def test_tail_levels_build_no_canonical_forms(monkeypatch):
@@ -1204,7 +1215,7 @@ def test_powers_of_commuting_atoms_match_the_mul_fold(level, data):
         base = x if n >= 0 else group.inv(x)
         fold = functools.reduce(group.mul, [base] * abs(n), group.identity())
         power = group.pow(x, n)
-        assert group.key(power) == group.key(fold)
+        assert power == fold
         assert group.fmt(power) == group.fmt(fold)
         if commute and n:
             assert len(power.atoms) == len(x.atoms)
@@ -1323,6 +1334,6 @@ def test_atom_values_agree_with_eval_and_the_form(level, seed, word):
         values = list(group.atom_values(x, coords))
         assert len(values) == len(coords)
         for c, v in zip(coords, values):
-            assert group.fiber.equal(v, group.eval(x, c))
+            assert v == group.eval(x, c)
             if form is not None:
-                assert group.fiber.equal(v, form.value(c))
+                assert v == form.value(c)
