@@ -34,13 +34,13 @@ from .wreath import (
     derived_commutator,
 )
 from .embed_rationals import (
-    GWord,
     QC,
     W,
     alpha,
     beta_tilde,
     big_phi,
     commutator_table,
+    fmt_g_word,
     g_word_element,
     phi,
     phi_element,

@@ -123,7 +123,7 @@ def run_command(cmd: Command) -> tuple[int, str]:
                     if q != 0 else "(* )")
             out = [
                 f"rational: {format_rational(q)}",
-                f"word: {word.fmt()}",
+                f"word: {er.fmt_g_word(word, 'alpha')}",
                 f"expression: {expr}" if q != 0 else "expression: identity",
                 "certificate: value "
                 + (er.QC.fmt(el.eval(0)) if q != 0 else "identity")
@@ -139,7 +139,7 @@ def run_command(cmd: Command) -> tuple[int, str]:
             out = [
                 f"rational: {format_rational(q)}",
                 f"word-family: {ctx.family_key}",
-                f"word: {word.fmt()}",
+                f"word: {er.fmt_g_word(word, 'omega')}",
                 "certificate: value "
                 + (ctx.TC.fmt(el.eval(0)) if q != 0 else "identity")
                 + " at z^0; identity at every other coordinate",

@@ -27,8 +27,6 @@ fixed seed and budget.
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
@@ -41,6 +39,7 @@ from .groundwork import (
     Rational,
     format_rational,
 )
+from .nilpotent import Word, eval_word
 from .reporting import FAIL, PASS, Report, merge_reports, run_checks
 from .wreath import (
     Atom,
@@ -159,56 +158,28 @@ def _fmt_exponent(e: int) -> str:
     return str(e)
 
 
-@dataclass(frozen=True)
-class GWord:
-    """Word over a two-generator alphabet, stored as exponent runs."""
-
-    letters: tuple[tuple[str, int], ...]
-
-    def inv(self) -> "GWord":
-        return GWord(tuple((g, -e) for g, e in reversed(self.letters)))
-
-    def __mul__(self, other: "GWord") -> "GWord":
-        return GWord(self.letters + other.letters)
-
-    def power(self, m: int) -> "GWord":
-        if len(self.letters) * abs(m) > sys.maxsize:
-            raise ValueError(f"the word's power {m} has more runs than a word can hold")
-        base = self if m >= 0 else self.inv()
-        return GWord(base.letters * abs(m))
-
-    def fmt(self) -> str:
-        if not self.letters:
-            return "1"
-        return " ".join(g if e == 1 else f"{g}^{_fmt_exponent(e)}" for g, e in self.letters)
-
-    def __str__(self) -> str:
-        return self.fmt()
+def fmt_g_word(word: Word, gen: str) -> str:
+    """A word over x1 = gen and x2 = z, spelt in those letters."""
+    if not word.letters:
+        return "1"
+    name = {1: gen, 2: "z"}
+    return " ".join(name[v] if e == 1 else f"{name[v]}^{_fmt_exponent(e)}"
+                    for v, e in word.letters)
 
 
-def commutator_word(gen: str, a: int, b: int, m: int) -> GWord:
-    """[g^(z^-a), g^(z^-b)]^m over {gen, z}, with g^(z^-k) spelt
-    z^k g z^-k and its z^0 letters dropped."""
-    def conj(k: int, e: int) -> tuple:
-        return (("z", k), (gen, e), ("z", -k)) if k else ((gen, e),)
-    return GWord(conj(a, -1) + conj(b, -1) + conj(a, 1) + conj(b, 1)).power(m)
+def commutator_word(a: int, b: int, m: int) -> Word:
+    """[g^(z^-a), g^(z^-b)]^m over x1 = g and x2 = z, with g^(z^-k)
+    spelt z^k g z^-k and its z^0 letters dropped."""
+    def conj(k: int) -> Word:
+        return Word(((2, k), (1, 1), (2, -k)) if k else ((1, 1),))
+    return Word.commutator(conj(a), conj(b)) ** m
 
 
-def g_word_element(w: GWord, tail: WreathElement | None = None) -> WreathElement:
-    """Evaluate a word over {g, z} in g's group, g the tail generator
-    (alpha in W by default, or a context's omega in D Wr Z)."""
+def g_word_element(w: Word, tail: WreathElement | None = None) -> WreathElement:
+    """Evaluate a word over x1 = g and x2 = z in g's group, g the tail
+    generator (alpha in W by default, or a context's omega in D Wr Z)."""
     g = alpha() if tail is None else tail
-    group, gen = g.group, g.atoms[0].fn.name
-    out = group.identity()
-    for name, e in w.letters:
-        if name == "z":
-            x = group.top_element(e)
-        elif name == gen:
-            x = group.pow(g, e)
-        else:
-            raise ValueError(f"unknown generator {name!r}")
-        out = group.mul(out, x)
-    return out
+    return eval_word(w, (g, g.group.top_element(1)), g.group)
 
 
 # -- the embedding -------------------------------------------------------
@@ -230,10 +201,10 @@ def phi_star(n: int) -> WreathElement:
     return W.certified(alpha_commutator(n), phi(n))
 
 
-def big_phi(q: Rational) -> GWord:
+def big_phi(q: Rational) -> Word:
     """The word [alpha^(z^-n), alpha]^m sent to m/n (n > 0 canonical)."""
     q = Fraction(q)
-    return commutator_word("alpha", q.denominator, 0, q.numerator)
+    return commutator_word(q.denominator, 0, q.numerator)
 
 
 def phi_element(q: Rational) -> WreathElement:
@@ -317,13 +288,13 @@ def random_w_base(rng: Random) -> WreathElement:
     return W.element(0, el.atoms)
 
 
-def random_g_word(rng: Random, max_len: int = 8, gen: str = "alpha") -> GWord:
-    """A random word of 1 to max_len letters gen^(+-1) and z^(+-1)."""
-    letters = tuple(
-        (rng.choice([gen, "z"]), rng.choice([-1, 1]))
+def random_g_word(rng: Random, max_len: int = 8) -> Word:
+    """A random word of 1 to max_len letters x1^(+-1) (the tail
+    generator) and x2^(+-1) (z)."""
+    return Word(tuple(
+        (rng.choice([1, 2]), rng.choice([-1, 1]))
         for _ in range(rng.randint(1, max_len))
-    )
-    return GWord(letters)
+    ))
 
 
 def brute_confirms(x: WreathElement, y: WreathElement, window: int) -> bool:
@@ -409,12 +380,12 @@ def verify_theorem1(seed: int = 0, budget: int = 200) -> Report:
             word = random_g_word(rng, max_len=30)
             el = g_word_element(word)
             if not W.equal(el, W.element(el.top, el.atoms)):
-                return FAIL, {"word": word.fmt()}
+                return FAIL, {"word": fmt_g_word(word, "alpha")}
             if el.atoms:
                 lo = min(a.shift for a in el.atoms)
                 for j in (lo - 1, lo - 5):
                     if not QC.is_identity(W.eval(el, j)):
-                        return FAIL, {"word": word.fmt(), "below": j}
+                        return FAIL, {"word": fmt_g_word(word, "alpha"), "below": j}
         return PASS, {"words": max(1, budget // 2)}
 
     def torsion_free(rng, budget):

@@ -73,8 +73,7 @@ from .wreath import (
     derived_commutator,
     net_exponents,
 )
-from .embed_rationals import (GWord, commutator_word, g_word_element, random_g_word,
-                              random_rational)
+from .embed_rationals import commutator_word, g_word_element, random_g_word, random_rational
 
 
 class SCoords:
@@ -363,11 +362,11 @@ class VerbalContext:
         comm = self.omega_commutator(self.index_of_psi_slot(q.denominator), 0)
         return self.DZ.pow(comm, q.numerator)
 
-    def embed_word(self, q: Rational) -> GWord:
-        """The word [omega^(z^-2^(2n-1)), omega^(z^-1)]^m of m/n."""
+    def embed_word(self, q: Rational) -> Word:
+        """The word [omega^(z^-2^(2n-1)), omega^(z^-1)]^m of m/n, over
+        x1 = omega and x2 = z."""
         q = Fraction(q)
-        return commutator_word("omega", 1 << self.index_of_psi_slot(q.denominator), 1,
-                               q.numerator)
+        return commutator_word(1 << self.index_of_psi_slot(q.denominator), 1, q.numerator)
 
     # -- randomized families --------------------------------------------------
 
@@ -559,7 +558,7 @@ def verify_theorem2(family: Word | str | Any = DEFAULT_WORD,
         depth = c + 3
         tuples = max(2, budget // 100)
         for _ in range(tuples):
-            elems = [g_word_element(random_g_word(rng, max_len=3, gen="omega"), ctx.omega())
+            elems = [g_word_element(random_g_word(rng, max_len=3), ctx.omega())
                      for _ in range(1 << depth)]
             if not DZ.is_identity(derived_commutator(DZ, elems)):
                 return FAIL, {"depth": depth}

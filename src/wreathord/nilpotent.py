@@ -12,7 +12,11 @@ trivially on both lower-central quotients.
 Commutator convention throughout the package: ``[x, y] = x^-1 y^-1 x y``
 and ``x^y = y^-1 x y``.
 
-Word syntax (used by the CLI and by plugin word sets)::
+``Word`` is the one free-group word of the package: it holds the law V
+(the CLI's ``--word`` and plugin word sets) and the G-words that spell
+each embedded rational, over x1 = the tail generator (alpha or omega)
+and x2 = z.  ``eval_word`` evaluates both, and one guarded power
+(``Word ** n`` and a power in the text) serves both.  Word syntax::
 
     word    := factor { "*" factor }
     factor  := atom [ "^" int ]
@@ -28,6 +32,7 @@ class >= 3, which a user plugin supplies together with a verbal witness.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -90,9 +95,8 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         return Word(self.letters + other.letters)
 
-    @staticmethod
-    def power(var: int, n: int) -> "Word":
-        return Word(((var, n),) if n else ())
+    def __pow__(self, n: int) -> "Word":
+        return Word(tuple(_power(self.letters, n)))
 
     @staticmethod
     def commutator(u: "Word", v: "Word") -> "Word":
@@ -111,6 +115,18 @@ _INDEX = re.compile(r"\d+")
 
 def _inverse(runs: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
     return [(v, -e) for v, e in reversed(runs)]
+
+
+def _power(runs: Sequence[tuple[int, int]], n: int) -> list[tuple[int, int]]:
+    """The runs of w^n: a single run multiplies its exponent; a compound
+    word repeats its runs, or its inverse's for n < 0, and is refused
+    before it would repeat past what a word can hold."""
+    if len(runs) == 1:
+        (var, e), = runs
+        return [(var, e * n)] if n else []
+    if len(runs) * abs(n) > sys.maxsize:
+        raise ValueError(f"the word's power {n} has more runs than a word can hold")
+    return list(runs) * n if n >= 0 else _inverse(runs) * -n
 
 
 class _WordParser:
@@ -163,12 +179,7 @@ class _WordParser:
         if self.peek() == "^":
             self.pos += 1
             self.skip_ws()
-            n = self.read_int(_INT, "expected an integer")
-            if len(runs) == 1:
-                (var, e), = runs
-                runs = [(var, e * n)] if n else []
-            else:
-                runs = runs * n if n >= 0 else _inverse(runs) * -n
+            runs = _power(runs, self.read_int(_INT, "expected an integer"))
         return runs
 
     def parse_atom(self) -> list[tuple[int, int]]:
@@ -393,7 +404,7 @@ def _reduce_word(w: Word) -> tuple[Nil2Group, VerbalWitness, str]:
         i = next(i for i, e in enumerate(image.gens) if e)
         group = Nil2Group(1)
         images = {i: group.generator(1)}
-        key = Word.power(1, abs(image.gens[i])).fmt()
+        key = Word(((1, abs(image.gens[i])),)).fmt()
     elif any(image.comms):
         # (b) x_p -> x1, x_q -> x2 for the first nonzero [x_p,x_q] exponent
         f, (p, q) = next((f, pq) for f, pq in zip(image.comms, free._pairs) if f)

@@ -133,8 +133,8 @@ def test_criterion_7_verdict_soundness():
         assert confirm_verdict(x, y, W.min_difference(x, y))
         checked += 1
     for _ in range(100):
-        x = g_word_element(random_g_word(rng, max_len=4, gen="omega"), ctx.omega())
-        y = g_word_element(random_g_word(rng, max_len=4, gen="omega"), ctx.omega())
+        x = g_word_element(random_g_word(rng, max_len=4), ctx.omega())
+        y = g_word_element(random_g_word(rng, max_len=4), ctx.omega())
         y = ctx.DZ.element(x.top, y.atoms)
         assert confirm_verdict(x, y, ctx.DZ.min_difference(x, y))
         checked += 1

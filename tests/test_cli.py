@@ -1,9 +1,11 @@
+import contextlib
+import io
 import json
 import re
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import token_parse_expr
 from wreathord.cli import Command, main, parse_argv, run_command
@@ -167,15 +169,66 @@ def test_an_over_long_integer_literal_is_a_syntax_error_at_the_literal(capsys):
         assert (out, err) == ("", f"error: {message}\n"), argv
 
 
-@pytest.mark.parametrize("argv", [["embed-q", "99999999999999999999"],
-                                  ["embed-verbal", "99999999999999999999/7"]])
+@pytest.mark.parametrize("argv", [
+    ["embed-q", "99999999999999999999"],
+    ["embed-verbal", "99999999999999999999/7"],
+    ["verify", "verbal", "--word", "[x1,x2]^99999999999999999999"],
+    ["embed-verbal", "1/3", "--word", "(x1*x2)^-99999999999999999999"],
+])
 def test_a_numerator_past_what_a_word_can_hold_is_a_usage_error(capsys, argv):
-    # the word repeats its runs |m| times; 20 digits are more runs than a
-    # tuple can index, so the power is refused before any run is repeated
+    # a compound word's power repeats its runs |m| times, in an embedding's
+    # word and in a --word alike; 20 digits are more runs than a tuple can
+    # index, so the power is refused before any run is repeated
+    power = re.search(r"-?\d{20}", " ".join(argv)).group()
     assert main(argv) == 2
     out, err = capsys.readouterr()
-    assert (out, err) == ("", "error: the word's power 99999999999999999999 has more "
+    assert (out, err) == ("", f"error: the word's power {power} has more "
                               "runs than a word can hold\n")
+
+
+@st.composite
+def _word_text(draw):
+    """A --word of compound factors raised to exponents of up to 2 digits
+    or of 20 digits, each 5 to 9, with at most one character deleted,
+    inserted or replaced."""
+    def exponent():
+        digits = draw(st.one_of(st.integers(0, 99).map(str),
+                                st.text("56789", min_size=20, max_size=20)))
+        return draw(st.sampled_from(["", "-"])) + digits
+
+    def factor():
+        a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        atom = draw(st.sampled_from([f"(x{a}*x{b})", f"[x{a},x{b}]", f"(x{a}^2*x{b}^-1)",
+                                     f"[x{a}*x{b},x{b}]", f"x{a}"]))
+        return f"{atom}^{exponent()}"
+
+    text = "*".join(factor() for _ in range(draw(st.integers(1, 3))))
+    edit = draw(st.sampled_from(["none", "none", "none", "delete", "insert", "replace"]))
+    if edit != "none":
+        i = draw(st.integers(0, len(text) - (edit != "insert")))
+        ch = draw(st.sampled_from(list("x120^*[],()- ")))
+        text = text[:i] + (ch if edit != "delete" else "") + text[i + (edit != "insert"):]
+    # a compound power of 5 to 18 digits is built run by run, 10^4 runs and
+    # more (a power node is ROADMAP item 2), so a text with such an exponent,
+    # as an edit that splits a 20-digit one makes, is skipped; digits 5-9
+    # keep a 20-digit exponent at 5*10^18 or more after any one edit, past
+    # what a factor of two or more runs can hold
+    assume(not re.search(r"(?<!\d)\d{5,18}(?!\d)", text))
+    return text
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_word_text())
+@example("[x1,x2]^99999999999999999999")
+def test_a_word_is_embedded_or_one_error_line(text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(["embed-verbal", "1/3", "--word", text])
+    if status == 0:
+        assert err.getvalue() == "" and out.getvalue().startswith("rational: 1/3\n")
+    else:
+        assert status == 2 and out.getvalue() == "", (text, status)
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,10 +9,10 @@ from helpers import product_qc_element, product_w_element
 
 from wreathord import embed_rationals
 from wreathord.groundwork import Ordering
+from wreathord.nilpotent import Word
 from wreathord.reporting import FAIL
 from wreathord.wreath import WreathGroup, net_exponents
 from wreathord.embed_rationals import (
-    GWord,
     QC,
     W,
     alpha,
@@ -83,11 +83,11 @@ def test_big_phi_word_and_values():
 
 
 def test_a_word_power_past_what_a_word_can_hold_raises_before_repeating():
-    w = GWord((("alpha", 1), ("z", 1)))
+    w = Word(((1, 1), (2, 1)))
     for m in (sys.maxsize // 2 + 1, -(sys.maxsize // 2 + 1), 10 ** 20):
         with pytest.raises(ValueError, match="more runs than a word can hold"):
-            w.power(m)
-    assert w.power(-2).letters == (("z", -1), ("alpha", -1)) * 2
+            w ** m
+    assert (w ** -2).letters == ((2, -1), (1, -1)) * 2
 
 
 def test_commutator_table_five_cases():
@@ -107,17 +107,18 @@ def _factors(el):
 
 def test_g_normal_form_examples():
     # a G element is its own normal form: z^top times its atoms in order
-    el = g_word_element(GWord((("alpha", 1), ("z", 2))))
+    # (x1 = alpha, x2 = z)
+    el = g_word_element(Word(((1, 1), (2, 2))))
     assert (el.top, _factors(el)) == (2, ((2, 1),))
 
-    el = g_word_element(GWord((("z", 5),)))
+    el = g_word_element(Word(((2, 5),)))
     assert (el.top, _factors(el)) == (5, ())
 
-    comm_word = GWord((
-        ("z", 3), ("alpha", -1), ("z", -3),
-        ("alpha", -1),
-        ("z", 3), ("alpha", 1), ("z", -3),
-        ("alpha", 1),
+    comm_word = Word((
+        (2, 3), (1, -1), (2, -3),
+        (1, -1),
+        (2, 3), (1, 1), (2, -3),
+        (1, 1),
     ))
     el = g_word_element(comm_word)
     assert el.top == 0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import unit_letters
-from wreathord.embed_rationals import _order_family_checks, g_word_element, random_g_word
+from wreathord.embed_rationals import W, _order_family_checks, g_word_element, random_g_word
 from wreathord.groundwork import Ordering
 from wreathord.nilpotent import UnsupportedWordSet, VerbalWitness, Word, eval_word, select_S
 from wreathord.reporting import run_checks
@@ -191,7 +191,7 @@ def test_the_order_laws_hold_on_every_verbal_level(ctx):
         return sampler
 
     def omega_word(rng):
-        return g_word_element(random_g_word(rng, max_len=3, gen="omega"), ctx.omega())
+        return g_word_element(random_g_word(rng, max_len=3), ctx.omega())
 
     checks = []
     for name, group, sample in (("qs", ctx.QS, ctx.random_t_element),
@@ -331,7 +331,7 @@ class _Squares:
         self.group = group
 
     def select(self):
-        return self.group, VerbalWitness(2, ((Word.power(1, 2), (1,), 1),))
+        return self.group, VerbalWitness(2, ((Word(((1, 2),)), (1,), 1),))
 
 
 def test_a_plugin_S_without_the_whole_contract_is_rejected():
@@ -372,6 +372,18 @@ def test_eval_word_of_runs_matches_unit_letters_in_QS(runs, seed):
     word = Word(tuple(runs))
     assert CTX.QS.equal(eval_word(word, args, CTX.QS),
                         eval_word(Word(unit_letters(word)), args, CTX.QS))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(1, 2), st.integers(-9, 9).filter(bool)), max_size=6))
+def test_g_word_runs_match_unit_letters(runs):
+    # a G-word over x1 = alpha or omega and x2 = z evaluates each run with
+    # one pow; spelt letter by letter it is a product of generators
+    word = Word(tuple(runs))
+    letters = Word(unit_letters(word))
+    assert W.equal(g_word_element(word), g_word_element(letters))
+    omega = CTX.omega()
+    assert CTX.DZ.equal(g_word_element(word, omega), g_word_element(letters, omega))
 
 
 def test_replaying_a_power_word_certificate_costs_its_runs(monkeypatch):

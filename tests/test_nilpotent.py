@@ -81,7 +81,7 @@ def test_eval_word_examples():
     comm = Word.commutator(Word(((1, 1),)), Word(((2, 1),)))
     assert eval_word(comm, (X1, X2), G2) == G2.element((0, 0), (1,))
     g = G2.element((2, 1), (3,))
-    assert eval_word(Word.power(1, 3), (g,), G2) == G2.pow(g, 3)
+    assert eval_word(Word(((1, 3),)), (g,), G2) == G2.pow(g, 3)
     assert eval_word(comm, (g, g), G2) == G2.identity()
     with pytest.raises(ValueError):
         eval_word(comm, (X1,), G2)
@@ -349,7 +349,7 @@ def test_select_plugin_object():
         def select(self):
             g = Nil2Group(1)
             gen = g.generator(1)
-            witness = VerbalWitness(g.pow(gen, 5), ((Word.power(1, 5), (gen,), 1),))
+            witness = VerbalWitness(g.pow(gen, 5), ((Word(((1, 5),)), (gen,), 1),))
             return g, witness
 
     group, witness, _ = select_S(FifthPowers())
@@ -390,7 +390,7 @@ def test_select_rejects_a_plugin_without_value_equality(box):
         def select(self):
             group = Boxed()
             a = box(group.g.generator(1))
-            return group, VerbalWitness(a, ((Word.power(1, 1), (a,), 1),))
+            return group, VerbalWitness(a, ((Word(((1, 1),)), (a,), 1),))
 
     with pytest.raises(UnsupportedWordSet, match="'boxed'.*hashable with value equality"):
         select_S(Plugin())

@@ -572,7 +572,7 @@ def test_verbal_order_agrees_with_brute_force(family):
         y = TC.element(x.top, y.atoms)
         assert TC.compare(x, y) is brute_compare(x, y)
     for _ in range(40):
-        x, y = (g_word_element(random_g_word(rng, max_len=4, gen="omega"), ctx.omega())
+        x, y = (g_word_element(random_g_word(rng, max_len=4), ctx.omega())
                 for _ in range(2))
         y = DZ.element(x.top, y.atoms)
         assert DZ.compare(x, y) is brute_compare(x, y)
@@ -949,7 +949,7 @@ def _level_elements(level: str, rng: Random):
         group, x = ctx.TC, ctx.random_d_element(rng, max_len=3)
     else:
         group = ctx.DZ
-        x = group.mul(g_word_element(random_g_word(rng, max_len=4, gen="omega"), ctx.omega()),
+        x = group.mul(g_word_element(random_g_word(rng, max_len=4), ctx.omega()),
                       group.point(ctx.random_d_element(rng, max_len=2), at=rng.randint(-3, 3)))
     a = rng.choice(x.atoms) if x.atoms else None
     one = group.atom_element(a.fn, a.shift, a.exp) if a else group.identity()
@@ -1262,7 +1262,7 @@ class _FirstGenerator:
 
         group = Nil2Group(2)
         x1 = group.generator(1)
-        return group, VerbalWitness(x1, ((Word.power(1, 1), (x1,), 1),))
+        return group, VerbalWitness(x1, ((Word(((1, 1),)), (x1,), 1),))
 
 
 _FIRST_GENERATOR = _FirstGenerator()
@@ -1322,7 +1322,7 @@ def test_atom_values_agree_with_eval_and_the_form(level, seed, word):
         if rng.random() < 0.5:
             x = group.mul(ctx.omega_commutator(rng.randint(0, 3), rng.randint(4, 6)), point)
         else:
-            x = group.mul(g_word_element(random_g_word(rng, max_len=4, gen="omega"),
+            x = group.mul(g_word_element(random_g_word(rng, max_len=4),
                                          ctx.omega()), point)
     else:
         group = ctx.DZ
